@@ -26,7 +26,7 @@ from .errors import (
     NotWinning,
     SutProtocolError,
 )
-from .lts import CompatRel, Label, Lts, is_deterministic
+from .lts import CompatRel, Label, Lts, explore, is_deterministic
 from .operators import contract
 from .simulation import find_delay_simulation
 
@@ -450,28 +450,22 @@ def split_io(m: Lts) -> Lts:
     if not all(a.is_mealy for a in m.alphabet):
         raise ValueError("split_io needs a Mealy machine")
     xs = sorted(m.inputs)
-    alphabet = _learner_alphabet(m.alphabet)
-    states: list[str] = []
-    transitions: list[tuple[str, Label, str]] = []
-    taken: set[str] = set()
 
-    def add_state(name: str) -> str:
-        if name in taken:
-            raise ValueError(f"state name {name!r} collides in the split view")
-        taken.add(name)
-        states.append(name)
-        return name
-
-    for q in m.states:
-        add_state(q)
-    for q in m.states:
-        for x in xs:
-            mid = add_state(f"{q}?{x}")
-            transitions.append((q, Label(x), mid))
+    def successors(key):
+        if isinstance(key, str):
+            for x in xs:
+                yield Label(x), (key, x)
+        else:
+            q, x = key
             for a, dst in m.out(q):
                 if a.symbol == x:
-                    transitions.append((mid, _emission(a.output), dst))
-    return Lts(states, m.initial, transitions, alphabet)
+                    yield _emission(a.output), dst
+
+    def name(key) -> str:
+        return key if isinstance(key, str) else f"{key[0]}?{key[1]}"
+
+    roots = [m.initial, *(q for q in m.states if q != m.initial)]
+    return explore(roots, successors, name, _learner_alphabet(m.alphabet))
 
 
 def adaptor_composition(tree: CodeTree, m: Lts) -> Lts:
@@ -500,57 +494,36 @@ def adaptor_composition(tree: CodeTree, m: Lts) -> Lts:
     alphabet = _learner_alphabet(tree.abstract)
     labels = dict(tree.leaf_labels)
 
-    start = ("P", m.initial)
-    names: dict[tuple, str] = {}
-    taken: set[str] = set()
-    order: list[str] = []
-
-    def visit(key: tuple) -> str:
-        if key not in names:
-            if key[0] == "P":
-                text = f"P∥{key[1]}"
-            elif key[0] == "Q":
-                text = f"Q({key[1]},{key[2]})∥{key[3]}"
-            else:
-                text = f"R({key[1]},{key[2]})∥{key[3]}?{key[4]}"
-            if text in taken:
-                raise ValueError(f"composition state name {text!r} collides")
-            taken.add(text)
-            names[key] = text
-            order.append(text)
-            todo.append(key)
-        return names[key]
-
-    todo: deque[tuple] = deque()
-    transitions: list[tuple[str, Label, str]] = []
-    visit(start)
-    while todo:
-        key = todo.popleft()
-        src = names[key]
+    def successors(key):
         if key[0] == "P":
             _, q = key
             for x in xs:
-                transitions.append((src, Label(x), visit(("Q", tree.root, x, q))))
+                yield Label(x), ("Q", tree.root, x, q)
         elif key[0] == "Q":
             _, node, x, q = key
             if tree.is_leaf(node):
                 if node in labels:
-                    y = labels[node].output
-                    transitions.append((src, _emission(y), visit(("P", q))))
-                continue
+                    yield _emission(labels[node].output), ("P", q)
+                return
             inputs = table.winning_inputs(node, x)
-            if not inputs:
-                continue
-            i = inputs[0]
-            transitions.append((src, TAU, visit(("R", node, x, q, i))))
+            if inputs:
+                yield TAU, ("R", node, x, q, inputs[0])
         else:
             _, node, x, q, i = key
             for a, child in tree.tree.out(node):
                 if a.symbol != i:
                     continue
                 for q2 in m.succ(q, a):
-                    transitions.append((src, TAU, visit(("Q", child, x, q2))))
-    return Lts(order, names[start], transitions, alphabet)
+                    yield TAU, ("Q", child, x, q2)
+
+    def name(key) -> str:
+        if key[0] == "P":
+            return f"P∥{key[1]}"
+        if key[0] == "Q":
+            return f"Q({key[1]},{key[2]})∥{key[3]}"
+        return f"R({key[1]},{key[2]})∥{key[3]}?{key[4]}"
+
+    return explore([("P", m.initial)], successors, name, alphabet)
 
 
 def check_adaptor_theorem(tree: CodeTree, m: Lts) -> bool:

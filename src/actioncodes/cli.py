@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import shlex
+import string
 import sys
 from pathlib import Path
 
@@ -59,12 +60,14 @@ def _read(path: str) -> dict:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_lts(path: str) -> Lts:
-    return lts_from_document(_read(path))
-
-
-def _load_code(path: str) -> CodeMap:
-    return code_from_document(_read(path))
+def _load(argument: str, path: str):
+    """Load the document named by a verb argument; the name picks the loader."""
+    doc = _read(path)
+    if argument in ("code", "inner", "outer"):
+        return code_from_document(doc)
+    if argument == "tree":
+        return tree_from_document(doc)
+    return lts_from_document(doc)
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -75,70 +78,17 @@ def _emit(doc: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _stats(m: Lts) -> None:
-    print(f"states {len(m.states)} transitions {len(m.transitions)}", file=sys.stderr)
-
-
-def _rel(name: str, code: CodeMap) -> CompatRel:
-    return CompatRel.by_name(name, code.source)
-
-
-# -- operator verbs ---------------------------------------------------------
-
-
-def _cmd_contract(args) -> int:
-    code = _load_code(args.code)
-    machine = _load_lts(args.machine)
-    result = contract(code, machine)
-    _emit(lts_to_document(result), args.out)
-    if args.stats:
-        _stats(result)
-    return EXIT_OK
-
-
-def _cmd_refine(args) -> int:
-    code = _load_code(args.code)
-    machine = _load_lts(args.machine)
-    result = refine(code, machine)
-    _emit(lts_to_document(result), args.out)
-    if args.stats:
-        _stats(result)
-    return EXIT_OK
-
-
-def _cmd_concretize(args) -> int:
-    code = _load_code(args.code)
-    machine = _load_lts(args.machine)
-    result = concretize(code, _rel(args.rel, code), machine)
-    _emit(lts_to_document(result), args.out)
-    if args.stats:
-        _stats(result)
-    return EXIT_OK
-
-
-def _cmd_compose(args) -> int:
-    inner = _load_code(args.inner)
-    outer = _load_code(args.outer)
-    _emit(code_to_document(compose(inner, outer)), args.out)
-    return EXIT_OK
-
-
-def _cmd_to_tree(args) -> int:
-    _emit(tree_to_document(to_tree(_load_code(args.code))), args.out)
-    return EXIT_OK
-
-
-def _cmd_to_map(args) -> int:
-    _emit(code_to_document(to_map(tree_from_document(_read(args.tree)))), args.out)
-    return EXIT_OK
+def _rel(args, code: CodeMap) -> CompatRel:
+    return CompatRel.by_name(args.rel, code.source)
 
 
 def _cmd_gen(args) -> int:
     if args.what == "lts":
-        value = gen_lts(args.seed, args.states, args.labels, args.deterministic)
-        doc = lts_to_document(value)
+        doc = lts_to_document(
+            gen_lts(args.seed, args.states, args.labels, args.deterministic)
+        )
     elif args.what == "mealy":
-        value = gen_mealy(
+        machine = gen_mealy(
             args.seed,
             args.states,
             args.inputs,
@@ -146,22 +96,18 @@ def _cmd_gen(args) -> int:
             input_enabled=args.input_enabled,
             output_deterministic=args.output_deterministic,
         )
-        doc = lts_to_document(value)
+        doc = lts_to_document(machine)
+    elif args.mealy:
+        target = [
+            Label(string.ascii_uppercase[k], str(j))
+            for k in range(args.abstract)
+            for j in range(args.outputs)
+        ]
+        source = mealy_alphabet(args.inputs, args.outputs)
+        code = gen_code(args.seed, source, target, args.abstract, args.maxlen)
+        doc = code_to_document(code)
     else:
-        if args.mealy:
-            import string
-
-            target = [
-                Label(string.ascii_uppercase[k], str(j))
-                for k in range(args.abstract)
-                for j in range(args.outputs)
-            ]
-            source = mealy_alphabet(args.inputs, args.outputs)
-            code = gen_code(args.seed, source, target, args.abstract, args.maxlen)
-        else:
-            code = gen_code(
-                args.seed, args.labels, args.abstract, args.abstract, args.maxlen
-            )
+        code = gen_code(args.seed, args.labels, args.abstract, args.abstract, args.maxlen)
         doc = code_to_document(code)
     _emit(doc, args.out)
     return EXIT_OK
@@ -170,44 +116,29 @@ def _cmd_gen(args) -> int:
 # -- check verbs -------------------------------------------------------------
 
 
-def _verdict(ok: bool, lines: list[str]) -> int:
-    print("PASS" if ok else "FAIL")
-    for line in lines:
-        print(line)
-    return EXIT_OK if ok else EXIT_FAIL
+def _isomorphism(args, m: Lts, n: Lts) -> tuple[bool, list[str]]:
+    mapping = find_isomorphism_reachable(m, n)
+    lines = [f"map {q} {p}" for q, p in sorted(mapping.items())] if mapping else []
+    return mapping is not None, lines
 
 
-def _check_simulation(args) -> int:
-    left, right = _load_lts(args.left), _load_lts(args.right)
+def _simulation(args, left, right):
     witness = find_simulation(left, right)
     lines = [f"pair {q} {p}" for q, p in witness] if witness else []
-    return _verdict(witness is not None, lines)
+    return witness is not None, lines
 
 
-def _check_isomorphism(args) -> int:
-    left, right = _load_lts(args.left), _load_lts(args.right)
-    mapping = find_isomorphism_reachable(left, right)
-    lines = (
-        [f"map {q} {p}" for q, p in sorted(mapping.items())] if mapping else []
-    )
-    return _verdict(mapping is not None, lines)
+def _icomplete(args, code, machine):
+    ok, witness = is_icomplete(code, _rel(args, code), machine)
+    lines = [] if witness is None else [
+        f"witness state={witness.state} node={witness.node} "
+        f"enabled={witness.enabled} missing={witness.missing}"
+    ]
+    return ok, lines
 
 
-def _check_icomplete(args) -> int:
-    code = _load_code(args.code)
-    machine = _load_lts(args.machine)
-    ok, witness = is_icomplete(code, _rel(args.rel, code), machine)
-    lines = []
-    if witness:
-        lines.append(
-            f"witness state={witness.state} node={witness.node} "
-            f"enabled={witness.enabled} missing={witness.missing}"
-        )
-    return _verdict(ok, lines)
-
-
-def _check_winning(args) -> int:
-    tree = to_tree(_load_code(args.code))
+def _winning(args, code):
+    tree = to_tree(code)
     table = solve_winning(tree)
     wanted = [args.abstract_input] if args.abstract_input else sorted(
         {lab.symbol for _, lab in tree.leaf_labels}
@@ -221,31 +152,23 @@ def _check_winning(args) -> int:
         else:
             ok = False
             lines.append(f"not-winning {x}")
-    return _verdict(ok, lines)
+    return ok, lines
 
 
-def _check_determinate(args) -> int:
-    tree = to_tree(_load_code(args.code))
-    ok, witness = is_determinate(tree)
-    lines = []
-    if witness:
-        lines.append(
-            f"witness node={witness.node} input={witness.abstract_input} "
-            f"first={witness.first_input} second={witness.second_input}"
-        )
-    return _verdict(ok, lines)
+def _determinate(args, code):
+    ok, witness = is_determinate(to_tree(code))
+    lines = [] if witness is None else [
+        f"witness node={witness.node} input={witness.abstract_input} "
+        f"first={witness.first_input} second={witness.second_input}"
+    ]
+    return ok, lines
 
 
-def _check_galois_refinement(args) -> int:
+def _galois_refinement(args, code, abstract, concrete):
     """Adjunction between refinement and contraction on one instance."""
-    code = _load_code(args.code)
-    abstract = _load_lts(args.abstract)
-    concrete = _load_lts(args.concrete)
     left = find_simulation(refine(code, abstract), concrete) is not None
     right = find_simulation(abstract, contract(code, concrete)) is not None
-    over_domain = all(
-        a in code.domain for _, a, _ in abstract.transitions
-    )
+    over_domain = all(a in code.domain for _, a, _ in abstract.transitions)
     det = is_deterministic(concrete)
     ok = True
     lines = [
@@ -260,77 +183,48 @@ def _check_galois_refinement(args) -> int:
     if det and right and not left:
         ok = False
         lines.append("violated right-to-left")
-    return _verdict(ok, lines)
+    return ok, lines
 
 
-def _check_galois_concretization(args) -> int:
+def _galois_concretization(args, code, concrete, abstract):
     """Adjunction between contraction and concretization on one instance."""
-    code = _load_code(args.code)
-    concrete = _load_lts(args.concrete)
-    abstract = _load_lts(args.abstract)
-    rel = _rel(args.rel, code)
-    complete, witness = is_icomplete(code, rel, concrete)
+    complete, witness_lines = _icomplete(args, code, concrete)
     lines = [f"icomplete {complete}"]
     if not complete:
-        lines.append(
-            f"witness state={witness.state} node={witness.node} "
-            f"enabled={witness.enabled} missing={witness.missing}"
-        )
-        return _verdict(False, lines)
+        return False, lines + witness_lines
+    rel = _rel(args, code)
     left = find_simulation(contract(code, concrete), abstract) is not None
     right = find_simulation(concrete, concretize(code, rel, abstract)) is not None
     lines += [f"contraction-simulated {left}", f"concretization-simulated {right}"]
-    return _verdict(left == right, lines)
+    return left == right, lines
 
 
-def _check_insertion(args) -> int:
-    code = _load_code(args.code)
-    abstract = _load_lts(args.abstract)
+def _insertion(args, code, abstract):
     used = {a for _, a, _ in abstract.transitions}
     if not used <= code.domain:
-        print("FAIL")
-        print("machine uses labels outside the code domain")
-        return EXIT_FAIL
-    rel = _rel(args.rel, code)
-    back = contract(code, concretize(code, rel, abstract))
-    mapping = find_isomorphism_reachable(abstract, back)
-    lines = [f"map {q} {p}" for q, p in sorted(mapping.items())] if mapping else []
-    return _verdict(mapping is not None, lines)
+        return False, ["machine uses labels outside the code domain"]
+    back = contract(code, concretize(code, _rel(args, code), abstract))
+    return _isomorphism(args, abstract, back)
 
 
-def _check_compose_alpha(args) -> int:
-    inner = _load_code(args.inner)
-    outer = _load_code(args.outer)
-    machine = _load_lts(args.machine)
+def _compose_alpha(args, inner, outer, machine):
     composed = contract(compose(inner, outer), machine)
     stacked = contract(outer, contract(inner, machine))
-    mapping = find_isomorphism_reachable(composed, stacked)
-    lines = [f"map {q} {p}" for q, p in sorted(mapping.items())] if mapping else []
-    return _verdict(mapping is not None, lines)
+    return _isomorphism(args, composed, stacked)
 
 
-def _check_compose_rho(args) -> int:
-    inner = _load_code(args.inner)
-    outer = _load_code(args.outer)
-    machine = _load_lts(args.machine)
+def _compose_rho(args, inner, outer, machine):
     letters = {b for _, w in outer.entries for b in w}
     if not letters <= inner.domain:
-        print("FAIL")
-        print("outer code words use letters outside the inner code domain")
-        return EXIT_FAIL
+        return False, ["outer code words use letters outside the inner code domain"]
     composed = refine(compose(inner, outer), machine)
     stacked = refine(inner, refine(outer, machine))
-    mapping = find_isomorphism_reachable(composed, stacked)
-    lines = [f"map {q} {p}" for q, p in sorted(mapping.items())] if mapping else []
-    return _verdict(mapping is not None, lines)
+    return _isomorphism(args, composed, stacked)
 
 
-def _check_gamma_noncompose(args) -> int:
+def _gamma_noncompose(args, inner, outer, machine):
     """Concretization does not commute with composition: non-isomorphic but
     mutually similar on the given instance."""
-    inner = _load_code(args.inner)
-    outer = _load_code(args.outer)
-    machine = _load_lts(args.machine)
     rel_inner = CompatRel.identity(inner.source)
     rel_outer = CompatRel.identity(outer.source)
     composed = concretize(compose(inner, outer), rel_inner, machine)
@@ -343,27 +237,21 @@ def _check_gamma_noncompose(args) -> int:
         f"simulated-forward {forward}",
         f"simulated-backward {backward}",
     ]
-    return _verdict(iso is None and forward and backward, lines)
-
-
-def _check_adaptor_theorem(args) -> int:
-    tree = to_tree(_load_code(args.code))
-    machine = _load_lts(args.machine)
-    ok = check_adaptor_theorem(tree, machine)
-    return _verdict(ok, [])
+    return iso is None and forward and backward, lines
 
 
 # -- the adaptor verb --------------------------------------------------------
 
 
+def _symbols(path: str | None) -> list[str]:
+    """The stripped non-blank lines of a file, or of stdin without a path."""
+    text = Path(path).read_text(encoding="utf-8") if path else sys.stdin.read()
+    return [line.strip() for line in text.splitlines() if line.strip()]
+
+
 def _cmd_adaptor(args) -> int:
-    code = _load_code(args.code)
-    tree = to_tree(code)
-    if args.inputs:
-        text = Path(args.inputs).read_text(encoding="utf-8")
-    else:
-        text = sys.stdin.read()
-    requested = [line.strip() for line in text.splitlines() if line.strip()]
+    tree = to_tree(_load("code", args.code))
+    requested = _symbols(args.inputs)
 
     table = solve_winning(tree)
     for x in sorted(set(requested)):
@@ -374,14 +262,8 @@ def _cmd_adaptor(args) -> int:
     sut = None
     try:
         if args.sut_file:
-            machine = _load_lts(args.sut_file)
-            script = None
-            if args.script:
-                script = [
-                    line.strip()
-                    for line in Path(args.script).read_text(encoding="utf-8").splitlines()
-                    if line.strip()
-                ]
+            machine = _load("machine", args.sut_file)
+            script = _symbols(args.script) if args.script else None
             sut = InProcessSut(machine, seed=args.seed, script=script)
         elif args.sut_exec:
             sut = ExternalSut.spawn(shlex.split(args.sut_exec), timeout=args.timeout)
@@ -404,7 +286,117 @@ def _cmd_adaptor(args) -> int:
             sut.close()
 
 
+# -- the verb tables ----------------------------------------------------------
+
+# Each verb takes document arguments, loaded in table order by the loader
+# their name picks (see ``_load``); one spelled ``--name`` is a required
+# option, the others are positional.  Every function is called with the
+# parsed arguments followed by the loaded documents.
+
+_OPTIONS = {
+    "--rel": {"default": "identity", "choices": ["identity", "same-input"]},
+    "--stats": {"action": "store_true"},
+    "--out": {"help": "write the result document here instead of stdout"},
+    "--for": {"dest": "abstract_input"},
+}
+
+# verb: (help, options, documents, function, result serializer)
+_OPERATORS = {
+    "contract": (
+        "contract a machine through a code", ("--stats", "--out"), ("--code", "machine"),
+        lambda args, code, machine: contract(code, machine), lts_to_document,
+    ),
+    "refine": (
+        "refine a machine through a code", ("--stats", "--out"), ("--code", "machine"),
+        lambda args, code, machine: refine(code, machine), lts_to_document,
+    ),
+    "concretize": (
+        "concretize a machine through a code",
+        ("--rel", "--stats", "--out"),
+        ("--code", "machine"),
+        lambda args, code, machine: concretize(code, _rel(args, code), machine),
+        lts_to_document,
+    ),
+    "compose": (
+        "compose two codes (inner then outer)", ("--out",), ("inner", "outer"),
+        lambda args, inner, outer: compose(inner, outer), code_to_document,
+    ),
+    "to-tree": (
+        "tree form of a code document", ("--out",), ("code",),
+        lambda args, code: to_tree(code), tree_to_document,
+    ),
+    "to-map": (
+        "map form of a tree document", ("--out",), ("tree",),
+        lambda args, tree: to_map(tree), code_to_document,
+    ),
+}
+
+# verb: (help, options, documents, function returning (ok, witness lines))
+_CHECKS = {
+    "simulation": (None, (), ("left", "right"), _simulation),
+    "isomorphism": (None, (), ("left", "right"), _isomorphism),
+    "icomplete": (None, ("--rel",), ("--code", "machine"), _icomplete),
+    "winning": (None, ("--for",), ("--code",), _winning),
+    "determinate": (None, (), ("--code",), _determinate),
+    "galois1": (
+        "refinement/contraction adjunction", (), ("--code", "abstract", "concrete"),
+        _galois_refinement,
+    ),
+    "galois2": (
+        "contraction/concretization adjunction", ("--rel",),
+        ("--code", "concrete", "abstract"), _galois_concretization,
+    ),
+    "insertion": (None, ("--rel",), ("--code", "abstract"), _insertion),
+    "compose-alpha": (None, (), ("inner", "outer", "machine"), _compose_alpha),
+    "compose-rho": (None, (), ("inner", "outer", "machine"), _compose_rho),
+    "gamma-noncompose": (None, (), ("inner", "outer", "machine"), _gamma_noncompose),
+    "adaptor-theorem": (
+        None, (), ("--code", "machine"),
+        lambda args, code, machine: (check_adaptor_theorem(to_tree(code), machine), []),
+    ),
+}
+
+
+def _documents(args, documents: tuple[str, ...]) -> list:
+    names = [argument.lstrip("-") for argument in documents]
+    return [_load(name, getattr(args, name)) for name in names]
+
+
+def _run_operator(args) -> int:
+    _, options, documents, function, to_document = _OPERATORS[args.verb]
+    result = function(args, *_documents(args, documents))
+    _emit(to_document(result), args.out)
+    if "--stats" in options and args.stats:
+        print(
+            f"states {len(result.states)} transitions {len(result.transitions)}",
+            file=sys.stderr,
+        )
+    return EXIT_OK
+
+
+def _run_check(args) -> int:
+    _, _, documents, function = _CHECKS[args.what]
+    ok, lines = function(args, *_documents(args, documents))
+    print("PASS" if ok else "FAIL")
+    for line in lines:
+        print(line)
+    return EXIT_OK if ok else EXIT_FAIL
+
+
 # -- argument parsing ---------------------------------------------------------
+
+
+def _add_verb(sub, verb: str, help_text, options, documents, handler) -> None:
+    p = sub.add_parser(verb, **({"help": help_text} if help_text else {}))
+    for argument in documents:
+        if argument.startswith("--"):
+            p.add_argument(argument, required=True)
+    for option in options:
+        p.add_argument(option, **_OPTIONS[option])
+    for argument in documents:
+        if not argument.startswith("--"):
+            p.add_argument(argument)
+    p.set_defaults(handler=handler)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -415,40 +407,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_out(p):
-        p.add_argument("--out", help="write the result document here instead of stdout")
-
-    for verb, handler in (("contract", _cmd_contract), ("refine", _cmd_refine)):
-        p = sub.add_parser(verb, help=f"{verb} a machine through a code")
-        p.add_argument("--code", required=True)
-        p.add_argument("--stats", action="store_true")
-        add_out(p)
-        p.add_argument("machine")
-        p.set_defaults(handler=handler)
-
-    p = sub.add_parser("concretize", help="concretize a machine through a code")
-    p.add_argument("--code", required=True)
-    p.add_argument("--rel", default="identity", choices=["identity", "same-input"])
-    p.add_argument("--stats", action="store_true")
-    add_out(p)
-    p.add_argument("machine")
-    p.set_defaults(handler=_cmd_concretize)
-
-    p = sub.add_parser("compose", help="compose two codes (inner then outer)")
-    add_out(p)
-    p.add_argument("inner")
-    p.add_argument("outer")
-    p.set_defaults(handler=_cmd_compose)
-
-    p = sub.add_parser("to-tree", help="tree form of a code document")
-    add_out(p)
-    p.add_argument("code")
-    p.set_defaults(handler=_cmd_to_tree)
-
-    p = sub.add_parser("to-map", help="map form of a tree document")
-    add_out(p)
-    p.add_argument("tree")
-    p.set_defaults(handler=_cmd_to_map)
+    for verb, (help_text, options, documents, _, _) in _OPERATORS.items():
+        _add_verb(sub, verb, help_text, options, documents, _run_operator)
 
     p = sub.add_parser("gen", help="seeded random machines and codes")
     p.add_argument("what", choices=["lts", "mealy", "code"])
@@ -463,78 +423,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input-enabled", action="store_true")
     p.add_argument("--output-deterministic", action="store_true")
     p.add_argument("--mealy", action="store_true", help="generate a Mealy code")
-    add_out(p)
+    p.add_argument("--out", **_OPTIONS["--out"])
     p.set_defaults(handler=_cmd_gen)
 
     check = sub.add_parser("check", help="decide a law on given instances")
     checks = check.add_subparsers(dest="what", required=True)
-
-    p = checks.add_parser("simulation")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(handler=_check_simulation)
-
-    p = checks.add_parser("isomorphism")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(handler=_check_isomorphism)
-
-    p = checks.add_parser("icomplete")
-    p.add_argument("--code", required=True)
-    p.add_argument("--rel", default="identity", choices=["identity", "same-input"])
-    p.add_argument("machine")
-    p.set_defaults(handler=_check_icomplete)
-
-    p = checks.add_parser("winning")
-    p.add_argument("--code", required=True)
-    p.add_argument("--for", dest="abstract_input")
-    p.set_defaults(handler=_check_winning)
-
-    p = checks.add_parser("determinate")
-    p.add_argument("--code", required=True)
-    p.set_defaults(handler=_check_determinate)
-
-    p = checks.add_parser("galois1", help="refinement/contraction adjunction")
-    p.add_argument("--code", required=True)
-    p.add_argument("abstract")
-    p.add_argument("concrete")
-    p.set_defaults(handler=_check_galois_refinement)
-
-    p = checks.add_parser("galois2", help="contraction/concretization adjunction")
-    p.add_argument("--code", required=True)
-    p.add_argument("--rel", default="identity", choices=["identity", "same-input"])
-    p.add_argument("concrete")
-    p.add_argument("abstract")
-    p.set_defaults(handler=_check_galois_concretization)
-
-    p = checks.add_parser("insertion")
-    p.add_argument("--code", required=True)
-    p.add_argument("--rel", default="identity", choices=["identity", "same-input"])
-    p.add_argument("abstract")
-    p.set_defaults(handler=_check_insertion)
-
-    p = checks.add_parser("compose-alpha")
-    p.add_argument("inner")
-    p.add_argument("outer")
-    p.add_argument("machine")
-    p.set_defaults(handler=_check_compose_alpha)
-
-    p = checks.add_parser("compose-rho")
-    p.add_argument("inner")
-    p.add_argument("outer")
-    p.add_argument("machine")
-    p.set_defaults(handler=_check_compose_rho)
-
-    p = checks.add_parser("gamma-noncompose")
-    p.add_argument("inner")
-    p.add_argument("outer")
-    p.add_argument("machine")
-    p.set_defaults(handler=_check_gamma_noncompose)
-
-    p = checks.add_parser("adaptor-theorem")
-    p.add_argument("--code", required=True)
-    p.add_argument("machine")
-    p.set_defaults(handler=_check_adaptor_theorem)
+    for verb, (help_text, options, documents, _) in _CHECKS.items():
+        _add_verb(checks, verb, help_text, options, documents, _run_check)
 
     p = sub.add_parser("adaptor", help="run an adaptor in front of a SUT")
     p.add_argument("--code", required=True)
@@ -552,8 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except NotWinning as exc:
@@ -573,7 +467,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_BAD_INPUT
-    except (DocumentError, ActionCodesError, ValueError) as exc:
+    except (DocumentError, ActionCodesError, ValueError, OSError) as exc:
         print(f"ERROR {type(exc).__name__} {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -11,10 +11,12 @@ composition of codes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import AlphabetMismatch, EmptyCodeWord, InvalidTree, PrefixClash
-from .lts import Label, Lts, Word, is_deterministic, render_word, structural_predicates
+from .lts import (
+    Label, Lts, Word, explore, is_deterministic, render_word, structural_predicates
+)
 
 __all__ = ["CodeMap", "CodeTree", "to_tree", "to_map", "compose"]
 
@@ -157,44 +159,25 @@ class CodeTree:
         return f"CodeTree(nodes={len(self.tree.states)}, leaves={len(self.leaf_labels)})"
 
 
-def _node_names(words: Iterable[Word]) -> dict[Word, str]:
-    """Readable, collision-checked names for the prefix set of some words."""
-    prefixes: set[Word] = {()}
-    for w in words:
-        for i in range(1, len(w) + 1):
-            prefixes.add(w[:i])
-    names: dict[Word, str] = {}
-    taken: dict[str, Word] = {}
-    for w in sorted(prefixes, key=lambda w: (len(w), tuple(str(a) for a in w))):
-        name = render_word(w)
-        if name in taken:
-            raise ValueError(
-                f"node name {name!r} is ambiguous; symbols containing '.' "
-                "cannot be used in tree node names"
-            )
-        taken[name] = w
-        names[w] = name
-    return names
-
-
 def to_tree(code: CodeMap) -> CodeTree:
     """The unique grounded tree form of a map-based code.
 
     Nodes are the prefixes of the code words (the empty prefix is the root),
-    edges extend a prefix by one letter, and the node of a complete code
-    word becomes a leaf labeled with its abstract label.
+    named by their rendered word; edges extend a prefix by one letter, and
+    the node of a complete code word becomes a leaf labeled with its
+    abstract label.
     """
-    words = [w for _, w in code.entries]
-    names = _node_names(words)
-    transitions = []
-    for w, name in names.items():
-        if w:
-            transitions.append((names[w[:-1]], w[-1], name))
-    ordered = [
-        names[w] for w in sorted(names, key=lambda w: (len(w), tuple(str(a) for a in w)))
-    ]
-    tree = Lts(ordered, names[()], transitions, code.source)
-    leaf_labels = [(names[w], b) for b, w in code.entries]
+    letters: dict[Word, set[Label]] = {}
+    for _, w in code.entries:
+        for i in range(len(w)):
+            letters.setdefault(w[:i], set()).add(w[i])
+
+    def successors(w: Word):
+        for a in sorted(letters.get(w, ()), key=str):
+            yield a, w + (a,)
+
+    tree = explore([()], successors, render_word, code.source)
+    leaf_labels = [(render_word(w), b) for b, w in code.entries]
     return CodeTree(tree, leaf_labels, code.target)
 
 

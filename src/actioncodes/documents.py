@@ -61,6 +61,13 @@ def _expect(doc: dict, key: str, schema: str):
     return doc[key]
 
 
+def _state(name):
+    """State names are strings: deciders sort them and the formats print them."""
+    if not isinstance(name, str):
+        raise DocumentError(f"state name {name!r} is not a string")
+    return name
+
+
 def lts_from_document(doc: dict[str, Any]) -> Lts:
     if _expect(doc, "schema", "lts") != LTS_SCHEMA:
         raise DocumentError(f"unsupported schema {doc.get('schema')!r}")
@@ -70,12 +77,12 @@ def lts_from_document(doc: dict[str, Any]) -> Lts:
     try:
         alphabet = [Label.parse(t) for t in _expect(doc, "alphabet", "lts")]
         transitions = [
-            (src, Label.parse(t), dst)
+            (_state(src), Label.parse(t), _state(dst))
             for src, t, dst in _expect(doc, "transitions", "lts")
         ]
         m = Lts(
-            _expect(doc, "states", "lts"),
-            _expect(doc, "initial", "lts"),
+            [_state(q) for q in _expect(doc, "states", "lts")],
+            _state(_expect(doc, "initial", "lts")),
             transitions,
             alphabet,
         )

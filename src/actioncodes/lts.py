@@ -200,6 +200,42 @@ class Lts:
         )
 
 
+def explore(roots, successors, name, alphabet) -> Lts:
+    """Build the part of an implicit system reachable from ``roots``.
+
+    States are hashable keys, explored breadth first; every root is a state
+    and the first one is initial.  ``successors(key)`` yields ``(label,
+    key)`` edges and ``name(key)`` renders a key once, when it is first
+    reached.  Two keys rendering the same name raise ``ValueError``: names
+    are built by joining symbols, and symbols may contain the separators.
+    """
+    names: dict = {}
+    taken: set[str] = set()
+    order: list = []
+
+    def visit(key) -> str:
+        text = names.get(key)
+        if text is None:
+            text = name(key)
+            if text in taken:
+                raise ValueError(
+                    f"state name {text!r} is ambiguous: two different states render to it"
+                )
+            taken.add(text)
+            names[key] = text
+            order.append(key)
+        return text
+
+    for key in roots:
+        visit(key)
+    transitions: list[Transition] = []
+    for key in order:  # the list grows while it is read: breadth first
+        src = names[key]
+        for label, dst in successors(key):
+            transitions.append((src, label, visit(dst)))
+    return Lts(names.values(), names[roots[0]], transitions, alphabet)
+
+
 @dataclass(frozen=True)
 class CompatRel:
     """A reflexive compatibility relation over an alphabet.

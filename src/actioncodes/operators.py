@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .codes import CodeMap, to_tree
 from .errors import AlphabetMismatch
-from .lts import CompatRel, Label, Lts, Word
+from .lts import CompatRel, Label, Lts, Word, explore
 from .simulation import find_simulation
 
 __all__ = [
@@ -42,20 +42,9 @@ def composite_name(state: str, word: Word) -> str:
     return f"{state}⟨{inner}⟩"
 
 
-class _Namer:
-    """Checks that composite state names stay injective within one output."""
-
-    def __init__(self):
-        self.taken: dict[str, object] = {}
-
-    def name(self, key: object, text: str) -> str:
-        owner = self.taken.setdefault(text, key)
-        if owner != key:
-            raise ValueError(
-                f"composite state name {text!r} is ambiguous; symbols "
-                "containing '.' are not supported in operator outputs"
-            )
-        return text
+def _pending_name(key) -> str:
+    """Name of a (state, pending word) key, or of the chaos state."""
+    return CHAOS if key == CHAOS else composite_name(*key)
 
 
 def contract(code: CodeMap, m: Lts) -> Lts:
@@ -69,20 +58,13 @@ def contract(code: CodeMap, m: Lts) -> Lts:
     """
     if not m.alphabet <= code.source:
         raise AlphabetMismatch("machine alphabet must lie within the code's source alphabet")
-    states = [m.initial]
-    seen = {m.initial}
-    transitions: list[tuple[str, Label, str]] = []
-    idx = 0
-    while idx < len(states):
-        q = states[idx]
-        idx += 1
+
+    def successors(q: str):
         for b, word in code.entries:
             for q2 in sorted(m.word_targets(q, word)):
-                transitions.append((q, b, q2))
-                if q2 not in seen:
-                    seen.add(q2)
-                    states.append(q2)
-    return Lts(states, m.initial, transitions, code.target)
+                yield b, q2
+
+    return explore([m.initial], successors, str, code.target)
 
 
 def refine(code: CodeMap, n: Lts) -> Lts:
@@ -96,18 +78,9 @@ def refine(code: CodeMap, n: Lts) -> Lts:
     """
     if not n.alphabet <= code.target:
         raise AlphabetMismatch("machine alphabet must lie within the code's target alphabet")
-    namer = _Namer()
-    initial_key = (n.initial, ())
-    names: dict[tuple[str, Word], str] = {
-        initial_key: namer.name(initial_key, composite_name(n.initial, ()))
-    }
-    order = [names[initial_key]]
-    todo = deque([initial_key])
-    transitions: list[tuple[str, Label, str]] = []
-    while todo:
-        q, w = todo.popleft()
-        src = names[(q, w)]
-        targets: list[tuple[Label, tuple[str, Word]]] = []
+
+    def successors(key: tuple[str, Word]):
+        q, w = key
         for b, word in code.entries:
             if not n.enables(q, b):
                 continue
@@ -116,16 +89,11 @@ def refine(code: CodeMap, n: Lts) -> Lts:
                 if len(w) + 1 == len(word):
                     # The letter completes the word: jump in the abstract system.
                     for q2 in n.succ(q, b):
-                        targets.append((a, (q2, ())))
+                        yield a, (q2, ())
                 else:
-                    targets.append((a, (q, w + (a,))))
-        for a, key in targets:
-            if key not in names:
-                names[key] = namer.name(key, composite_name(key[0], key[1]))
-                order.append(names[key])
-                todo.append(key)
-            transitions.append((src, a, names[key]))
-    return Lts(order, names[initial_key], transitions, code.source)
+                    yield a, (q, w + (a,))
+
+    return explore([(n.initial, ())], successors, _pending_name, code.source)
 
 
 def concretize(code: CodeMap, rel: CompatRel, m: Lts) -> Lts:
@@ -149,43 +117,26 @@ def concretize(code: CodeMap, rel: CompatRel, m: Lts) -> Lts:
         for i in range(1, len(word)):
             prefixes.add(word[:i])
 
-    namer = _Namer()
-    initial_key: object = (m.initial, ())
-    names: dict[object, str] = {
-        initial_key: namer.name(initial_key, composite_name(m.initial, ()))
-    }
-    order = [names[initial_key]]
-    todo = deque([initial_key])
-    transitions: list[tuple[str, Label, str]] = []
-
-    def visit(key: object, text: str) -> str:
-        if key not in names:
-            names[key] = namer.name(key, text)
-            order.append(names[key])
-            todo.append(key)
-        return names[key]
-
-    while todo:
-        key = todo.popleft()
+    def successors(key):
         if key == CHAOS:
             for a in source:
-                transitions.append((names[CHAOS], a, names[CHAOS]))
-            continue
+                yield a, CHAOS
+            return
         q, w = key
-        src = names[key]
         for a in source:
             wa = w + (a,)
             if wa in prefixes:
-                transitions.append((src, a, visit((q, wa), composite_name(q, wa))))
+                yield a, (q, wa)
             elif wa in complete:
                 for q2 in sorted(m.succ(q, complete[wa])):
-                    transitions.append((src, a, visit((q2, ()), composite_name(q2, ()))))
+                    yield a, (q2, ())
             if all(
                 w + (a2,) not in prefixes and w + (a2,) not in complete
                 for a2 in rel.related(a)
             ):
-                transitions.append((src, a, visit(CHAOS, CHAOS)))
-    return Lts(order, names[initial_key], transitions, code.source)
+                yield a, CHAOS
+
+    return explore([(m.initial, ())], successors, _pending_name, code.source)
 
 
 class IncompletenessWitness(NamedTuple):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .errors import AlphabetMismatch, IsomorphismInconclusive, NotDeterministic
-from .lts import Label, Lts, is_deterministic, traces_up_to
+from .lts import Label, Lts, explore, is_deterministic, traces_up_to
 
 __all__ = [
     "Relation",
@@ -180,7 +180,7 @@ def find_isomorphism_reachable(
     if _deterministic_on(m, reach_m) and _deterministic_on(n, reach_n):
         return _forced_isomorphism(m, n)
 
-    order = _bfs_order(m)
+    order = explore([m.initial], m.out, str, m.alphabet).states
     sig_n: dict[str, tuple] = {p: _signature(n, p, reach_n) for p in reach_n}
     candidates: dict[str, list[str]] = {}
     for q in order:
@@ -234,20 +234,6 @@ def find_isomorphism_reachable(
     if not assign(0):
         return None
     return dict(mapping)
-
-
-def _bfs_order(m: Lts) -> list[str]:
-    order = [m.initial]
-    seen = {m.initial}
-    idx = 0
-    while idx < len(order):
-        q = order[idx]
-        idx += 1
-        for _, dst in m.out(q):
-            if dst not in seen:
-                seen.add(dst)
-                order.append(dst)
-    return order
 
 
 # -- delay simulation ------------------------------------------------------

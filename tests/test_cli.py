@@ -584,3 +584,65 @@ class TestAdaptorVerb:
             server.close()
         assert status == 0
         assert out.count("OUT 0") == 2
+
+
+def _closed_port() -> int:
+    probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    return port
+
+
+def _inputs(tmp_path) -> str:
+    path = tmp_path / "inputs.txt"
+    path.write_text("A\n", encoding="utf-8")
+    return str(path)
+
+
+class TestOsErrors:
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            (lambda tmp: ["to-tree", fixture("coffee.code.json"),
+                          "--out", str(tmp / "missing" / "x.json")],
+             "FileNotFoundError"),
+            (lambda tmp: ["adaptor", "--code", fixture("double-press.code.json"),
+                          "--sut-file", fixture("square.mealy.json"),
+                          "--inputs", str(tmp / "missing.txt")],
+             "FileNotFoundError"),
+            (lambda tmp: ["adaptor", "--code", fixture("double-press.code.json"),
+                          "--sut-file", fixture("square.mealy.json"),
+                          "--script", str(tmp / "missing.txt"), "--inputs", _inputs(tmp)],
+             "FileNotFoundError"),
+            (lambda tmp: ["adaptor", "--code", fixture("double-press.code.json"),
+                          "--sut-exec", str(tmp / "no-such-sut"), "--inputs", _inputs(tmp)],
+             "FileNotFoundError"),
+            (lambda tmp: ["adaptor", "--code", fixture("double-press.code.json"),
+                          "--sut-tcp", f"127.0.0.1:{_closed_port()}",
+                          "--inputs", _inputs(tmp)],
+             "ConnectionRefusedError"),
+        ],
+        ids=["out", "inputs", "script", "sut-exec", "sut-tcp"],
+    )
+    def test_os_error_exits_2_with_error_line(self, capsys, tmp_path, argv, error):
+        status, out, err = run(capsys, *argv(tmp_path))
+        assert status == 2
+        assert out == ""
+        assert err.startswith(f"ERROR {error} ")
+
+
+def test_non_string_state_names_exit_2(capsys, tmp_path):
+    doc = {
+        "schema": "actioncodes/lts-v1",
+        "kind": "lts",
+        "alphabet": ["a"],
+        "states": [1, "x"],
+        "initial": "x",
+        "transitions": [["x", "a", 1]],
+    }
+    path = tmp_path / "m.json"
+    path.write_text(dumps(doc), encoding="utf-8")
+    status, _, err = run(capsys, "check", "simulation", str(path), str(path))
+    assert status == 2
+    assert err == "ERROR DocumentError state name 1 is not a string\n"

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
+from actioncodes.adaptor import split_io
 from actioncodes.codes import CodeMap, compose
 from actioncodes.errors import AlphabetMismatch
 from actioncodes.gallery import (
@@ -515,3 +517,30 @@ class TestComposition:
         assert find_simulation(stacked, composed) is not None
         assert len(composed.reachable()) == 2
         assert len(stacked.reachable()) == 4
+
+
+# "a.b" is one symbol, so the pending words (a.b,) and (a, b) both render as
+# q0⟨a.b⟩; a Mealy state named "q?a" clashes with the split view's q-then-a.
+DOTTED = CodeMap(
+    atoms("a.b", "a", "b", "c"),
+    atoms("X", "Y"),
+    [entry("X", "a.b c"), entry("Y", "a b c")],
+)
+XY_LOOPS = Lts(["q0"], "q0", [("q0", Label("X"), "q0"), ("q0", Label("Y"), "q0")],
+               atoms("X", "Y"))
+QUESTION_MEALY = Lts(["q", "q?a"], "q", [("q", Label("a", "0"), "q?a")], atoms("a/0"))
+
+
+@pytest.mark.parametrize(
+    "build,name",
+    [
+        (lambda: refine(DOTTED, XY_LOOPS), "q0⟨a.b⟩"),
+        (lambda: concretize(DOTTED, CompatRel.identity(DOTTED.source), XY_LOOPS),
+         "q0⟨a.b⟩"),
+        (lambda: split_io(QUESTION_MEALY), "q?a"),
+    ],
+    ids=["refine", "concretize", "split_io"],
+)
+def test_state_name_collision_is_rejected(build, name):
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        build()
