@@ -16,6 +16,7 @@ import random
 import select
 import socket
 import subprocess
+import time
 from collections import deque
 from typing import Iterable, NamedTuple, Sequence
 
@@ -335,8 +336,13 @@ class ExternalSut:
         self._write((symbol + "\n").encode("utf-8"))
 
     def receive(self) -> str:
+        deadline = time.monotonic() + self.timeout  # one for the whole line
+        wait = self.timeout
         while b"\n" not in self._buffer:
-            self._buffer += self._read_some(self.timeout)
+            if wait <= 0:
+                raise SutProtocolError("timed out waiting for the SUT")
+            self._buffer += self._read_some(wait)
+            wait = deadline - time.monotonic()
         line, _, self._buffer = self._buffer.partition(b"\n")
         symbol = line.decode("utf-8").strip()
         if not symbol or any(ch.isspace() for ch in symbol) or "/" in symbol:

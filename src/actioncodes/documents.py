@@ -61,6 +61,19 @@ def _expect(doc: dict, key: str, schema: str):
     return doc[key]
 
 
+def _list(value, what: str) -> list:
+    """A JSON list: a string in its place would be split into characters."""
+    if not isinstance(value, list):
+        raise DocumentError(f"{what} must be a list, not {type(value).__name__}")
+    return value
+
+
+def _field(doc: dict, key: str, schema: str, rows: bool = False) -> list:
+    """A list field of a document; with ``rows``, each of its items is a list."""
+    items = _list(_expect(doc, key, schema), f"the {key!r} field")
+    return [_list(row, f"each item of {key!r}") for row in items] if rows else items
+
+
 def _state(name):
     """State names are strings: deciders sort them and the formats print them."""
     if not isinstance(name, str):
@@ -75,13 +88,13 @@ def lts_from_document(doc: dict[str, Any]) -> Lts:
     if kind not in ("lts", "mealy"):
         raise DocumentError(f"unknown kind {kind!r}")
     try:
-        alphabet = [Label.parse(t) for t in _expect(doc, "alphabet", "lts")]
+        alphabet = [Label.parse(t) for t in _field(doc, "alphabet", "lts")]
         transitions = [
             (_state(src), Label.parse(t), _state(dst))
-            for src, t, dst in _expect(doc, "transitions", "lts")
+            for src, t, dst in _field(doc, "transitions", "lts", rows=True)
         ]
         m = Lts(
-            [_state(q) for q in _expect(doc, "states", "lts")],
+            [_state(q) for q in _field(doc, "states", "lts")],
             _state(_expect(doc, "initial", "lts")),
             transitions,
             alphabet,
@@ -108,16 +121,14 @@ def code_from_document(doc: dict[str, Any]) -> CodeMap:
     if _expect(doc, "schema", "code") != CODE_SCHEMA:
         raise DocumentError(f"unsupported schema {doc.get('schema')!r}")
     try:
-        source = [Label.parse(t) for t in _expect(doc, "source_alphabet", "code")]
-        target = [Label.parse(t) for t in _expect(doc, "target_alphabet", "code")]
+        source = [Label.parse(t) for t in _field(doc, "source_alphabet", "code")]
+        target = [Label.parse(t) for t in _field(doc, "target_alphabet", "code")]
         entries: list[tuple[Label, Word]] = [
-            (Label.parse(b), tuple(Label.parse(a) for a in w))
-            for b, w in _expect(doc, "entries", "code")
+            (Label.parse(b), tuple(Label.parse(a) for a in _list(w, "a code word")))
+            for b, w in _field(doc, "entries", "code", rows=True)
         ]
         return CodeMap(source, target, entries)
     except (ValueError, TypeError) as exc:
-        if isinstance(exc, DocumentError):
-            raise
         raise DocumentError(str(exc)) from exc
 
 
@@ -135,14 +146,13 @@ def tree_from_document(doc: dict[str, Any]) -> CodeTree:
         raise DocumentError(f"unsupported schema {doc.get('schema')!r}")
     try:
         carrier = lts_from_document(_expect(doc, "tree", "tree"))
-        abstract = [Label.parse(t) for t in _expect(doc, "abstract_alphabet", "tree")]
+        abstract = [Label.parse(t) for t in _field(doc, "abstract_alphabet", "tree")]
         leaf_labels = [
-            (leaf, Label.parse(t)) for leaf, t in _expect(doc, "leaf_labels", "tree")
+            (leaf, Label.parse(t))
+            for leaf, t in _field(doc, "leaf_labels", "tree", rows=True)
         ]
         return CodeTree(carrier, leaf_labels, abstract)
     except (ValueError, TypeError) as exc:
-        if isinstance(exc, DocumentError):
-            raise
         raise DocumentError(str(exc)) from exc
 
 

@@ -1,18 +1,19 @@
 """Deciders for simulation, reachable-part isomorphism, and delay simulation.
 
-All three are computed on finite systems only.  The simulation deciders run
-a greatest-fixpoint deletion loop over the product of the reachable state
-sets; the isomorphism decider uses a forced construction when both sides are
-deterministic and falls back to bounded backtracking otherwise.
+All three are computed on finite systems only.  Simulation and delay
+simulation share one greatest-fixpoint deletion loop over the product of the
+reachable state sets and differ only in the answers to a move.  The
+isomorphism decider matches states breadth first among the successors of
+their parent's image, backtracking on an explicit stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import AlphabetMismatch, IsomorphismInconclusive, NotDeterministic
-from .lts import Label, Lts, explore, is_deterministic, traces_up_to
+from .lts import Label, Lts, is_deterministic, traces_up_to
 
 __all__ = [
     "Relation",
@@ -50,16 +51,14 @@ def _require_same_variant(m: Lts, n: Lts) -> None:
         raise AlphabetMismatch("cannot relate atomic labels with Mealy labels")
 
 
-def find_simulation(m: Lts, n: Lts) -> Relation | None:
-    """Greatest simulation from ``m`` to ``n`` containing the initial pair.
+def _greatest_simulation(m: Lts, n: Lts, answers) -> Relation | None:
+    """The one greatest-fixpoint loop behind both simulation deciders.
 
-    Starts from the full product of the reachable parts and deletes pairs
-    that violate the transfer property (every move of the left state must be
-    matched by an equally-labeled move of the right state into a surviving
-    pair), sweeping in lexicographic order until stable.  Returns ``None``
-    when the initial pair does not survive.
+    Starts from the full product of the reachable parts and deletes a pair
+    ``(q, p)`` as soon as some move ``(a, q2)`` of ``q`` has no answer: no
+    ``p2`` in ``answers[a][p]`` with ``(q2, p2)`` still alive.  Sweeps in
+    lexicographic order until stable; ``None`` when the initial pair dies.
     """
-    _require_same_variant(m, n)
     reach_m = sorted(m.reachable())
     reach_n = sorted(n.reachable())
     alive = {(q, p) for q in reach_m for p in reach_n}
@@ -67,12 +66,12 @@ def find_simulation(m: Lts, n: Lts) -> Relation | None:
     while changed:
         changed = False
         for q in reach_m:
-            moves = m.out(q)
+            moves = [(answers.get(a, {}), q2) for a, q2 in m.out(q)]
             for p in reach_n:
                 if (q, p) not in alive:
                     continue
-                for a, q2 in moves:
-                    if not any((q2, p2) in alive for p2 in n.succ(p, a)):
+                for by_state, q2 in moves:
+                    if not any((q2, p2) in alive for p2 in by_state.get(p, ())):
                         alive.discard((q, p))
                         changed = True
                         break
@@ -81,19 +80,42 @@ def find_simulation(m: Lts, n: Lts) -> Relation | None:
     return Relation(frozenset(alive))
 
 
-def is_simulation(m: Lts, n: Lts, relation: Relation) -> bool:
-    """Re-validate a claimed simulation witness against the definition."""
+def _transfer_closed(m: Lts, n: Lts, relation: Relation, answer) -> bool:
+    """Check a claimed witness against a transfer property, pair by pair.
+
+    ``answer(p, a)`` gives the states that may answer an ``a`` move at
+    ``p``; the callers compute it from the definition, not from the tables
+    of :func:`_greatest_simulation`, so the check stays independent.
+    """
     states_m, states_n = set(m.states), set(n.states)
     for q, p in relation.pairs:
         if q not in states_m or p not in states_n:
             raise ValueError(f"pair ({q}, {p}) references unknown states")
-    if (m.initial, n.initial) not in relation.pairs:
-        return False
-    for q, p in relation.pairs:
-        for a, q2 in m.out(q):
-            if not any((q2, p2) in relation.pairs for p2 in n.succ(p, a)):
-                return False
-    return True
+    return (m.initial, n.initial) in relation.pairs and all(
+        any((q2, p2) in relation.pairs for p2 in answer(p, a))
+        for q, p in relation.pairs
+        for a, q2 in m.out(q)
+    )
+
+
+def find_simulation(m: Lts, n: Lts) -> Relation | None:
+    """Greatest simulation from ``m`` to ``n`` containing the initial pair.
+
+    Every move of the left state must be matched by an equally-labeled move
+    of the right state into a surviving pair.  Returns ``None`` when the
+    initial pair does not survive.
+    """
+    _require_same_variant(m, n)
+    answers: dict[Label, dict[str, list[str]]] = {}
+    for p in n.reachable():
+        for a, p2 in n.out(p):
+            answers.setdefault(a, {}).setdefault(p, []).append(p2)
+    return _greatest_simulation(m, n, answers)
+
+
+def is_simulation(m: Lts, n: Lts, relation: Relation) -> bool:
+    """Re-validate a claimed simulation witness against the definition."""
+    return _transfer_closed(m, n, relation, n.succ)
 
 
 class TraceSimAgreement(NamedTuple):
@@ -118,130 +140,101 @@ def trace_inclusion_equiv_check(m: Lts, n: Lts, k: int) -> TraceSimAgreement:
 # -- isomorphism of reachable parts ---------------------------------------
 
 
-def _deterministic_on(m: Lts, reach: frozenset[str]) -> bool:
-    for q in reach:
-        seen: dict[Label, str] = {}
-        for a, dst in m.out(q):
-            if a in seen and seen[a] != dst:
-                return False
-            seen[a] = dst
-    return True
-
-
-def _forced_isomorphism(m: Lts, n: Lts) -> dict[str, str] | None:
-    """Match states of two deterministic systems by their access words."""
-    mapping = {m.initial: n.initial}
-    todo = [(m.initial, n.initial)]
-    while todo:
-        q, p = todo.pop()
-        edges_q = {a: dst for a, dst in m.out(q)}
-        edges_p = {a: dst for a, dst in n.out(p)}
-        if set(edges_q) != set(edges_p):
-            return None
-        for a, q2 in sorted(edges_q.items(), key=lambda e: str(e[0])):
-            p2 = edges_p[a]
-            if q2 in mapping:
-                if mapping[q2] != p2:
-                    return None
-            else:
-                mapping[q2] = p2
-                todo.append((q2, p2))
-    if len(set(mapping.values())) != len(mapping):
-        return None
-    if len(mapping) != len(n.reachable()):
-        return None
-    return mapping
-
-
-def _signature(m: Lts, q: str, reach: frozenset[str]) -> tuple:
-    outs = tuple(sorted((str(a), sum(1 for d in m.succ(q, a) if d in reach))
-                        for a in m.out_labels(q)))
-    ins: dict[str, int] = {}
-    for src, a, dst in m.transitions:
-        if dst == q and src in reach:
-            ins[str(a)] = ins.get(str(a), 0) + 1
-    return (q == m.initial, outs, tuple(sorted(ins.items())))
-
-
 def find_isomorphism_reachable(
     m: Lts, n: Lts, budget: int = ISO_BUDGET
 ) -> dict[str, str] | None:
     """A bijection between reachable parts preserving the initial state and
     all transitions in both directions, or ``None`` when there is none.
 
-    Deterministic systems are matched canonically by access words; otherwise
-    a backtracking search runs with a node budget and raises
-    ``IsomorphismInconclusive`` when the budget is exhausted.
+    States of ``m`` are matched in breadth-first order.  A state reached by
+    an ``a`` edge from its parent can only map to an unused ``a``-successor
+    of the parent's image with the same out-labels; each pick checks the
+    edges to the states already matched.  Equal edge counts then make the
+    map an isomorphism.  Deterministic systems never branch; otherwise the
+    search backtracks, and a pick made while another candidate remains
+    counts against ``budget``: past it, ``IsomorphismInconclusive``.
     """
     _require_same_variant(m, n)
-    reach_m, reach_n = m.reachable(), n.reachable()
-    if len(reach_m) != len(reach_n):
+    reach_n = n.reachable()
+    # Breadth-first order of m.  Each edge but the access edges is checked at
+    # its later endpoint: from the out-list if it leads back or loops, else
+    # from ``into``.  Out-lists are not cached: that would wake the collector.
+    order = [m.initial]
+    position = {m.initial: 0}
+    parent: dict[str, str] = {}
+    via: dict[str, Label] = {}
+    into: dict[str, list[tuple[str, Label]]] = {}
+    edges = 0
+    for q in order:  # the list grows while it is read
+        moves = m.out(q)
+        edges += len(moves)
+        for a, q2 in moves:
+            if q2 not in position:
+                position[q2] = len(order)
+                order.append(q2)
+                parent[q2], via[q2] = q, a
+            elif position[q2] > position[q]:
+                into.setdefault(q2, []).append((q, a))
+    if len(order) != len(reach_n) or edges != sum(len(n.out(p)) for p in reach_n):
         return None
-    if _deterministic_on(m, reach_m) and _deterministic_on(n, reach_n):
-        return _forced_isomorphism(m, n)
-
-    order = explore([m.initial], m.out, str, m.alphabet).states
-    sig_n: dict[str, tuple] = {p: _signature(n, p, reach_n) for p in reach_n}
-    candidates: dict[str, list[str]] = {}
-    for q in order:
-        sig = _signature(m, q, reach_m)
-        candidates[q] = sorted(p for p in reach_n if sig_n[p] == sig)
-        if not candidates[q]:
-            return None
 
     mapping: dict[str, str] = {}
     used: set[str] = set()
+
+    def candidates(q: str) -> list[str]:
+        """Images of ``q`` that fit the states matched so far, last one first."""
+        pool = [n.initial] if q == m.initial else [
+            p for b, p in n.out(mapping[parent[q]]) if b == via[q] and p not in used
+        ]
+        moves = m.out(q)
+        labels = [a for a, _ in moves]
+        fitting = []
+        for p in reversed(pool):
+            mapping[q] = p
+            edges_p = n.out(p)
+            if (
+                [a for a, _ in edges_p] == labels
+                and all(
+                    (a, mapping[q2]) in edges_p
+                    for a, q2 in moves
+                    if position[q2] <= position[q]
+                )
+                and all((a, p) in n.out(mapping[q1]) for q1, a in into.get(q, ()))
+            ):
+                fitting.append(p)
+        mapping.pop(q, None)
+        return fitting
+
+    # Untried candidates, the next one last, with the depth each one is for.
+    images = candidates(m.initial)
+    depths = [0] * len(images)
     nodes = 0
-
-    def consistent(q: str, p: str) -> bool:
-        for q2, p2 in mapping.items():
-            for a in m.alphabet | n.alphabet:
-                if (q2 in m.succ(q, a)) != (p2 in n.succ(p, a)):
-                    return False
-                if (q in m.succ(q2, a)) != (p in n.succ(p2, a)):
-                    return False
-        # Self-loops must correspond as well.
-        for a in m.alphabet | n.alphabet:
-            if (q in m.succ(q, a)) != (p in n.succ(p, a)):
-                return False
-        return True
-
-    def assign(idx: int) -> bool:
-        nonlocal nodes
-        if idx == len(order):
-            return True
-        q = order[idx]
-        for p in candidates[q]:
-            if p in used:
-                continue
-            if q == m.initial and p != n.initial:
-                continue
+    while images:
+        p, depth = images.pop(), depths.pop()
+        while len(mapping) > depth:  # backtrack
+            used.discard(mapping.pop(order[len(mapping) - 1]))
+        if depths and depths[-1] == depth:
             nodes += 1
             if nodes > budget:
                 raise IsomorphismInconclusive(
                     f"isomorphism search exceeded {budget} nodes"
                 )
-            if not consistent(q, p):
-                continue
-            mapping[q] = p
-            used.add(p)
-            if assign(idx + 1):
-                return True
-            del mapping[q]
-            used.discard(p)
-        return False
-
-    if not assign(0):
-        return None
-    return dict(mapping)
+        mapping[order[depth]] = p
+        used.add(p)
+        if depth + 1 == len(order):
+            return mapping
+        found = candidates(order[depth + 1])
+        images += found
+        depths += [depth + 1] * len(found)
+    return None
 
 
 # -- delay simulation ------------------------------------------------------
 
 
-def _tau_closure(n: Lts, tau: Label) -> dict[str, tuple[str, ...]]:
+def _tau_closure(n: Lts, tau: Label, states) -> dict[str, tuple[str, ...]]:
     closure: dict[str, tuple[str, ...]] = {}
-    for p in n.reachable():
+    for p in states:
         seen = {p}
         todo = [p]
         while todo:
@@ -264,59 +257,23 @@ def find_delay_simulation(m: Lts, n: Lts, tau: Label) -> Relation | None:
     _require_same_variant(m, n)
     if tau not in m.alphabet or tau not in n.alphabet:
         raise AlphabetMismatch(f"hidden label {tau} must be in both alphabets")
-    reach_m = sorted(m.reachable())
-    reach_n = sorted(n.reachable())
-    closure = _tau_closure(n, tau)
-    # Precompute the visible answer sets: from p, a hidden run then one a-step.
-    answers: dict[tuple[str, Label], tuple[str, ...]] = {}
-    for p in reach_n:
-        by_label: dict[Label, set[str]] = {}
-        for p1 in closure[p]:
+    closure = _tau_closure(n, tau, n.reachable())
+    answers: dict[Label, dict[str, Iterable[str]]] = {tau: closure}
+    for p, run in closure.items():
+        for p1 in run:
             for a, p2 in n.out(p1):
                 if a != tau:
-                    by_label.setdefault(a, set()).add(p2)
-        for a, targets in by_label.items():
-            answers[(p, a)] = tuple(sorted(targets))
-    alive = {(q, p) for q in reach_m for p in reach_n}
-    changed = True
-    while changed:
-        changed = False
-        for q in reach_m:
-            moves = m.out(q)
-            for p in reach_n:
-                if (q, p) not in alive:
-                    continue
-                for a, q2 in moves:
-                    if a == tau:
-                        ok = any((q2, p2) in alive for p2 in closure[p])
-                    else:
-                        ok = any(
-                            (q2, p2) in alive for p2 in answers.get((p, a), ())
-                        )
-                    if not ok:
-                        alive.discard((q, p))
-                        changed = True
-                        break
-    if (m.initial, n.initial) not in alive:
-        return None
-    return Relation(frozenset(alive))
+                    answers.setdefault(a, {}).setdefault(p, set()).add(p2)
+    return _greatest_simulation(m, n, answers)
 
 
 def is_delay_simulation(m: Lts, n: Lts, tau: Label, relation: Relation) -> bool:
     """Re-validate a claimed delay-simulation witness."""
-    if (m.initial, n.initial) not in relation.pairs:
-        return False
-    closure = _tau_closure(n, tau)
-    for q, p in relation.pairs:
-        for a, q2 in m.out(q):
-            if a == tau:
-                ok = any((q2, p2) in relation.pairs for p2 in closure.get(p, (p,)))
-            else:
-                ok = any(
-                    (q2, p2) in relation.pairs
-                    for p1 in closure.get(p, (p,))
-                    for p2 in n.succ(p1, a)
-                )
-            if not ok:
-                return False
-    return True
+    closure = _tau_closure(n, tau, n.states)
+
+    def answer(p: str, a: Label):
+        if a == tau:
+            return closure[p]
+        return [p2 for p1 in closure[p] for p2 in n.succ(p1, a)]
+
+    return _transfer_closed(m, n, relation, answer)

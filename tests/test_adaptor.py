@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -360,6 +361,23 @@ class TestExternalSut:
             sut.send("a")
             with pytest.raises(SutProtocolError):
                 sut.receive()
+
+    def test_one_deadline_per_exchange(self):
+        # A SUT that trickles bytes and never ends the line must still time out.
+        waits = []
+
+        def read_some(timeout: float) -> bytes:
+            waits.append(timeout)
+            assert len(waits) <= 50, "receive() never gave up"
+            time.sleep(0.01)
+            return b"x"
+
+        sut = ExternalSut(lambda data: None, read_some, lambda: None, timeout=0.1)
+        start = time.monotonic()
+        with pytest.raises(SutProtocolError):
+            sut.receive()
+        assert time.monotonic() - start < 0.3
+        assert all(later < earlier for earlier, later in zip(waits, waits[1:]))
 
     def test_malformed_symbol_raises(self, tmp_path):
         script = tmp_path / "chatty.py"

@@ -9,7 +9,7 @@ import threading
 import pytest
 
 from actioncodes.cli import main
-from actioncodes.documents import dumps, loads, lts_from_document
+from actioncodes.documents import dumps, loads, lts_from_document, lts_to_document
 from actioncodes.gallery import (
     double_press_concretization,
     double_press_contraction,
@@ -21,6 +21,7 @@ from actioncodes.simulation import Relation, find_isomorphism_reachable, is_simu
 
 from conftest import FIXTURES
 from test_adaptor import SQUARE_SUT_SCRIPT
+from test_simulation import forked_chain, is_reachable_isomorphism, numbered_copy
 
 
 def fixture(name: str) -> str:
@@ -129,6 +130,20 @@ class TestOperatorVerbs:
 
 
 class TestCheckVerbs:
+    def test_deep_isomorphism(self, capsys, tmp_path):
+        # 1,100 states: deeper than the default recursion limit.
+        m = forked_chain(550, 549)
+        n = numbered_copy(m)
+        paths = [tmp_path / "m.json", tmp_path / "n.json"]
+        for path, machine in zip(paths, (m, n)):
+            path.write_text(dumps(lts_to_document(machine)), encoding="utf-8")
+        status, out, err = run(capsys, "check", "isomorphism", *map(str, paths))
+        assert (status, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == "PASS"
+        mapping = dict(line.split()[1:] for line in lines[1:])
+        assert is_reachable_isomorphism(m, n, mapping)
+
     def test_simulation_witness_revalidates(self, capsys):
         status, out, _ = run(
             capsys,

@@ -62,7 +62,49 @@ class TestRoundTrips:
             assert to_map(back) == to_map(tree)
 
 
+LTS_DOC = {
+    "schema": "actioncodes/lts-v1",
+    "kind": "lts",
+    "alphabet": ["a"],
+    "states": ["q"],
+    "initial": "q",
+    "transitions": [["q", "a", "q"]],
+}
+CODE_DOC = {
+    "schema": "actioncodes/code-v1",
+    "source_alphabet": ["1", "2", "4"],
+    "target_alphabet": ["a", "b"],
+    "entries": [["a", ["1", "4", "1"]], ["b", ["1", "4", "2"]]],
+}
+
+
 class TestRejection:
+    @pytest.mark.parametrize(
+        "schema,key,value",
+        [
+            ("lts", "alphabet", "a"),
+            ("lts", "states", "q"),
+            ("lts", "transitions", ["qaq"]),
+            ("code", "source_alphabet", "124"),
+            ("code", "target_alphabet", "ab"),
+            ("code", "entries", [["a", "141"], ["b", ["1", "4", "2"]]]),
+            ("tree", "abstract_alphabet", "ab"),
+            ("tree", "leaf_labels", "none"),
+        ],
+    )
+    def test_a_string_is_not_a_list(self, schema, key, value):
+        # Strings are iterable: read as lists, they would split into characters.
+        docs = {
+            "lts": (LTS_DOC, lts_from_document),
+            "code": (CODE_DOC, code_from_document),
+            "tree": (tree_to_document(to_tree(code_from_document(CODE_DOC))),
+                     tree_from_document),
+        }
+        base, parse = docs[schema]
+        parse(base)  # well-formed as given
+        with pytest.raises(DocumentError, match="must be a list, not str"):
+            parse({**base, key: value})
+
     def test_unknown_schema(self):
         with pytest.raises(DocumentError):
             lts_from_document({"schema": "nope"})

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -36,6 +37,51 @@ from conftest import (
     relabel,
     sub_machine,
 )
+
+
+def is_reachable_isomorphism(m: Lts, n: Lts, mapping: dict[str, str]) -> bool:
+    """Check a claimed map edge by edge: a bijection between the reachable
+    parts that keeps the initial state and carries the edges onto each other."""
+    reach_m, reach_n = m.reachable(), n.reachable()
+    if set(mapping) != reach_m or set(mapping.values()) != reach_n:
+        return False
+    if len(reach_m) != len(reach_n) or mapping[m.initial] != n.initial:
+        return False
+    image = {(mapping[s], a, mapping[d]) for s, a, d in m.transitions if s in reach_m}
+    return image == {t for t in n.transitions if t[0] in reach_n}
+
+
+def with_unreachable_part(m: Lts) -> Lts:
+    """``m`` plus a nondeterministic state that nothing reaches."""
+    a = min(m.alphabet, key=str)
+    junk = [("junk", a, "junk"), ("junk", a, m.initial)]
+    return Lts([*m.states, "junk"], m.initial, [*m.transitions, *junk], m.alphabet)
+
+
+def forked_chain(left: int, right: int) -> Lts:
+    """A root with two ``b`` edges into ``a``-chains of the given state
+    counts; the states are listed in breadth-first order."""
+    a, b = Label("a"), Label("b")
+    xs = [f"x{k}" for k in range(left)]
+    ys = [f"y{k}" for k in range(right)]
+    edges = [("r", b, xs[0]), ("r", b, ys[0])]
+    for chain in (xs, ys):
+        edges += [(src, a, dst) for src, dst in zip(chain, chain[1:])]
+    ordered = [q for pair in itertools.zip_longest(xs, ys) for q in pair if q]
+    return Lts(["r", *ordered], "r", edges, [a, b])
+
+
+def numbered_copy(m: Lts, backwards: bool = False) -> Lts:
+    """A renamed copy whose names sort in the order of ``m.states``, or in
+    the reverse order."""
+    states = reversed(m.states) if backwards else m.states
+    name = {q: f"c{k:04d}" for k, q in enumerate(states)}
+    return Lts(
+        [name[q] for q in m.states],
+        name[m.initial],
+        [(name[s], a, name[d]) for s, a, d in m.transitions],
+        m.alphabet,
+    )
 
 
 class TestFindSimulation:
@@ -208,15 +254,39 @@ class TestIsomorphism:
 
     def test_agrees_with_all_bijections(self):
         hits = 0
-        for seed in range(150):
-            m = gen_lts(seed, states=3, labels=2)
-            n = relabel(gen_lts(seed + 71, states=3, labels=2))
+        for seed in range(300):
+            deterministic = seed % 2 == 1
+            m = gen_lts(seed, states=3, labels=2, deterministic=deterministic)
+            other = gen_lts(seed + 71, states=3, labels=2, deterministic=deterministic)
+            n = relabel(other)
             if seed % 3 == 0:
                 n = relabel(m)  # guarantee a healthy share of positives
-            got = find_isomorphism_reachable(m, n) is not None
-            assert got == brute_force_isomorphic(m, n)
-            hits += got
-        assert hits >= 50
+            if seed % 5 < 2:
+                n = with_unreachable_part(n)  # invisible to both deciders
+            got = find_isomorphism_reachable(m, n)
+            assert (got is not None) == brute_force_isomorphic(m, n)
+            if got is not None:
+                assert is_reachable_isomorphism(m, n, got)
+            hits += got is not None
+        assert hits >= 100
+
+    def test_deterministic_pairs_never_spend_budget(self):
+        for seed in range(40):
+            m = gen_lts(seed, states=6, labels=3, deterministic=True)
+            n = relabel(m)
+            mapping = find_isomorphism_reachable(m, n, budget=0)
+            assert mapping is not None and is_reachable_isomorphism(m, n, mapping)
+
+    def test_deep_nondeterministic_chain(self):
+        # 1,100 states: deeper than the default recursion limit.
+        m = forked_chain(550, 549)
+        for n in (numbered_copy(m), numbered_copy(m, backwards=True)):
+            # Backwards, the first image tried for x0 is the wrong one, and
+            # the search backtracks from the end of the chain.
+            mapping = find_isomorphism_reachable(m, n)
+            assert mapping is not None and is_reachable_isomorphism(m, n, mapping)
+        other = numbered_copy(forked_chain(551, 548))  # same state and edge counts
+        assert find_isomorphism_reachable(m, other) is None
 
 
 class TestDelaySimulation:
@@ -260,6 +330,13 @@ class TestDelaySimulation:
             n = gen_lts(seed + 100, states=3, labels=labels)
             got = find_delay_simulation(m, n, self.TAU) is not None
             assert got == brute_force_delay_simulated(m, n, self.TAU)
+
+    @pytest.mark.parametrize("pair", [("nope", "p0"), ("p0", "nope")])
+    def test_is_delay_simulation_rejects_unknown_states(self, pair):
+        m = self._lts(["p0", "p1"], "p0", [("p0", "τ", "p1"), ("p1", "x", "p0")])
+        relation = Relation(frozenset({("p0", "p0"), pair}))
+        with pytest.raises(ValueError):
+            is_delay_simulation(m, m, self.TAU, relation)
 
     def test_witnesses_revalidate(self):
         labels = [Label("x"), Label("y"), self.TAU]
