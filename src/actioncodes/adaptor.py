@@ -60,96 +60,25 @@ def _require_mealy_tree(tree: CodeTree) -> None:
         raise ValueError("adaptor codes need Mealy leaf labels")
 
 
-def _depth_order(tree: CodeTree) -> list[str]:
-    """Tree nodes ordered deepest first, so children precede parents."""
-    depth = {tree.root: 0}
-    todo = deque([tree.root])
-    while todo:
-        q = todo.popleft()
-        for _, dst in tree.tree.out(q):
-            depth[dst] = depth[q] + 1
-            todo.append(dst)
-    return sorted(depth, key=lambda q: (-depth[q], q))
-
-
 class WinningTable:
     """For each tree node and abstract input: the concrete inputs that force
     the play into a leaf carrying that abstract input.
 
-    Labeled leaves win their own abstract input without any input; they are
-    recorded separately since no concrete input is attached to them.
+    ``wins`` holds the winning pairs only, each with its sorted inputs; a
+    labeled leaf wins its own abstract input with no input, stored as ``()``.
     """
 
-    def __init__(
-        self,
-        winners: dict[tuple[str, str], tuple[str, ...]],
-        leaf_wins: frozenset[tuple[str, str]] = frozenset(),
-    ):
-        self._winners = {k: tuple(sorted(v)) for k, v in winners.items() if v}
-        self._leaf_wins = frozenset(leaf_wins)
+    def __init__(self, wins: dict[tuple[str, str], tuple[str, ...]]):
+        self._wins = wins
 
     def winning_inputs(self, node: str, abstract_input: str) -> tuple[str, ...]:
-        return self._winners.get((node, abstract_input), ())
+        return self._wins.get((node, abstract_input), ())
 
     def is_winning(self, node: str, abstract_input: str) -> bool:
-        return (node, abstract_input) in self._leaf_wins or bool(
-            self.winning_inputs(node, abstract_input)
-        )
-
-    def unique_input(self, node: str, abstract_input: str) -> str | None:
-        inputs = self.winning_inputs(node, abstract_input)
-        if not inputs:
-            return None
-        if len(inputs) > 1:
-            raise ValueError(
-                f"node {node!r} has several winning inputs for "
-                f"{abstract_input!r}: {inputs}"
-            )
-        return inputs[0]
+        return (node, abstract_input) in self._wins
 
     def multi_winner_pairs(self) -> tuple[tuple[str, str], ...]:
-        return tuple(sorted(k for k, v in self._winners.items() if len(v) > 1))
-
-    def items(self):
-        return sorted(self._winners.items())
-
-
-def solve_winning(tree: CodeTree) -> WinningTable:
-    """Evaluate the adaptor game bottom-up over the code tree.
-
-    A labeled leaf wins exactly the abstract input it carries.  An internal
-    node wins an abstract input with concrete input i when it has an i-edge
-    and every i-successor wins that abstract input.
-    """
-    _require_mealy_tree(tree)
-    abstract_inputs = sorted({lab.symbol for _, lab in tree.leaf_labels})
-    winning: dict[tuple[str, str], set[str]] = {}
-    leaf_wins: set[tuple[str, str]] = set()
-    is_win: dict[tuple[str, str], bool] = {}
-    labels = dict(tree.leaf_labels)
-    for node in _depth_order(tree):
-        edges = tree.tree.out(node)
-        for x in abstract_inputs:
-            if not edges:
-                won = node in labels and labels[node].symbol == x
-                if won:
-                    leaf_wins.add((node, x))
-                is_win[(node, x)] = won
-                continue
-            by_input: dict[str, list[str]] = {}
-            for a, dst in edges:
-                by_input.setdefault(a.symbol, []).append(dst)
-            winners = {
-                i
-                for i, children in by_input.items()
-                if all(is_win[(c, x)] for c in children)
-            }
-            if winners:
-                winning[(node, x)] = winners
-            is_win[(node, x)] = bool(winners)
-    return WinningTable(
-        {k: tuple(v) for k, v in winning.items()}, frozenset(leaf_wins)
-    )
+        return tuple(sorted(k for k, v in self._wins.items() if len(v) > 1))
 
 
 class DeterminacyWitness(NamedTuple):
@@ -159,6 +88,60 @@ class DeterminacyWitness(NamedTuple):
     second_input: str
 
 
+def _solve(tree: CodeTree) -> tuple[WinningTable, DeterminacyWitness | None]:
+    """Evaluate the adaptor game and check determinacy in one bottom-up pass.
+
+    A labeled leaf wins exactly the abstract input it carries.  An internal
+    node wins an abstract input with concrete input i when it has an i-edge
+    and every i-successor wins that abstract input.  A node is a determinacy
+    conflict when leaves with the same abstract input lie below two of its
+    concrete inputs; the witness is the first conflict of the least node.
+    """
+    _require_mealy_tree(tree)
+    order = [tree.root]
+    for q in order:  # the list grows while it is read: breadth first
+        order.extend(dst for _, dst in tree.tree.out(q))
+    labels = dict(tree.leaf_labels)
+    below: dict[str, set[str]] = {}  # abstract inputs of the leaves under a node
+    won: dict[str, set[str]] = {}  # abstract inputs a node wins
+    wins: dict[tuple[str, str], tuple[str, ...]] = {}
+    witness = None
+    for node in reversed(order):  # children before parents
+        if node in labels:  # labeled nodes are exactly the non-root leaves
+            x = labels[node].symbol
+            below[node] = won[node] = {x}
+            wins[(node, x)] = ()
+            continue
+        # Per concrete input: what its successors reach, and what they all win.
+        reached: dict[str, set[str]] = {}
+        forced: dict[str, set[str]] = {}
+        for a, dst in tree.tree.out(node):
+            i = a.symbol
+            reached[i] = reached.get(i, set()) | below[dst]
+            forced[i] = forced[i] & won[dst] if i in forced else won[dst]
+        below[node] = set().union(*reached.values())
+        won[node] = set().union(*forced.values())
+        for x in won[node]:
+            wins[(node, x)] = tuple(sorted(i for i, xs in forced.items() if x in xs))
+        if witness is None or node < witness.node:
+            inputs = sorted(reached)
+            witness = next(
+                (
+                    DeterminacyWitness(node, min(shared), i1, i2)
+                    for k, i1 in enumerate(inputs)
+                    for i2 in inputs[k + 1 :]
+                    if (shared := reached[i1] & reached[i2])
+                ),
+                witness,
+            )
+    return WinningTable(wins), witness
+
+
+def solve_winning(tree: CodeTree) -> WinningTable:
+    """The winning table of the adaptor game over the code tree."""
+    return _solve(tree)[0]
+
+
 def is_determinate(tree: CodeTree) -> tuple[bool, DeterminacyWitness | None]:
     """Whether each node offers at most one concrete input per abstract input.
 
@@ -166,28 +149,16 @@ def is_determinate(tree: CodeTree) -> tuple[bool, DeterminacyWitness | None]:
     subtrees containing a leaf with the same abstract input; the witness
     names the node, the shared abstract input, and the two concrete inputs.
     """
-    _require_mealy_tree(tree)
-    labels = dict(tree.leaf_labels)
-    reachable_inputs: dict[str, frozenset[str]] = {}
-    for node in _depth_order(tree):
-        found = set()
-        if node in labels:
-            found.add(labels[node].symbol)
-        for _, dst in tree.tree.out(node):
-            found |= reachable_inputs[dst]
-        reachable_inputs[node] = frozenset(found)
-    for node in sorted(tree.tree.states):
-        by_input: dict[str, set[str]] = {}
-        for a, dst in tree.tree.out(node):
-            by_input.setdefault(a.symbol, set()).update(reachable_inputs[dst])
-        inputs = sorted(by_input)
-        for idx, i1 in enumerate(inputs):
-            for i2 in inputs[idx + 1 :]:
-                shared = by_input[i1] & by_input[i2]
-                if shared:
-                    x = sorted(shared)[0]
-                    return False, DeterminacyWitness(node, x, i1, i2)
-    return True, None
+    witness = _solve(tree)[1]
+    return witness is None, witness
+
+
+def _strategy(tree: CodeTree) -> WinningTable:
+    """The winning table of a determinate code: at most one input per win."""
+    table, witness = _solve(tree)
+    if witness is not None:
+        raise NotDeterminate(witness)
+    return table
 
 
 def is_output_deterministic(m: Lts) -> bool:
@@ -231,10 +202,7 @@ class InProcessSut:
         return self._state
 
     def send(self, symbol: str) -> None:
-        options = sorted(
-            ((a, dst) for a, dst in self.machine.out(self._state) if a.symbol == symbol),
-            key=lambda e: (str(e[0]), e[1]),
-        )
+        options = [e for e in self.machine.out(self._state) if e[0].symbol == symbol]
         if not options:
             raise SutProtocolError(f"machine rejects input {symbol!r} in state {self._state!r}")
         if self._script:
@@ -391,13 +359,9 @@ class AdaptorSession:
     """
 
     def __init__(self, tree: CodeTree, sut):
-        _require_mealy_tree(tree)
-        ok, witness = is_determinate(tree)
-        if not ok:
-            raise NotDeterminate(witness)
+        self.table = _strategy(tree)
         self.tree = tree
         self.sut = sut
-        self.table = solve_winning(tree)
         self.transcript: list[tuple] = []
 
     def apply(self, abstract_input: str) -> str:
@@ -407,8 +371,7 @@ class AdaptorSession:
         self.transcript.append(("IN", abstract_input))
         node = tree.root
         while not tree.is_leaf(node):
-            concrete = self.table.unique_input(node, abstract_input)
-            assert concrete is not None, "loop invariant: node is winning"
+            (concrete,) = self.table.winning_inputs(node, abstract_input)
             self.sut.send(concrete)
             observed = self.sut.receive()
             self.transcript.append(("SUT", concrete, observed))
@@ -486,10 +449,7 @@ def adaptor_composition(tree: CodeTree, m: Lts) -> Lts:
     _require_mealy_tree(tree)
     if not all(a.is_mealy for a in m.alphabet):
         raise ValueError("the SUT model must be a Mealy machine")
-    ok, witness = is_determinate(tree)
-    if not ok:
-        raise NotDeterminate(witness)
-    table = solve_winning(tree)
+    table = _strategy(tree)
     for _, lab in tree.leaf_labels:
         if not table.is_winning(tree.root, lab.symbol):
             raise NotWinning(lab.symbol)

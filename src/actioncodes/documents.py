@@ -148,7 +148,7 @@ def tree_from_document(doc: dict[str, Any]) -> CodeTree:
         carrier = lts_from_document(_expect(doc, "tree", "tree"))
         abstract = [Label.parse(t) for t in _field(doc, "abstract_alphabet", "tree")]
         leaf_labels = [
-            (leaf, Label.parse(t))
+            (_state(leaf), Label.parse(t))
             for leaf, t in _field(doc, "leaf_labels", "tree", rows=True)
         ]
         return CodeTree(carrier, leaf_labels, abstract)

@@ -43,6 +43,8 @@ class Label:
     def __post_init__(self):
         parts = (self.symbol,) if self.output is None else (self.symbol, self.output)
         for part in parts:
+            if not isinstance(part, str):
+                raise ValueError(f"bad symbol {part!r}: symbols are strings")
             if not part or "/" in part or any(ch.isspace() for ch in part):
                 raise ValueError(
                     f"bad symbol {part!r}: symbols are non-empty and contain "
@@ -61,7 +63,7 @@ class Label:
     @classmethod
     def parse(cls, text: str) -> "Label":
         """Parse ``a`` as an atomic label and ``i/o`` as a Mealy label."""
-        if "/" in text:
+        if isinstance(text, str) and "/" in text:
             left, _, right = text.partition("/")
             return cls(left, right)
         return cls(text)
@@ -116,11 +118,12 @@ class Lts:
         object.__setattr__(self, "transitions", frozenset(transitions))
         object.__setattr__(self, "alphabet", frozenset(alphabet))
         self._validate()
-        out: dict[str, list[tuple[Label, str]]] = {q: [] for q in self.states}
+        out: dict[str, list | tuple] = {q: [] for q in self.states}
         for src, label, dst in self.transitions:
             out[src].append((label, dst))
-        for q in out:
-            out[q].sort(key=lambda e: (str(e[0]), e[1]))
+        for q, edges in out.items():
+            edges.sort(key=lambda e: (str(e[0]), e[1]))
+            out[q] = tuple(edges)  # out() hands the tuple out without a copy
         object.__setattr__(self, "_out", out)
         object.__setattr__(self, "_reach", None)
 
@@ -141,8 +144,9 @@ class Lts:
     # -- queries ----------------------------------------------------------
 
     def out(self, state: str) -> tuple[tuple[Label, str], ...]:
-        """Outgoing (label, target) edges of a state, in a fixed order."""
-        return tuple(self._out[state])
+        """Outgoing (label, target) edges of a state, sorted by rendered
+        label, then target."""
+        return self._out[state]
 
     def succ(self, state: str, label: Label) -> tuple[str, ...]:
         return tuple(dst for a, dst in self._out[state] if a == label)

@@ -158,7 +158,7 @@ def find_isomorphism_reachable(
     reach_n = n.reachable()
     # Breadth-first order of m.  Each edge but the access edges is checked at
     # its later endpoint: from the out-list if it leads back or loops, else
-    # from ``into``.  Out-lists are not cached: that would wake the collector.
+    # from ``into``.
     order = [m.initial]
     position = {m.initial: 0}
     parent: dict[str, str] = {}

@@ -157,6 +157,30 @@ def brute_force_winning(tree: CodeTree, node: str, abstract_input: str) -> bool:
     )
 
 
+def brute_force_conflicts(tree: CodeTree) -> list[tuple[str, str, str, str]]:
+    """Every determinacy conflict ``(node, abstract input, first input,
+    second input)``, first < second, read off the access words of the
+    leaves; sorted by node, then the two inputs, then the abstract input."""
+    words = {tree.root: ()}
+    todo = [tree.root]
+    while todo:
+        q = todo.pop()
+        for a, dst in tree.tree.out(q):
+            words[dst] = words[q] + (a,)
+            todo.append(dst)
+    conflicts = []
+    for node, u in words.items():
+        below: dict[str, set[str]] = {}  # concrete input -> abstract inputs
+        for leaf, lab in tree.leaf_labels:
+            w = words[leaf]
+            if len(w) > len(u) and w[: len(u)] == u:
+                below.setdefault(w[len(u)].symbol, set()).add(lab.symbol)
+        for i1, i2 in itertools.combinations(sorted(below), 2):
+            for x in below[i1] & below[i2]:
+                conflicts.append((node, x, i1, i2))
+    return sorted(conflicts, key=lambda c: (c[0], c[2], c[3], c[1]))
+
+
 # -- instance construction ----------------------------------------------------
 
 

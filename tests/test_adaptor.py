@@ -37,10 +37,10 @@ from actioncodes.gallery import (
     split_press_code,
     square_machine,
 )
-from actioncodes.generate import gen_adaptor_code, gen_mealy
+from actioncodes.generate import gen_adaptor_code, gen_code, gen_mealy, mealy_alphabet
 from actioncodes.lts import Label, Lts, has_trace, traces_up_to
 from actioncodes.operators import contract
-from conftest import brute_force_winning, observable_traces
+from conftest import brute_force_conflicts, brute_force_winning, observable_traces
 
 
 def atoms(*texts):
@@ -77,15 +77,21 @@ class TestWinning:
         assert not table.is_winning(tree.root, "X")
 
     def test_matches_brute_force_recursion(self):
-        for seed in range(60):
-            code = gen_adaptor_code(seed, inputs=3, outputs=2, abstract_inputs=2)
-            tree = to_tree(code)
+        for tree in _seeded_trees():
             table = solve_winning(tree)
             xs = sorted({lab.symbol for _, lab in tree.leaf_labels})
             for node in tree.tree.states:
+                children: dict[str, list[str]] = {}
+                for a, dst in tree.tree.out(node):
+                    children.setdefault(a.symbol, []).append(dst)
                 for x in xs:
                     assert table.is_winning(node, x) == brute_force_winning(
                         tree, node, x
+                    )
+                    assert table.winning_inputs(node, x) == tuple(
+                        i
+                        for i, kids in sorted(children.items())
+                        if all(brute_force_winning(tree, c, x) for c in kids)
                     )
 
     def test_winning_inputs_unique_under_determinacy(self):
@@ -108,6 +114,16 @@ class TestDeterminate:
         assert not ok
         assert witness.abstract_input == "0"
         assert {witness.first_input, witness.second_input} == {"a", "b"}
+
+    def test_matches_brute_force_conflicts(self):
+        undetermined = 0
+        for tree in _seeded_trees():
+            ok, witness = is_determinate(tree)
+            conflicts = brute_force_conflicts(tree)
+            assert ok == (not conflicts)
+            assert witness == (conflicts[0] if conflicts else None)
+            undetermined += not ok
+        assert undetermined >= 50
 
     def test_single_path_code(self):
         code = CodeMap(atoms("a/0", "a/1"), atoms("X/0"), [entry("X/0", "a/0 a/1")])
@@ -220,6 +236,7 @@ class TestRunAdaptor:
         sut = InProcessSut(m, script=["1"])
         with pytest.raises(CodeIncomplete) as err:
             run_adaptor(to_tree(code), sut, ["B"])
+        assert err.value.node == "ε"
         assert err.value.concrete_input == "b"
         assert err.value.observed_output == "1"
 
@@ -275,6 +292,17 @@ class TestRunAdaptor:
                 sut = InProcessSut(m, script=script)
                 run = run_adaptor(tree, sut, [x for x, _ in pairs])
                 assert run.outputs == tuple(y for _, y in pairs)
+
+
+def _seeded_trees():
+    """Adaptor codes (determinate by construction) and random Mealy codes,
+    many of them not determinate."""
+    target = [Label(x, y) for x in "AB" for y in "012"]
+    for seed in range(60):
+        yield to_tree(gen_adaptor_code(seed, inputs=3, outputs=2, abstract_inputs=2))
+    for seed in range(240):
+        yield to_tree(gen_code(seed, mealy_alphabet(2, 2), target,
+                               entries=2 + seed % 4, maxlen=3))
 
 
 def _find_script(tree, table, machine, pairs):

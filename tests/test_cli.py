@@ -661,3 +661,40 @@ def test_non_string_state_names_exit_2(capsys, tmp_path):
     status, _, err = run(capsys, "check", "simulation", str(path), str(path))
     assert status == 2
     assert err == "ERROR DocumentError state name 1 is not a string\n"
+
+
+_TREE = {
+    "schema": "actioncodes/tree-v1",
+    "abstract_alphabet": ["X"],
+    "leaf_labels": [[1, "X"]],
+    "tree": {
+        "schema": "actioncodes/lts-v1",
+        "kind": "lts",
+        "alphabet": ["a"],
+        "states": ["1", "r"],
+        "initial": "r",
+        "transitions": [["r", "a", "1"]],
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "verb,doc,error",
+    [
+        (["check", "simulation", "{doc}", "{doc}"],
+         {"schema": "actioncodes/lts-v1", "kind": "lts", "alphabet": [[7]],
+          "states": ["x"], "initial": "x", "transitions": []},
+         "bad symbol [7]: symbols are strings"),
+        (["to-tree", "{doc}"],
+         {"schema": "actioncodes/code-v1", "source_alphabet": ["a"],
+          "target_alphabet": ["X"], "entries": [[[1], ["a"]]]},
+         "bad symbol [1]: symbols are strings"),
+        (["to-map", "{doc}"], _TREE, "state name 1 is not a string"),
+    ],
+    ids=["label-in-alphabet", "label-in-code-entry", "leaf-name"],
+)
+def test_non_string_document_values_exit_2(capsys, tmp_path, verb, doc, error):
+    path = tmp_path / "doc.json"
+    path.write_text(dumps(doc), encoding="utf-8")
+    status, out, err = run(capsys, *(a.replace("{doc}", str(path)) for a in verb))
+    assert (status, out, err) == (2, "", f"ERROR DocumentError {error}\n")

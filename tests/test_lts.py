@@ -49,6 +49,15 @@ class TestLabel:
         with pytest.raises(ValueError):
             Label.parse(bad)
 
+    @pytest.mark.parametrize("bad", [[7], 7, {"a": 1}, ["/"], {"/": None}])
+    def test_rejects_non_string_symbols(self, bad):
+        with pytest.raises(ValueError):
+            Label.parse(bad)
+        with pytest.raises(ValueError):
+            Label(bad)
+        with pytest.raises(ValueError):
+            Label("a", bad)
+
     def test_mealy_components(self):
         lab = Label("coin", "thanks")
         assert lab.input == "coin"
