@@ -253,27 +253,32 @@ def _cmd_adaptor(args) -> int:
     tree = to_tree(_load("code", args.code))
     requested = _symbols(args.inputs)
 
-    table = solve_winning(tree)
+    # The session solves the game once; its SUT is attached only after every
+    # requested input is known to be winning.
+    session = AdaptorSession(tree, None)
     for x in sorted(set(requested)):
-        if not table.is_winning(tree.root, x):
+        if not session.table.is_winning(tree.root, x):
             print(f"ERROR NotWinning {x}", file=sys.stderr)
             return EXIT_NOT_WINNING
 
     sut = None
     try:
-        if args.sut_file:
+        if args.sut_file is not None:
             machine = _load("machine", args.sut_file)
             script = _symbols(args.script) if args.script else None
             sut = InProcessSut(machine, seed=args.seed, script=script)
-        elif args.sut_exec:
-            sut = ExternalSut.spawn(shlex.split(args.sut_exec), timeout=args.timeout)
+        elif args.sut_exec is not None:
+            command = shlex.split(args.sut_exec)
+            if not command:
+                raise ValueError("--sut-exec needs a command")
+            sut = ExternalSut.spawn(command, timeout=args.timeout)
             sut.reset()
         else:
             host, _, port = args.sut_tcp.rpartition(":")
             sut = ExternalSut.connect(host, int(port), timeout=args.timeout)
             sut.reset()
 
-        session = AdaptorSession(tree, sut)
+        session.sut = sut
         printed = 0
         for x in requested:
             session.apply(x)

@@ -36,6 +36,12 @@ def mealy_alphabet(inputs: int, outputs: int) -> list[Label]:
     return [Label(i, o) for i in ins for o in outs]
 
 
+def _state_ids(states: int) -> list[str]:
+    if states < 1:
+        raise ValueError(f"a system needs at least one state, got {states}")
+    return [f"q{k}" for k in range(states)]
+
+
 def gen_lts(
     seed: int,
     states: int = 4,
@@ -45,7 +51,7 @@ def gen_lts(
     """A random system; with ``deterministic`` at most one successor per label."""
     rng = random.Random(seed)
     alphabet = atomic_alphabet(labels) if isinstance(labels, int) else list(labels)
-    ids = [f"q{k}" for k in range(states)]
+    ids = _state_ids(states)
     transitions = []
     for q in ids:
         for a in alphabet:
@@ -69,7 +75,7 @@ def gen_mealy(
     alphabet = mealy_alphabet(inputs, outputs)
     ins = sorted({a.symbol for a in alphabet})
     outs = sorted({a.output for a in alphabet})
-    ids = [f"q{k}" for k in range(states)]
+    ids = _state_ids(states)
     transitions = []
     for q in ids:
         for i in ins:

@@ -1,8 +1,11 @@
 """Deciders for simulation, reachable-part isomorphism, and delay simulation.
 
 All three are computed on finite systems only.  Simulation and delay
-simulation share one greatest-fixpoint deletion loop over the product of the
-reachable state sets and differ only in the answers to a move.  The
+simulation share one greatest-fixpoint deletion engine over the product of
+the reachable state sets and differ only in the answers to a move: a first
+pass deletes the pairs whose right state cannot answer some label at all,
+then a worklist of deleted pairs re-checks only the pairs that used them as
+an answer.  The
 isomorphism decider matches states breadth first among the successors of
 their parent's image, backtracking on an explicit stack.
 """
@@ -56,28 +59,51 @@ def _greatest_simulation(m: Lts, n: Lts, answers) -> Relation | None:
 
     Starts from the full product of the reachable parts and deletes a pair
     ``(q, p)`` as soon as some move ``(a, q2)`` of ``q`` has no answer: no
-    ``p2`` in ``answers[a][p]`` with ``(q2, p2)`` still alive.  Sweeps in
-    lexicographic order until stable; ``None`` when the initial pair dies.
+    ``p2`` in ``answers[a][p]`` with ``(q2, p2)`` still alive.  One pass
+    over the states of ``m`` deletes the pairs that fail against the full
+    product, where ``p`` has no answer at all to some label of ``q``.  After
+    that, each deleted pair ``(q2, p2)`` re-checks only the pairs it may
+    have been an answer for: ``(q, p)`` with an edge ``q -a-> q2`` and
+    ``p2`` in ``answers[a][p]``, found through a reverse index of
+    ``answers[a]`` (Henzinger, Henzinger & Kopke, FOCS 1995).  Labels are
+    looked up only while the indexes are built, once per edge of ``m``, so
+    the loops hash state names alone.  ``None`` when the initial pair dies.
     """
     reach_m = sorted(m.reachable())
-    reach_n = sorted(n.reachable())
-    alive = {(q, p) for q in reach_m for p in reach_n}
-    changed = True
-    while changed:
-        changed = False
-        for q in reach_m:
-            moves = [(answers.get(a, {}), q2) for a, q2 in m.out(q)]
-            for p in reach_n:
-                if (q, p) not in alive:
-                    continue
-                for by_state, q2 in moves:
-                    if not any((q2, p2) in alive for p2 in by_state.get(p, ())):
-                        alive.discard((q, p))
-                        changed = True
-                        break
-    if (m.initial, n.initial) not in alive:
+    # Per label: answers[a], its reverse index back[p2] (the p answering
+    # with p2), and the states with some answer.
+    tables = {}
+    for a, by_state in answers.items():
+        back: dict[str, list[str]] = {}
+        for p, targets in by_state.items():
+            for p2 in targets:
+                back.setdefault(p2, []).append(p)
+        tables[a] = (by_state, back, {p for p, targets in by_state.items() if targets})
+    unanswered = ({}, {}, set())
+    everyone = n.reachable()
+    alive = {}  # alive[q]: the p with (q, p) alive
+    preds: dict[str, list] = {q: [] for q in reach_m}  # per edge into q2: q and its tables
+    dead: list[tuple[str, str]] = []  # deleted pairs whose predecessors are unchecked
+    for q in reach_m:
+        alive_q = alive[q] = set(everyone)
+        for a, q2 in m.out(q):
+            by_state, back, answering = tables.get(a, unanswered)
+            alive_q &= answering
+            preds[q2].append((q, by_state, back))
+        dead += [(q, p) for p in everyone - alive_q]
+    initial = alive[m.initial]
+    while dead and n.initial in initial:
+        q2, p2 = dead.pop()
+        alive_q2 = alive[q2]
+        for q, by_state, back in preds[q2]:
+            alive_q = alive[q]
+            for p in back.get(p2, ()):
+                if p in alive_q and not any(x in alive_q2 for x in by_state[p]):
+                    alive_q.discard(p)
+                    dead.append((q, p))
+    if n.initial not in initial:
         return None
-    return Relation(frozenset(alive))
+    return Relation(frozenset((q, p) for q in reach_m for p in alive[q]))
 
 
 def _transfer_closed(m: Lts, n: Lts, relation: Relation, answer) -> bool:

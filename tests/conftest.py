@@ -10,6 +10,7 @@ import pytest
 
 from actioncodes.codes import CodeTree
 from actioncodes.lts import Label, Lts
+from actioncodes.simulation import Relation
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -38,6 +39,30 @@ def _is_sim_closed(m: Lts, n: Lts, relation: set[tuple[str, str]]) -> bool:
             if not any((q2, p2) in relation for p2 in n.succ(p, a)):
                 return False
     return True
+
+
+def sweep_greatest_simulation(m: Lts, n: Lts, answers) -> Relation | None:
+    """The sweep that ``simulation._greatest_simulation`` replaced, kept as
+    its oracle: delete failing pairs in lexicographic sweeps until stable."""
+    reach_m = sorted(m.reachable())
+    reach_n = sorted(n.reachable())
+    alive = {(q, p) for q in reach_m for p in reach_n}
+    changed = True
+    while changed:
+        changed = False
+        for q in reach_m:
+            moves = [(answers.get(a, {}), q2) for a, q2 in m.out(q)]
+            for p in reach_n:
+                if (q, p) not in alive:
+                    continue
+                for by_state, q2 in moves:
+                    if not any((q2, p2) in alive for p2 in by_state.get(p, ())):
+                        alive.discard((q, p))
+                        changed = True
+                        break
+    if (m.initial, n.initial) not in alive:
+        return None
+    return Relation(frozenset(alive))
 
 
 def brute_force_delay_simulated(m: Lts, n: Lts, tau: Label) -> bool:

@@ -8,6 +8,7 @@ import threading
 
 import pytest
 
+from actioncodes import adaptor
 from actioncodes.cli import main
 from actioncodes.documents import dumps, loads, lts_from_document, lts_to_document
 from actioncodes.gallery import (
@@ -407,6 +408,13 @@ class TestGen:
         assert all("/" in t for t in doc["source_alphabet"])
         assert all("/" in b for b, _ in doc["entries"])
 
+    @pytest.mark.parametrize("what", ["lts", "mealy"])
+    @pytest.mark.parametrize("states", ["0", "-3"])
+    def test_no_states_is_bad_input(self, capsys, what, states):
+        status, out, err = run(capsys, "gen", what, "--states", states, "--seed", "1")
+        assert (status, out) == (2, "")
+        assert err == f"ERROR ValueError a system needs at least one state, got {states}\n"
+
     def test_input_enabled_generation(self, capsys):
         status, out, _ = run(
             capsys,
@@ -492,6 +500,18 @@ class TestAdaptorVerb:
         assert status == 3
         assert "NotWinning espresso" in err
 
+    def test_non_determinate_code_is_refused_before_inputs(self, capsys, tmp_path):
+        # The code is checked as a whole first, as run_adaptor does, so an
+        # input that is not winning does not hide a code that is unusable.
+        inputs = tmp_path / "inputs.txt"
+        inputs.write_text("Z\n", encoding="utf-8")
+        status, out, err = run(
+            capsys, "adaptor", "--code", fixture("shared-input.code.json"),
+            "--sut-file", fixture("square.mealy.json"), "--inputs", str(inputs),
+        )
+        assert (status, out) == (2, "")
+        assert err == "ERROR NotDeterminate node=ε input=0 first=a second=b\n"
+
     def test_code_incomplete_exits_4(self, capsys, tmp_path):
         code_doc = {
             "schema": "actioncodes/code-v1",
@@ -547,6 +567,29 @@ class TestAdaptorVerb:
         )
         assert status == 0
         assert out.count("OUT 0") == 3
+
+    def test_empty_exec_command_is_bad_input(self, capsys, tmp_path):
+        status, out, err = run(
+            capsys, "adaptor", "--code", fixture("double-press.code.json"),
+            "--sut-exec", "", "--inputs", _inputs(tmp_path),
+        )
+        assert (status, out, err) == (2, "", "ERROR ValueError --sut-exec needs a command\n")
+
+    def test_game_is_solved_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_solve(tree):
+            calls.append(tree)
+            return solve(tree)
+
+        solve = adaptor._solve
+        monkeypatch.setattr(adaptor, "_solve", counting_solve)
+        status, out, _ = run(
+            capsys, "adaptor", "--code", fixture("double-press.code.json"),
+            "--sut-file", fixture("square.mealy.json"), "--inputs", _inputs(tmp_path),
+        )
+        assert status == 0 and out.count("OUT 0") == 1
+        assert len(calls) == 1
 
     def test_tcp_backend(self, capsys, tmp_path):
         server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from actioncodes.errors import (
     IsomorphismInconclusive,
     NotDeterministic,
 )
+from actioncodes import simulation
 from actioncodes.gallery import (
     choice_machine,
     octal_choice_det,
@@ -31,11 +33,13 @@ from actioncodes.simulation import (
 )
 
 from conftest import (
+    add_noise,
     brute_force_delay_simulated,
     brute_force_isomorphic,
     brute_force_simulated,
     relabel,
     sub_machine,
+    sweep_greatest_simulation,
 )
 
 
@@ -346,3 +350,92 @@ class TestDelaySimulation:
             witness = find_delay_simulation(m, n, self.TAU)
             if witness is not None:
                 assert is_delay_simulation(m, n, self.TAU, witness)
+
+
+TAU = Label("τ")
+
+
+def a_chain(states: int, prefix: str, extra=()) -> Lts:
+    """``states`` states in a line of ``a`` edges; ``extra`` labels join the
+    alphabet only."""
+    a = Label("a")
+    ids = [f"{prefix}{k}" for k in range(states)]
+    return Lts(ids, ids[0], [(s, a, d) for s, d in zip(ids, ids[1:])], [a, *extra])
+
+
+def tau_padded(m: Lts) -> Lts:
+    """Each edge ``q -a-> r`` becomes ``q -τ-> mid -a-> r``; the result and
+    ``m`` delay-simulate each other."""
+    states, edges = list(m.states), []
+    for k, (q, a, r) in enumerate(sorted(m.transitions, key=str)):
+        states.append(f"{q}~{k}")
+        edges += [(q, TAU, f"{q}~{k}"), (f"{q}~{k}", a, r)]
+    return Lts(states, m.initial, edges, [*m.alphabet, TAU])
+
+
+def sweep_instances(count: int):
+    """Seeded pairs of 1-9 states: ``(m, m)``, a noisy renamed copy (which
+    simulates ``m``), a sub-machine, and an unrelated system; deterministic
+    and not, always with τ in the alphabet."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        labels = [Label("x"), Label("y"), TAU][1 - seed % 2 :]
+        deterministic = seed % 3 == 0
+        m = gen_lts(seed, states=1 + seed % 9, labels=labels, deterministic=deterministic)
+        kind = seed // 3 % 4
+        if kind == 0:
+            n = m
+        elif kind == 1:
+            n = add_noise(rng, relabel(m), extra=rng.randrange(3))
+        elif kind == 2:
+            n = sub_machine(rng, m, keep=0.8)
+        else:
+            n = gen_lts(seed + 7919, states=1 + rng.randrange(9), labels=labels,
+                        deterministic=deterministic)
+        yield m, n
+
+
+def test_engine_matches_the_sweep_oracle(monkeypatch):
+    pairs = list(sweep_instances(3000))
+    engine = [(find_simulation(m, n), find_delay_simulation(m, n, TAU)) for m, n in pairs]
+    monkeypatch.setattr(simulation, "_greatest_simulation", sweep_greatest_simulation)
+    oracle = [(find_simulation(m, n), find_delay_simulation(m, n, TAU)) for m, n in pairs]
+    assert engine == oracle
+    for (m, n), (plain, delay) in zip(pairs, engine):
+        assert plain is None or is_simulation(m, n, plain)
+        assert delay is None or is_delay_simulation(m, n, TAU, delay)
+    for k in (0, 1):  # simulation, delay simulation
+        verdicts = [r[k] is not None for r in engine]
+        assert verdicts.count(True) >= 1500 and verdicts.count(False) >= 400
+
+
+class TestNoCliff:
+    """Long chains.  The sweep that preceded the worklist took 75-92 s per
+    ``a``-chain call at this size on a 2-vCPU machine, the worklist well
+    under a second; the CPU-time bound leaves a wide margin both ways."""
+
+    N = 400
+    BOUND_S = 10.0
+
+    def decide(self, find, *args):
+        start = time.process_time()
+        result = find(*args)
+        assert time.process_time() - start < self.BOUND_S
+        return result
+
+    def test_a_chain_one_longer_is_not_simulated(self):
+        m, n = a_chain(self.N + 1, "p"), a_chain(self.N, "q")
+        assert self.decide(find_simulation, m, n) is None
+
+    def test_a_chain_is_simulated_by_a_longer_one(self):
+        m, n = a_chain(self.N, "p"), a_chain(self.N + 1, "q")
+        witness = self.decide(find_simulation, m, n)
+        assert witness is not None and is_simulation(m, n, witness)
+
+    def test_tau_padded_chain(self):
+        padded = tau_padded(a_chain(self.N, "p"))
+        same = a_chain(self.N, "q", extra=[TAU])
+        witness = self.decide(find_delay_simulation, padded, same, TAU)
+        assert witness is not None and is_delay_simulation(padded, same, TAU, witness)
+        shorter = a_chain(self.N - 1, "q", extra=[TAU])
+        assert self.decide(find_delay_simulation, padded, shorter, TAU) is None
