@@ -29,20 +29,10 @@ from .lts import (
     Word,
     has_trace,
     is_deterministic,
-    reachable_states,
     structural_predicates,
     traces_up_to,
 )
-from .operators import (
-    CHAOS,
-    MODE_GAMMA,
-    MODE_RHO,
-    concretize,
-    contract,
-    is_icomplete,
-    refine,
-    vertical_check,
-)
+from .operators import CHAOS, concretize, contract, is_icomplete, refine
 from .adaptor import (
     AdaptorSession,
     ExternalSut,
@@ -64,7 +54,6 @@ from .simulation import (
     find_simulation,
     is_delay_simulation,
     is_simulation,
-    trace_inclusion_equiv_check,
 )
 
 __version__ = "0.1.0"

@@ -24,15 +24,22 @@ __all__ = [
 ]
 
 
+def _count(value: int, what: str) -> int:
+    """``value``, refused when negative: a slice would count from the end."""
+    if value < 0:
+        raise ValueError(f"the number of {what} cannot be negative, got {value}")
+    return value
+
+
 def atomic_alphabet(count: int) -> list[Label]:
     if count > 26:
         raise ValueError("at most 26 atomic symbols are generated")
-    return [Label(s) for s in string.ascii_lowercase[:count]]
+    return [Label(s) for s in string.ascii_lowercase[: _count(count, "atomic symbols")]]
 
 
 def mealy_alphabet(inputs: int, outputs: int) -> list[Label]:
-    ins = string.ascii_lowercase[:inputs]
-    outs = [str(k) for k in range(outputs)]
+    ins = string.ascii_lowercase[: _count(inputs, "inputs")]
+    outs = [str(k) for k in range(_count(outputs, "outputs"))]
     return [Label(i, o) for i in ins for o in outs]
 
 
@@ -123,10 +130,10 @@ def gen_code(
     rng = random.Random(seed)
     src = atomic_alphabet(source) if isinstance(source, int) else list(source)
     if isinstance(target, int):
-        tgt = [Label(s) for s in string.ascii_uppercase[:target]]
+        tgt = [Label(s) for s in string.ascii_uppercase[: _count(target, "abstract symbols")]]
     else:
         tgt = list(target)
-    entries = min(entries, len(tgt))
+    entries = min(_count(entries, "entries"), len(tgt))
     words = _grow_tree_words(rng, src, entries, maxlen)
     chosen = rng.sample(sorted(tgt, key=str), k=len(words))
     return CodeMap(src, tgt, list(zip(chosen, words)))

@@ -19,7 +19,6 @@ __all__ = [
     "Lts",
     "CompatRel",
     "StructuralReport",
-    "reachable_states",
     "is_deterministic",
     "traces_up_to",
     "has_trace",
@@ -153,13 +152,6 @@ class Lts:
 
     def enables(self, state: str, label: Label) -> bool:
         return any(a == label for a, _ in self._out[state])
-
-    def out_labels(self, state: str) -> tuple[Label, ...]:
-        seen: list[Label] = []
-        for a, _ in self._out[state]:
-            if a not in seen:
-                seen.append(a)
-        return tuple(seen)
 
     def word_targets(self, state: str, word: Word) -> frozenset[str]:
         """All states reachable from ``state`` by a run spelling ``word``."""
@@ -308,11 +300,6 @@ class StructuralReport(NamedTuple):
     tree_shaped: bool
     grounded: bool
     leaves: frozenset[str]
-
-
-def reachable_states(m: Lts) -> frozenset[str]:
-    """States reachable from the initial state (always includes it)."""
-    return m.reachable()
 
 
 def is_deterministic(m: Lts, rel: CompatRel | None = None) -> bool:

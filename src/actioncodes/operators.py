@@ -15,25 +15,18 @@ from typing import NamedTuple
 from .codes import CodeMap, to_tree
 from .errors import AlphabetMismatch
 from .lts import CompatRel, Label, Lts, Word, explore
-from .simulation import find_simulation
 
 __all__ = [
     "CHAOS",
-    "MODE_RHO",
-    "MODE_GAMMA",
     "composite_name",
     "contract",
     "refine",
     "concretize",
     "IncompletenessWitness",
     "is_icomplete",
-    "vertical_check",
 ]
 
 CHAOS = "χ"
-
-MODE_RHO = "rho"
-MODE_GAMMA = "gamma"
 
 
 def composite_name(state: str, word: Word) -> str:
@@ -189,21 +182,3 @@ def is_icomplete(
                     seen.add(pair)
                     todo.append(pair)
     return True, None
-
-
-def vertical_check(
-    m: Lts, n: Lts, code: CodeMap, mode: str, rel: CompatRel | None = None
-) -> bool:
-    """Compare a concrete system against an abstract one through the code.
-
-    Mode ``rho`` asks for a simulation of ``m`` by the refinement of ``n``;
-    mode ``gamma`` for a simulation of ``m`` by the concretization of ``n``.
-    The first is the stricter relation of the two.
-    """
-    if mode == MODE_RHO:
-        return find_simulation(m, refine(code, n)) is not None
-    if mode == MODE_GAMMA:
-        if rel is None:
-            rel = CompatRel.identity(code.source)
-        return find_simulation(m, concretize(code, rel, n)) is not None
-    raise ValueError(f"unknown mode {mode!r}")

@@ -13,17 +13,16 @@ their parent's image, backtracking on an explicit stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from functools import cache
+from typing import Iterable, Iterator
 
-from .errors import AlphabetMismatch, IsomorphismInconclusive, NotDeterministic
-from .lts import Label, Lts, is_deterministic, traces_up_to
+from .errors import AlphabetMismatch, IsomorphismInconclusive
+from .lts import Label, Lts
 
 __all__ = [
     "Relation",
     "find_simulation",
     "is_simulation",
-    "TraceSimAgreement",
-    "trace_inclusion_equiv_check",
     "find_isomorphism_reachable",
     "find_delay_simulation",
     "is_delay_simulation",
@@ -144,25 +143,6 @@ def is_simulation(m: Lts, n: Lts, relation: Relation) -> bool:
     return _transfer_closed(m, n, relation, n.succ)
 
 
-class TraceSimAgreement(NamedTuple):
-    simulated: bool
-    traces_included: bool
-
-
-def trace_inclusion_equiv_check(m: Lts, n: Lts, k: int) -> TraceSimAgreement:
-    """Compare the simulation verdict with bounded trace inclusion.
-
-    Requires a deterministic right-hand system; for such systems the two
-    verdicts agree once ``k`` is at least the product of the state counts,
-    which makes this a cross-check oracle for the simulation decider.
-    """
-    if not is_deterministic(n):
-        raise NotDeterministic("right-hand system must be deterministic")
-    simulated = find_simulation(m, n) is not None
-    included = traces_up_to(m, k) <= traces_up_to(n, k)
-    return TraceSimAgreement(simulated, included)
-
-
 # -- isomorphism of reachable parts ---------------------------------------
 
 
@@ -258,19 +238,17 @@ def find_isomorphism_reachable(
 # -- delay simulation ------------------------------------------------------
 
 
-def _tau_closure(n: Lts, tau: Label, states) -> dict[str, tuple[str, ...]]:
-    closure: dict[str, tuple[str, ...]] = {}
-    for p in states:
-        seen = {p}
-        todo = [p]
-        while todo:
-            r = todo.pop()
-            for dst in n.succ(r, tau):
-                if dst not in seen:
-                    seen.add(dst)
-                    todo.append(dst)
-        closure[p] = tuple(sorted(seen))
-    return closure
+def _tau_closure(n: Lts, tau: Label, p: str) -> tuple[str, ...]:
+    """``p`` and every state it reaches by hidden moves alone, sorted."""
+    seen = {p}
+    todo = [p]
+    while todo:
+        r = todo.pop()
+        for dst in n.succ(r, tau):
+            if dst not in seen:
+                seen.add(dst)
+                todo.append(dst)
+    return tuple(sorted(seen))
 
 
 def find_delay_simulation(m: Lts, n: Lts, tau: Label) -> Relation | None:
@@ -283,7 +261,7 @@ def find_delay_simulation(m: Lts, n: Lts, tau: Label) -> Relation | None:
     _require_same_variant(m, n)
     if tau not in m.alphabet or tau not in n.alphabet:
         raise AlphabetMismatch(f"hidden label {tau} must be in both alphabets")
-    closure = _tau_closure(n, tau, n.reachable())
+    closure = {p: _tau_closure(n, tau, p) for p in n.reachable()}
     answers: dict[Label, dict[str, Iterable[str]]] = {tau: closure}
     for p, run in closure.items():
         for p1 in run:
@@ -294,12 +272,19 @@ def find_delay_simulation(m: Lts, n: Lts, tau: Label) -> Relation | None:
 
 
 def is_delay_simulation(m: Lts, n: Lts, tau: Label, relation: Relation) -> bool:
-    """Re-validate a claimed delay-simulation witness."""
-    closure = _tau_closure(n, tau, n.states)
+    """Re-validate a claimed delay-simulation witness.
 
-    def answer(p: str, a: Label):
+    Answers are computed once per right-hand state and label that the
+    relation asks about, after its states are known to exist.
+    """
+    closure: dict[str, tuple[str, ...]] = {}
+
+    @cache
+    def answer(p: str, a: Label) -> tuple[str, ...]:
+        if p not in closure:
+            closure[p] = _tau_closure(n, tau, p)
         if a == tau:
             return closure[p]
-        return [p2 for p1 in closure[p] for p2 in n.succ(p1, a)]
+        return tuple(p2 for p1 in closure[p] for p2 in n.succ(p1, a))
 
     return _transfer_closed(m, n, relation, answer)

@@ -5,14 +5,24 @@ from __future__ import annotations
 import itertools
 import random
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
-from actioncodes.codes import CodeTree
-from actioncodes.lts import Label, Lts
-from actioncodes.simulation import Relation
+from actioncodes.codes import CodeMap, CodeTree
+from actioncodes.documents import code_from_document, loads, lts_from_document
+from actioncodes.errors import NotDeterministic
+from actioncodes.lts import Label, Lts, is_deterministic, traces_up_to
+from actioncodes.simulation import Relation, find_simulation
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def load_fixture(name: str) -> CodeMap | Lts:
+    """The committed document ``fixtures/<name>``: a code for ``*.code.json``,
+    a system otherwise."""
+    doc = loads((FIXTURES / name).read_text(encoding="utf-8"))
+    return code_from_document(doc) if name.endswith(".code.json") else lts_from_document(doc)
 
 
 # -- brute-force oracles -----------------------------------------------------
@@ -63,6 +73,25 @@ def sweep_greatest_simulation(m: Lts, n: Lts, answers) -> Relation | None:
     if (m.initial, n.initial) not in alive:
         return None
     return Relation(frozenset(alive))
+
+
+class TraceSimAgreement(NamedTuple):
+    simulated: bool
+    traces_included: bool
+
+
+def trace_inclusion_equiv_check(m: Lts, n: Lts, k: int) -> TraceSimAgreement:
+    """Compare the simulation verdict with bounded trace inclusion.
+
+    Requires a deterministic right-hand system; for such systems the two
+    verdicts agree once ``k`` is at least the product of the state counts,
+    which makes this a cross-check oracle for the simulation decider.
+    """
+    if not is_deterministic(n):
+        raise NotDeterministic("right-hand system must be deterministic")
+    simulated = find_simulation(m, n) is not None
+    included = traces_up_to(m, k) <= traces_up_to(n, k)
+    return TraceSimAgreement(simulated, included)
 
 
 def brute_force_delay_simulated(m: Lts, n: Lts, tau: Label) -> bool:
@@ -207,6 +236,15 @@ def brute_force_conflicts(tree: CodeTree) -> list[tuple[str, str, str, str]]:
 
 
 # -- instance construction ----------------------------------------------------
+
+
+def atoms(*texts: str) -> list[Label]:
+    return [Label.parse(t) for t in texts]
+
+
+def entry(b: str, word: str) -> tuple[Label, tuple[Label, ...]]:
+    """A code entry: abstract label ``b`` and its space-separated word."""
+    return (Label.parse(b), tuple(Label.parse(t) for t in word.split()))
 
 
 def all_small_machines(states: int, labels: int) -> list[Lts]:

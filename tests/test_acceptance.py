@@ -24,36 +24,19 @@ from actioncodes.adaptor import (
 from actioncodes.cli import main as cli_main
 from actioncodes.codes import CodeMap, compose, to_map, to_tree
 from actioncodes.documents import dumps, loads, lts_from_document
-from actioncodes.gallery import (
-    FIXTURES as GALLERY,
-    chaos_inner_code,
-    chaos_machine,
-    chaos_outer_code,
-    choice_machine,
-    coffee_code,
-    double_press_code,
-    double_press_concretization,
-    double_press_contraction,
-    letter_loops,
-    letter_loops_refined,
-    octal_choice_det,
-    octal_letters_code,
-    shared_input_code,
-    split_press_code,
-    split_press_contraction,
-    square_machine,
-    ascii_fragment_code,
-)
 from actioncodes.generate import gen_adaptor_code, gen_code, gen_lts, gen_mealy, mealy_alphabet
 from actioncodes.lts import CompatRel, Label, Lts, has_trace, is_deterministic
 from actioncodes.operators import concretize, contract, is_icomplete, refine
-from actioncodes.simulation import (
-    find_isomorphism_reachable,
-    find_simulation,
+from actioncodes.simulation import find_isomorphism_reachable, find_simulation
+
+from conftest import (
+    FIXTURES,
+    brute_force_simulated,
+    brute_force_winning,
+    load_fixture,
+    sub_machine,
     trace_inclusion_equiv_check,
 )
-
-from conftest import FIXTURES, brute_force_simulated, brute_force_winning, sub_machine
 
 
 @contextmanager
@@ -73,20 +56,20 @@ def labels_of(code, which):
 def test_01_golden_reproduction():
     with criterion("golden-reproduction"):
         started = time.perf_counter()
-        square = square_machine()
+        square = load_fixture("square.mealy.json")
+        double = load_fixture("double-press.code.json")
+        double_contraction = load_fixture("double-press-contraction.mealy.json")
         cases = [
-            (contract(double_press_code(), square), double_press_contraction()),
-            (contract(split_press_code(), square), split_press_contraction()),
-            (refine(ascii_fragment_code(), letter_loops()), letter_loops_refined()),
-            (refine(octal_letters_code(), choice_machine()), octal_choice_det()),
-            (
-                concretize(
-                    double_press_code(),
-                    CompatRel.same_input(double_press_code().source),
-                    double_press_contraction(),
-                ),
-                double_press_concretization(),
-            ),
+            (contract(double, square), double_contraction),
+            (contract(load_fixture("split-press.code.json"), square),
+             load_fixture("split-press-contraction.mealy.json")),
+            (refine(load_fixture("ascii-fragment.code.json"),
+                    load_fixture("letter-loops.lts.json")),
+             load_fixture("letter-loops-refined.lts.json")),
+            (refine(load_fixture("octal-letters.code.json"), load_fixture("choice.lts.json")),
+             load_fixture("octal-choice-det.lts.json")),
+            (concretize(double, CompatRel.same_input(double.source), double_contraction),
+             load_fixture("double-press-concretization.mealy.json")),
         ]
         for produced, expected in cases:
             assert find_isomorphism_reachable(produced, expected) is not None
@@ -121,15 +104,17 @@ def test_02_roundtrip_laws():
 def test_03_galois_refinement():
     with criterion("galois-refinement"):
         # Hand-built witness, expanding direction.
-        code = octal_letters_code()
-        assert find_simulation(refine(code, choice_machine()), octal_choice_det()) is not None
-        assert find_simulation(choice_machine(), contract(code, octal_choice_det())) is not None
+        code = load_fixture("octal-letters.code.json")
+        choice, det = load_fixture("choice.lts.json"), load_fixture("octal-choice-det.lts.json")
+        assert find_simulation(refine(code, choice), det) is not None
+        assert find_simulation(choice, contract(code, det)) is not None
         # Hand-built witness, collapsing direction.
-        square = square_machine()
+        square = load_fixture("square.mealy.json")
         assert is_deterministic(square)
-        n = double_press_contraction()
-        assert find_simulation(n, contract(double_press_code(), square)) is not None
-        assert find_simulation(refine(double_press_code(), n), square) is not None
+        code = load_fixture("double-press.code.json")
+        n = load_fixture("double-press-contraction.mealy.json")
+        assert find_simulation(n, contract(code, square)) is not None
+        assert find_simulation(refine(code, n), square) is not None
 
         rng = random.Random(31)
         forward_premises = backward_premises = 0
@@ -248,7 +233,9 @@ def test_06_composition_laws():
             assert find_isomorphism_reachable(left, right) is not None
             checked += 1
 
-        inner, outer, m = chaos_inner_code(), chaos_outer_code(), chaos_machine()
+        inner = load_fixture("chaos-inner.code.json")
+        outer = load_fixture("chaos-outer.code.json")
+        m = load_fixture("chaos-machine.lts.json")
         rel_in = CompatRel.identity(inner.source)
         rel_out = CompatRel.identity(outer.source)
         flat = concretize(compose(inner, outer), rel_in, m)
@@ -277,11 +264,11 @@ def test_07_determinism_preservation():
 
 def test_08_winning_and_determinacy():
     with criterion("winning-and-determinacy"):
-        tree = to_tree(coffee_code())
+        tree = to_tree(load_fixture("coffee.code.json"))
         table = solve_winning(tree)
         assert table.is_winning(tree.root, "coffee")
         assert table.is_winning(tree.root, "espresso")
-        full = coffee_code()
+        full = load_fixture("coffee.code.json")
         reduced = CodeMap(
             full.source,
             full.target,
@@ -292,7 +279,7 @@ def test_08_winning_and_determinacy():
         assert not cut_table.is_winning(cut.root, "espresso")
         assert cut_table.is_winning(cut.root, "coffee")
 
-        ok, witness = is_determinate(to_tree(shared_input_code()))
+        ok, witness = is_determinate(to_tree(load_fixture("shared-input.code.json")))
         assert not ok
         assert witness.node == "ε"
         assert witness.abstract_input == "0"
@@ -321,7 +308,9 @@ def test_08_winning_and_determinacy():
 def test_09_adaptor_runtime():
     with criterion("adaptor-runtime"):
         run = run_adaptor(
-            to_tree(double_press_code()), InProcessSut(square_machine()), ["A", "B", "A"]
+            to_tree(load_fixture("double-press.code.json")),
+            InProcessSut(load_fixture("square.mealy.json")),
+            ["A", "B", "A"],
         )
         assert run.outputs == ("0", "0", "0")
         concrete = [(e[1], e[2]) for e in run.transcript if e[0] == "SUT"]
@@ -345,9 +334,9 @@ def test_09_adaptor_runtime():
 def test_10_adaptor_process_equivalence():
     with criterion("adaptor-process-equivalence"):
         started = time.perf_counter()
-        square = square_machine()
-        assert check_adaptor_theorem(to_tree(double_press_code()), square)
-        assert check_adaptor_theorem(to_tree(split_press_code()), square)
+        square = load_fixture("square.mealy.json")
+        assert check_adaptor_theorem(to_tree(load_fixture("double-press.code.json")), square)
+        assert check_adaptor_theorem(to_tree(load_fixture("split-press.code.json")), square)
         for seed in range(50):
             code = gen_adaptor_code(seed, inputs=2, outputs=2, abstract_inputs=2)
             tree = to_tree(code)
@@ -399,11 +388,11 @@ def test_12_cli_contract(capsys, tmp_path):
             return str(FIXTURES / name)
 
         # Round trips: every committed golden document is canonical.
-        for name in sorted(GALLERY):
-            text = (FIXTURES / name).read_text(encoding="utf-8")
+        for path in sorted(FIXTURES.glob("*.json")):
+            text = path.read_text(encoding="utf-8")
             assert dumps(loads(text)) == text
-            if name.endswith(".code.json"):
-                status, out, _ = run("to-tree", fixture(name))
+            if path.name.endswith(".code.json"):
+                status, out, _ = run("to-tree", str(path))
                 assert status == 0
                 tree_file = tmp_path / "tree.json"
                 tree_file.write_text(out, encoding="utf-8")
@@ -413,23 +402,23 @@ def test_12_cli_contract(capsys, tmp_path):
         # Golden derivations through the CLI.
         derivations = [
             (("contract", "--code", fixture("double-press.code.json"),
-              fixture("square.mealy.json")), double_press_contraction()),
+              fixture("square.mealy.json")), "double-press-contraction.mealy.json"),
             (("contract", "--code", fixture("split-press.code.json"),
-              fixture("square.mealy.json")), split_press_contraction()),
+              fixture("square.mealy.json")), "split-press-contraction.mealy.json"),
             (("refine", "--code", fixture("ascii-fragment.code.json"),
-              fixture("letter-loops.lts.json")), letter_loops_refined()),
+              fixture("letter-loops.lts.json")), "letter-loops-refined.lts.json"),
             (("refine", "--code", fixture("octal-letters.code.json"),
-              fixture("choice.lts.json")), octal_choice_det()),
+              fixture("choice.lts.json")), "octal-choice-det.lts.json"),
             (("concretize", "--rel", "same-input", "--code",
               fixture("double-press.code.json"),
               fixture("double-press-contraction.mealy.json")),
-             double_press_concretization()),
+             "double-press-concretization.mealy.json"),
         ]
         for argv, expected in derivations:
             status, out, _ = run(*argv)
             assert status == 0
             produced = lts_from_document(loads(out))
-            assert find_isomorphism_reachable(produced, expected) is not None
+            assert find_isomorphism_reachable(produced, load_fixture(expected)) is not None
 
         # The documented exit-code table: 0 PASS, 1 FAIL, 2 bad input,
         # 3 not winning, 4 incomplete code.

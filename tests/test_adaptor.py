@@ -30,36 +30,28 @@ from actioncodes.errors import (
     NotWinning,
     SutProtocolError,
 )
-from actioncodes.gallery import (
-    coffee_code,
-    double_press_code,
-    shared_input_code,
-    split_press_code,
-    square_machine,
-)
 from actioncodes.generate import gen_adaptor_code, gen_code, gen_mealy, mealy_alphabet
 from actioncodes.lts import Label, Lts, has_trace, traces_up_to
 from actioncodes.operators import contract
-from conftest import brute_force_conflicts, brute_force_winning, observable_traces
-
-
-def atoms(*texts):
-    return [Label.parse(t) for t in texts]
-
-
-def entry(b, word):
-    return (Label.parse(b), tuple(Label.parse(t) for t in word.split()))
+from conftest import (
+    brute_force_conflicts,
+    atoms,
+    brute_force_winning,
+    entry,
+    load_fixture,
+    observable_traces,
+)
 
 
 def mutilated_coffee_code() -> CodeMap:
-    full = coffee_code()
+    full = load_fixture("coffee.code.json")
     kept = [(b, w) for b, w in full.entries if str(b) != "espresso/2"]
     return CodeMap(full.source, full.target, kept)
 
 
 class TestWinning:
     def test_coffee_root_wins_both_drinks(self):
-        tree = to_tree(coffee_code())
+        tree = to_tree(load_fixture("coffee.code.json"))
         table = solve_winning(tree)
         assert table.is_winning(tree.root, "coffee")
         assert table.is_winning(tree.root, "espresso")
@@ -104,13 +96,13 @@ class TestWinning:
 
 
 class TestDeterminate:
-    def test_gallery_codes_are_determinate(self):
-        for build in (coffee_code, double_press_code, split_press_code):
-            ok, witness = is_determinate(to_tree(build()))
+    def test_fixture_codes_are_determinate(self):
+        for name in ("coffee.code.json", "double-press.code.json", "split-press.code.json"):
+            ok, witness = is_determinate(to_tree(load_fixture(name)))
             assert ok and witness is None
 
     def test_shared_input_code_is_not(self):
-        ok, witness = is_determinate(to_tree(shared_input_code()))
+        ok, witness = is_determinate(to_tree(load_fixture("shared-input.code.json")))
         assert not ok
         assert witness.abstract_input == "0"
         assert {witness.first_input, witness.second_input} == {"a", "b"}
@@ -132,7 +124,7 @@ class TestDeterminate:
 
 class TestOutputDeterminism:
     def test_square_machine(self):
-        assert is_output_deterministic(square_machine())
+        assert is_output_deterministic(load_fixture("square.mealy.json"))
 
     def test_two_outputs_for_one_input(self):
         m = Lts(
@@ -191,9 +183,13 @@ class TestInProcessSut:
             sut.send("a")
 
 
+def square_sut() -> InProcessSut:
+    return InProcessSut(load_fixture("square.mealy.json"))
+
+
 class TestRunAdaptor:
     def test_double_press_session(self):
-        run = run_adaptor(to_tree(double_press_code()), InProcessSut(square_machine()),
+        run = run_adaptor(to_tree(load_fixture("double-press.code.json")), square_sut(),
                           ["A", "B", "A"])
         assert run.outputs == ("0", "0", "0")
         concrete = [e for e in run.transcript if e[0] == "SUT"]
@@ -204,12 +200,12 @@ class TestRunAdaptor:
         ]
 
     def test_empty_input_stream(self):
-        run = run_adaptor(to_tree(double_press_code()), InProcessSut(square_machine()), [])
+        run = run_adaptor(to_tree(load_fixture("double-press.code.json")), square_sut(), [])
         assert run.outputs == ()
         assert run.transcript == ()
 
     def test_split_press_reads_remembered_output(self):
-        run = run_adaptor(to_tree(split_press_code()), InProcessSut(square_machine()), ["C"])
+        run = run_adaptor(to_tree(load_fixture("split-press.code.json")), square_sut(), ["C"])
         assert run.outputs == ("1",)
         assert format_transcript(run.transcript) == [
             "IN C", "SUT a/0", "SUT b/1", "OUT 1",
@@ -223,7 +219,7 @@ class TestRunAdaptor:
 
     def test_non_determinate_code_is_refused(self):
         with pytest.raises(NotDeterminate):
-            AdaptorSession(to_tree(shared_input_code()), None)
+            AdaptorSession(to_tree(load_fixture("shared-input.code.json")), None)
 
     def test_live_completeness_violation(self):
         code = CodeMap(atoms("b/0", "b/1"), atoms("B/0"), [entry("B/0", "b/0")])
@@ -379,7 +375,7 @@ class TestExternalSut:
         script.write_text(SQUARE_SUT_SCRIPT, encoding="utf-8")
         with ExternalSut.spawn([sys.executable, str(script)], timeout=10.0) as sut:
             sut.reset()
-            run = run_adaptor(to_tree(double_press_code()), sut, ["A", "B", "A"])
+            run = run_adaptor(to_tree(load_fixture("double-press.code.json")), sut, ["A", "B", "A"])
         assert run.outputs == ("0", "0", "0")
 
     def test_timeout_raises(self, tmp_path):
@@ -423,15 +419,15 @@ class TestExternalSut:
 
 class TestComposedProcess:
     def test_split_view_shapes(self):
-        view = split_io(square_machine())
+        view = split_io(load_fixture("square.mealy.json"))
         assert TAU in view.alphabet
         assert view.enables("q0", Label("a"))
         assert view.enables("q0?a", Label("0!"))
 
     def test_golden_pairs_are_equivalent(self):
-        m = square_machine()
-        for build in (double_press_code, split_press_code):
-            assert check_adaptor_theorem(to_tree(build()), m)
+        m = load_fixture("square.mealy.json")
+        for name in ("double-press.code.json", "split-press.code.json"):
+            assert check_adaptor_theorem(to_tree(load_fixture(name)), m)
 
     def test_empty_code_composition_is_trivially_equivalent(self):
         code = CodeMap(atoms("a/0", "a/1"), [], [])
@@ -448,8 +444,8 @@ class TestComposedProcess:
 
     def test_observable_traces_agree(self):
         # Hidden moves absorbed, both sides offer the same learner-visible words.
-        code = split_press_code()
-        m = square_machine()
+        code = load_fixture("split-press.code.json")
+        m = load_fixture("square.mealy.json")
         composed = adaptor_composition(to_tree(code), m)
         view = split_io(contract(code, m))
         assert observable_traces(composed, 8, TAU) == observable_traces(view, 8, TAU)
@@ -463,9 +459,10 @@ class TestComposedProcess:
     def test_preconditions_are_enforced(self):
         lazy = Lts(["q0"], "q0", [], atoms("a/0"))
         with pytest.raises(ValueError):
-            adaptor_composition(to_tree(double_press_code()), lazy)
+            adaptor_composition(to_tree(load_fixture("double-press.code.json")), lazy)
+        shared = to_tree(load_fixture("shared-input.code.json"))
         with pytest.raises(NotDeterminate):
-            adaptor_composition(to_tree(shared_input_code()), _tiny_enabled())
+            adaptor_composition(shared, _tiny_enabled())
         losing = CodeMap(
             atoms("a/0", "a/1"),
             atoms("X/0", "Y/0"),

@@ -11,16 +11,9 @@ import pytest
 from actioncodes import adaptor
 from actioncodes.cli import main
 from actioncodes.documents import dumps, loads, lts_from_document, lts_to_document
-from actioncodes.gallery import (
-    double_press_concretization,
-    double_press_contraction,
-    letter_loops_refined,
-    octal_choice_det,
-    split_press_contraction,
-)
 from actioncodes.simulation import Relation, find_isomorphism_reachable, is_simulation
 
-from conftest import FIXTURES
+from conftest import FIXTURES, load_fixture
 from test_adaptor import SQUARE_SUT_SCRIPT
 from test_simulation import forked_chain, is_reachable_isomorphism, numbered_copy
 
@@ -40,13 +33,13 @@ class TestOperatorVerbs:
         "verb,code,machine,expected",
         [
             ("contract", "double-press.code.json", "square.mealy.json",
-             double_press_contraction),
+             "double-press-contraction.mealy.json"),
             ("contract", "split-press.code.json", "square.mealy.json",
-             split_press_contraction),
+             "split-press-contraction.mealy.json"),
             ("refine", "ascii-fragment.code.json", "letter-loops.lts.json",
-             letter_loops_refined),
+             "letter-loops-refined.lts.json"),
             ("refine", "octal-letters.code.json", "choice.lts.json",
-             octal_choice_det),
+             "octal-choice-det.lts.json"),
         ],
     )
     def test_contract_and_refine_reproduce_goldens(
@@ -55,7 +48,7 @@ class TestOperatorVerbs:
         status, out, _ = run(capsys, verb, "--code", fixture(code), fixture(machine))
         assert status == 0
         produced = lts_from_document(loads(out))
-        assert find_isomorphism_reachable(produced, expected()) is not None
+        assert find_isomorphism_reachable(produced, load_fixture(expected)) is not None
 
     def test_concretize_reproduces_golden(self, capsys):
         status, out, _ = run(
@@ -69,7 +62,8 @@ class TestOperatorVerbs:
         )
         assert status == 0
         produced = lts_from_document(loads(out))
-        assert find_isomorphism_reachable(produced, double_press_concretization()) is not None
+        expected = load_fixture("double-press-concretization.mealy.json")
+        assert find_isomorphism_reachable(produced, expected) is not None
 
     def test_stats_go_to_stderr(self, capsys):
         status, out, err = run(
@@ -415,6 +409,21 @@ class TestGen:
         assert (status, out) == (2, "")
         assert err == f"ERROR ValueError a system needs at least one state, got {states}\n"
 
+    @pytest.mark.parametrize(
+        "what,option,value,counted",
+        [
+            ("lts", "--labels", "-1", "atomic symbols"),
+            ("mealy", "--inputs", "-1", "inputs"),
+            ("mealy", "--outputs", "-2", "outputs"),
+            ("code", "--abstract", "-2", "abstract symbols"),
+        ],
+    )
+    def test_negative_count_is_bad_input(self, capsys, what, option, value, counted):
+        # A negative count once sliced its symbols from the end of the alphabet.
+        status, out, err = run(capsys, "gen", what, option, value, "--seed", "1")
+        assert (status, out) == (2, "")
+        assert err == f"ERROR ValueError the number of {counted} cannot be negative, got {value}\n"
+
     def test_input_enabled_generation(self, capsys):
         status, out, _ = run(
             capsys,
@@ -429,17 +438,9 @@ class TestGen:
 
 class TestAdaptorVerb:
     def test_in_process_session(self, capsys, tmp_path):
-        inputs = tmp_path / "inputs.txt"
-        inputs.write_text("A\nB\nA\n", encoding="utf-8")
         status, out, _ = run(
-            capsys,
-            "adaptor",
-            "--code",
-            fixture("double-press.code.json"),
-            "--sut-file",
-            fixture("square.mealy.json"),
-            "--inputs",
-            str(inputs),
+            capsys, "adaptor", "--code", fixture("double-press.code.json"),
+            "--sut-file", fixture("square.mealy.json"), "--inputs", _inputs(tmp_path, "A\nB\nA\n"),
         )
         assert status == 0
         assert out.splitlines() == [
@@ -453,28 +454,16 @@ class TestAdaptorVerb:
 
         monkeypatch.setattr(sys, "stdin", io.StringIO("B\n"))
         status, out, _ = run(
-            capsys,
-            "adaptor",
-            "--code",
-            fixture("double-press.code.json"),
-            "--sut-file",
-            fixture("square.mealy.json"),
+            capsys, "adaptor", "--code", fixture("double-press.code.json"),
+            "--sut-file", fixture("square.mealy.json"),
         )
         assert status == 0
         assert out.splitlines() == ["IN B", "SUT b/0", "SUT b/0", "OUT 0"]
 
     def test_empty_input_stream(self, capsys, tmp_path):
-        inputs = tmp_path / "inputs.txt"
-        inputs.write_text("", encoding="utf-8")
         status, out, _ = run(
-            capsys,
-            "adaptor",
-            "--code",
-            fixture("double-press.code.json"),
-            "--sut-file",
-            fixture("square.mealy.json"),
-            "--inputs",
-            str(inputs),
+            capsys, "adaptor", "--code", fixture("double-press.code.json"),
+            "--sut-file", fixture("square.mealy.json"), "--inputs", _inputs(tmp_path, ""),
         )
         assert status == 0
         assert out == ""
@@ -485,17 +474,9 @@ class TestAdaptorVerb:
         full["target_alphabet"] = [t for t in full["target_alphabet"] if t != "espresso/2"]
         code_file = tmp_path / "mutilated.json"
         code_file.write_text(dumps(full), encoding="utf-8")
-        inputs = tmp_path / "inputs.txt"
-        inputs.write_text("espresso\n", encoding="utf-8")
         status, _, err = run(
-            capsys,
-            "adaptor",
-            "--code",
-            str(code_file),
-            "--sut-file",
-            fixture("square.mealy.json"),
-            "--inputs",
-            str(inputs),
+            capsys, "adaptor", "--code", str(code_file), "--sut-file", fixture("square.mealy.json"),
+            "--inputs", _inputs(tmp_path, "espresso\n"),
         )
         assert status == 3
         assert "NotWinning espresso" in err
@@ -503,11 +484,9 @@ class TestAdaptorVerb:
     def test_non_determinate_code_is_refused_before_inputs(self, capsys, tmp_path):
         # The code is checked as a whole first, as run_adaptor does, so an
         # input that is not winning does not hide a code that is unusable.
-        inputs = tmp_path / "inputs.txt"
-        inputs.write_text("Z\n", encoding="utf-8")
         status, out, err = run(
             capsys, "adaptor", "--code", fixture("shared-input.code.json"),
-            "--sut-file", fixture("square.mealy.json"), "--inputs", str(inputs),
+            "--sut-file", fixture("square.mealy.json"), "--inputs", _inputs(tmp_path, "Z\n"),
         )
         assert (status, out) == (2, "")
         assert err == "ERROR NotDeterminate node=ε input=0 first=a second=b\n"
@@ -533,19 +512,9 @@ class TestAdaptorVerb:
         machine_file.write_text(dumps(machine_doc), encoding="utf-8")
         script = tmp_path / "script.txt"
         script.write_text("1\n", encoding="utf-8")
-        inputs = tmp_path / "inputs.txt"
-        inputs.write_text("B\n", encoding="utf-8")
         status, _, err = run(
-            capsys,
-            "adaptor",
-            "--code",
-            str(code_file),
-            "--sut-file",
-            str(machine_file),
-            "--script",
-            str(script),
-            "--inputs",
-            str(inputs),
+            capsys, "adaptor", "--code", str(code_file), "--sut-file", str(machine_file),
+            "--script", str(script), "--inputs", _inputs(tmp_path, "B\n"),
         )
         assert status == 4
         assert "CodeIncomplete" in err and "output=1" in err
@@ -553,17 +522,9 @@ class TestAdaptorVerb:
     def test_exec_backend(self, capsys, tmp_path):
         sut = tmp_path / "sut.py"
         sut.write_text(SQUARE_SUT_SCRIPT, encoding="utf-8")
-        inputs = tmp_path / "inputs.txt"
-        inputs.write_text("A\nB\nA\n", encoding="utf-8")
         status, out, _ = run(
-            capsys,
-            "adaptor",
-            "--code",
-            fixture("double-press.code.json"),
-            "--sut-exec",
-            f"{sys.executable} {sut}",
-            "--inputs",
-            str(inputs),
+            capsys, "adaptor", "--code", fixture("double-press.code.json"),
+            "--sut-exec", f"{sys.executable} {sut}", "--inputs", _inputs(tmp_path, "A\nB\nA\n"),
         )
         assert status == 0
         assert out.count("OUT 0") == 3
@@ -625,18 +586,10 @@ class TestAdaptorVerb:
 
         thread = threading.Thread(target=serve, daemon=True)
         thread.start()
-        inputs = tmp_path / "inputs.txt"
-        inputs.write_text("B\nA\n", encoding="utf-8")
         try:
             status, out, _ = run(
-                capsys,
-                "adaptor",
-                "--code",
-                fixture("double-press.code.json"),
-                "--sut-tcp",
-                f"127.0.0.1:{port}",
-                "--inputs",
-                str(inputs),
+                capsys, "adaptor", "--code", fixture("double-press.code.json"),
+                "--sut-tcp", f"127.0.0.1:{port}", "--inputs", _inputs(tmp_path, "B\nA\n"),
             )
         finally:
             server.close()
@@ -652,9 +605,10 @@ def _closed_port() -> int:
     return port
 
 
-def _inputs(tmp_path) -> str:
+def _inputs(tmp_path, text: str = "A\n") -> str:
+    """A file of abstract inputs, one per line."""
     path = tmp_path / "inputs.txt"
-    path.write_text("A\n", encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 

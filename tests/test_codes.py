@@ -13,29 +13,16 @@ from actioncodes.errors import (
     InvalidTree,
     PrefixClash,
 )
-from actioncodes.gallery import (
-    ascii_fragment_code,
-    chaos_inner_code,
-    chaos_outer_code,
-    double_press_code,
-    split_press_code,
-)
 from actioncodes.generate import gen_code
 from actioncodes.lts import Label, Lts, structural_predicates
 from actioncodes.simulation import find_isomorphism_reachable
 
-
-def atoms(*texts):
-    return [Label.parse(t) for t in texts]
-
-
-def entry(b: str, word: str):
-    return (Label.parse(b), tuple(Label.parse(t) for t in word.split()))
+from conftest import atoms, entry, load_fixture
 
 
 class TestValidation:
     def test_ascii_fragment_is_valid(self):
-        code = ascii_fragment_code()
+        code = load_fixture("ascii-fragment.code.json")
         assert len(code) == 5
         assert code.word_for(Label("a")) == tuple(atoms("1", "4", "1"))
 
@@ -90,7 +77,7 @@ class TestValidation:
 
 class TestTreeForm:
     def test_ascii_tree_shape(self):
-        tree = to_tree(ascii_fragment_code())
+        tree = to_tree(load_fixture("ascii-fragment.code.json"))
         assert len(tree.tree.states) == 11
         assert len(tree.leaves) == 5
         report = structural_predicates(tree.tree)
@@ -102,7 +89,7 @@ class TestTreeForm:
         assert tree.leaf_labels == ()
 
     def test_double_press_tree_has_five_nodes(self):
-        tree = to_tree(double_press_code())
+        tree = to_tree(load_fixture("double-press.code.json"))
         assert len(tree.tree.states) == 5
         assert {str(lab) for _, lab in tree.leaf_labels} == {"A/0", "B/0"}
 
@@ -142,9 +129,9 @@ class TestTreeForm:
 
 
 class TestRoundTrip:
-    def test_map_of_tree_is_identity_on_gallery(self):
-        for build in (ascii_fragment_code, double_press_code, split_press_code):
-            code = build()
+    def test_map_of_tree_is_identity_on_fixtures(self):
+        for name in ("ascii-fragment.code.json", "double-press.code.json", "split-press.code.json"):
+            code = load_fixture(name)
             assert to_map(to_tree(code)) == code
 
     def test_map_of_tree_is_identity_on_random(self):
@@ -164,9 +151,10 @@ class TestRoundTrip:
 
 class TestCompose:
     def test_undefined_everywhere(self):
-        composed = compose(chaos_inner_code(), chaos_outer_code())
+        inner = load_fixture("chaos-inner.code.json")
+        composed = compose(inner, load_fixture("chaos-outer.code.json"))
         assert len(composed) == 0
-        assert composed.source == chaos_inner_code().source
+        assert composed.source == inner.source
 
     def test_singleton_words_substitute(self):
         r = CodeMap(atoms("a", "b"), atoms("X"), [entry("X", "a b")])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -19,21 +20,20 @@ from actioncodes.documents import (
     tree_from_document,
     tree_to_document,
 )
-from actioncodes.gallery import FIXTURES as GALLERY_FIXTURES
 from actioncodes.generate import gen_code, gen_lts, gen_mealy
-from conftest import FIXTURES
+from conftest import FIXTURES, load_fixture
+
+
+def reserialize(name: str) -> str:
+    """A committed fixture, parsed and written back."""
+    value = load_fixture(name)
+    return dumps(code_to_document(value) if isinstance(value, CodeMap) else lts_to_document(value))
 
 
 class TestRoundTrips:
     def test_parse_then_serialize_is_identity_on_canonical_text(self):
-        for name in sorted(GALLERY_FIXTURES):
-            text = (FIXTURES / name).read_text(encoding="utf-8")
-            doc = loads(text)
-            if name.endswith(".code.json"):
-                again = code_to_document(code_from_document(doc))
-            else:
-                again = lts_to_document(lts_from_document(doc))
-            assert dumps(again) == text, name
+        for path in sorted(FIXTURES.glob("*.json")):
+            assert reserialize(path.name) == path.read_text(encoding="utf-8"), path.name
 
     def test_serialize_then_parse_preserves_value(self):
         for seed in range(25):
@@ -143,22 +143,42 @@ class TestRejection:
             dumps({"schema": "actioncodes/lts-v1", "kind": "lts"})
 
 
+#: The committed fixtures and the SHA-256 of each.  The files are the source
+#: of truth for the worked examples; changing one means updating its pin here
+#: and ``tests/cli_transcript.json`` on purpose.
+FIXTURE_SHA256 = {
+    "ascii-fragment.code.json": "a5f888d412497865addeb3610138a8c55949c73c74916cf408240f31d90a1dc3",
+    "chaos-inner.code.json": "9f22e40dd17a137894e1348cd56bfcdb9adcede581d5c60e9aa4bb22b0e904c3",
+    "chaos-machine.lts.json": "e767cfd0fe7177d8d41a472f556887548b72f21bbb13e882c647836dba2b91a1",
+    "chaos-outer.code.json": "639a552877562229a3e7469ac2f1e21be040ba8cff0bb3f004bcca53b33bf72c",
+    "choice.lts.json": "ab09814f0f13cd68f8a1f0c3aab45ead9c36d9279f6c3a94b9e32ef5f96787c4",
+    "coffee.code.json": "90d8e8f722a473dc77b3c3386a36f21c1105c4cd3067395769ba609c904f676e",
+    "double-press-concretization.mealy.json": "020d1cdd5b1226ad311661a49b6c80a0d10132e1cea05906950826d5b3e49995",
+    "double-press-contraction.mealy.json": "20250a3fa9a12acb8cbb357c13e01a369b3d18c8be86967225ae59179aff2ec8",
+    "double-press.code.json": "067231393a635695077a0b5bb451fc3e62690ab03e114fd3d710b4be40fbb0dd",
+    "letter-loops-refined.lts.json": "41c5596c84559fbf2a14090de917aa58c9b6599af33da2ebbd48514226e37662",
+    "letter-loops.lts.json": "03cf52d67341dc2f2410573280c02a064297948c7bcd07a50034fb45a13a69a3",
+    "octal-choice-det.lts.json": "04460adc921027d0a6eb9a5be5353b0b0b006bc31b54315fd17873a474fc243c",
+    "octal-choice-nondet.lts.json": "4f1fa51f8b363f6b20ff1dedddd79f5443998863d7c9859ac04882cb1142d64a",
+    "octal-letters.code.json": "31b88c71ba80555f9ab733fc31e3681ade938b1251989e7bb9aec78b5fe09bc5",
+    "shared-input.code.json": "cb180ed08fd1c223fbc87f0a58c5c2194c6bc5539eea6cda276f2c50f975a604",
+    "split-press-contraction.mealy.json": "995dc360fce7dfde6f4bbf25b58bada3a3e2a32be05e4f8ea18f87c5bed972c7",
+    "split-press.code.json": "f86d5971bdb0015120e2ba6c6c9b31388ebeb3bb6ed85d7f17f4c8342e3be055",
+    "square.mealy.json": "3213c4bf9162e190e274120c37b90004f4d55c82eb56b6d4380c1074f27308a1",
+}
+
+
 class TestCommittedFixtures:
-    def test_every_fixture_is_committed_and_canonical(self):
-        for name, build in sorted(GALLERY_FIXTURES.items()):
-            path = FIXTURES / name
-            assert path.exists(), f"missing fixture {name}"
-            value = build()
-            doc = (
-                code_to_document(value)
-                if isinstance(value, CodeMap)
-                else lts_to_document(value)
-            )
-            assert path.read_text(encoding="utf-8") == dumps(doc), name
+    def test_fixtures_are_listed_canonical_and_pinned(self):
+        paths = sorted(FIXTURES.glob("*.json"))
+        assert [path.name for path in paths] == sorted(FIXTURE_SHA256)
+        for path in paths:
+            data = path.read_bytes()
+            assert reserialize(path.name) == data.decode("utf-8"), path.name
+            assert hashlib.sha256(data).hexdigest() == FIXTURE_SHA256[path.name], path.name
 
     def test_mealy_fixtures_declare_their_kind(self):
-        for name in GALLERY_FIXTURES:
-            if name.endswith(".mealy.json"):
-                doc = loads((FIXTURES / name).read_text(encoding="utf-8"))
-                assert doc["kind"] == "mealy"
-                assert all("/" in t for t in doc["alphabet"])
+        for path in FIXTURES.glob("*.mealy.json"):
+            doc = loads(path.read_text(encoding="utf-8"))
+            assert doc["kind"] == "mealy"
+            assert all("/" in t for t in doc["alphabet"])

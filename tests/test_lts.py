@@ -10,14 +10,6 @@ from hypothesis import strategies as st
 
 from actioncodes.codes import to_tree
 from actioncodes.errors import AlphabetMismatch
-from actioncodes.gallery import (
-    ascii_fragment_code,
-    choice_machine,
-    double_press_concretization,
-    octal_choice_det,
-    octal_choice_nondet,
-    square_machine,
-)
 from actioncodes.generate import gen_lts
 from actioncodes.lts import (
     CompatRel,
@@ -25,12 +17,11 @@ from actioncodes.lts import (
     Lts,
     has_trace,
     is_deterministic,
-    reachable_states,
     structural_predicates,
     traces_up_to,
 )
 
-from conftest import add_noise
+from conftest import add_noise, load_fixture
 
 
 def word(text: str) -> tuple[Label, ...]:
@@ -84,30 +75,30 @@ class TestLtsConstruction:
 
 class TestReachable:
     def test_square_fully_reachable(self):
-        assert reachable_states(square_machine()) == {"q0", "q1", "q2", "q3"}
+        assert load_fixture("square.mealy.json").reachable() == {"q0", "q1", "q2", "q3"}
 
     def test_single_state(self):
         m = Lts(["q0"], "q0", [], [Label("a")])
-        assert reachable_states(m) == {"q0"}
+        assert m.reachable() == {"q0"}
 
     def test_concretization_has_seven_reachable(self):
-        assert len(reachable_states(double_press_concretization())) == 7
+        assert len(load_fixture("double-press-concretization.mealy.json").reachable()) == 7
 
     def test_monotone_under_transition_addition(self):
         rng = random.Random(7)
         for seed in range(40):
             m = gen_lts(seed, states=5, labels=2)
             bigger = add_noise(rng, m, extra=3)
-            assert reachable_states(m) <= reachable_states(bigger)
+            assert m.reachable() <= bigger.reachable()
 
 
 class TestDeterminism:
     def test_square_output_deterministic(self):
-        m = square_machine()
+        m = load_fixture("square.mealy.json")
         assert is_deterministic(m, CompatRel.same_input(m.alphabet))
 
     def test_nondet_refinement_not_deterministic(self):
-        assert not is_deterministic(octal_choice_nondet())
+        assert not is_deterministic(load_fixture("octal-choice-nondet.lts.json"))
 
     def test_no_transitions_vacuously_deterministic(self):
         m = Lts(["q0"], "q0", [], [Label("a"), Label("b")])
@@ -115,7 +106,7 @@ class TestDeterminism:
         assert is_deterministic(m, CompatRel.identity(m.alphabet))
 
     def test_rejects_foreign_carrier(self):
-        m = choice_machine()
+        m = load_fixture("choice.lts.json")
         with pytest.raises(AlphabetMismatch):
             is_deterministic(m, CompatRel.identity([Label("a")]))
 
@@ -132,14 +123,14 @@ class TestDeterminism:
 
 class TestTraces:
     def test_choice_machine_depth_one(self):
-        assert traces_up_to(choice_machine(), 1) == {(), word("a"), word("b")}
+        assert traces_up_to(load_fixture("choice.lts.json"), 1) == {(), word("a"), word("b")}
 
     def test_depth_zero(self):
-        assert traces_up_to(square_machine(), 0) == {()}
+        assert traces_up_to(load_fixture("square.mealy.json"), 0) == {()}
 
     def test_octal_det_depth_three(self):
         expected = {(), word("1"), word("1 4"), word("1 4 1"), word("1 4 2")}
-        assert traces_up_to(octal_choice_det(), 3) == expected
+        assert traces_up_to(load_fixture("octal-choice-det.lts.json"), 3) == expected
 
     def test_monotone_and_prefix_closed(self):
         for seed in range(30):
@@ -175,14 +166,14 @@ class TestTraces:
 
 class TestStructure:
     def test_ascii_tree(self):
-        tree = to_tree(ascii_fragment_code())
+        tree = to_tree(load_fixture("ascii-fragment.code.json"))
         report = structural_predicates(tree.tree)
         assert report.tree_shaped
         assert report.grounded
         assert len(report.leaves) == 5
 
     def test_square_machine_is_cyclic(self):
-        report = structural_predicates(square_machine())
+        report = structural_predicates(load_fixture("square.mealy.json"))
         assert not report.tree_shaped
         assert not report.grounded
         assert report.leaves == frozenset()
@@ -199,7 +190,7 @@ class TestStructure:
         for seed in range(40):
             m = gen_lts(seed, states=4, labels=2)
             report = structural_predicates(m)
-            reach = reachable_states(m)
+            reach = m.reachable()
 
             def reaches_leaf(q, seen=None):
                 seen = seen or set()
@@ -227,6 +218,6 @@ def test_random_machines_validate(data):
         )
     )
     m = Lts(ids, ids[0], triples, alphabet)
-    assert m.initial in reachable_states(m)
-    assert reachable_states(m) <= set(m.states)
+    assert m.initial in m.reachable()
+    assert m.reachable() <= set(m.states)
     assert traces_up_to(m, 0) == {()}

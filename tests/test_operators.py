@@ -10,17 +10,6 @@ import pytest
 from actioncodes.adaptor import split_io
 from actioncodes.codes import CodeMap, compose
 from actioncodes.errors import AlphabetMismatch
-from actioncodes.gallery import (
-    chaos_inner_code,
-    chaos_machine,
-    chaos_outer_code,
-    choice_machine,
-    double_press_code,
-    double_press_contraction,
-    octal_choice_det,
-    octal_letters_code,
-    square_machine,
-)
 from actioncodes.generate import (
     gen_adaptor_code,
     gen_code,
@@ -31,29 +20,18 @@ from actioncodes.generate import (
 from actioncodes.lts import CompatRel, Label, Lts, is_deterministic
 from actioncodes.operators import (
     CHAOS,
-    MODE_GAMMA,
-    MODE_RHO,
     composite_name,
     concretize,
     contract,
     is_icomplete,
     refine,
-    vertical_check,
 )
 from actioncodes.simulation import (
     find_isomorphism_reachable,
     find_simulation,
 )
 
-from conftest import sub_machine
-
-
-def atoms(*texts):
-    return [Label.parse(t) for t in texts]
-
-
-def entry(b, word):
-    return (Label.parse(b), tuple(Label.parse(t) for t in word.split()))
+from conftest import atoms, entry, load_fixture, sub_machine
 
 
 def abstract_lts(seed, code, states=4, deterministic=False):
@@ -73,7 +51,7 @@ def domain_lts(seed, code, states=4):
 class TestContract:
     def test_empty_code_keeps_only_initial(self):
         code = CodeMap(atoms("a", "b"), atoms("X"), [])
-        out = contract(code, choice_machine())
+        out = contract(code, load_fixture("choice.lts.json"))
         assert out.states == ("q0",)
         assert not out.transitions
 
@@ -95,7 +73,7 @@ class TestContract:
 
     def test_alphabet_mismatch(self):
         with pytest.raises(AlphabetMismatch):
-            contract(double_press_code(), choice_machine())
+            contract(load_fixture("double-press.code.json"), load_fixture("choice.lts.json"))
 
     def test_trace_characterization(self):
         # An abstract word is a trace of the contraction exactly when the
@@ -117,7 +95,7 @@ class TestContract:
 
 class TestRefine:
     def test_transitionless_input(self):
-        code = octal_letters_code()
+        code = load_fixture("octal-letters.code.json")
         n = Lts(["n0"], "n0", [], code.target)
         out = refine(code, n)
         assert out.states == (composite_name("n0", ()),)
@@ -157,8 +135,8 @@ class TestConcretize:
         return CompatRel.identity(code.source)
 
     def test_empty_code_goes_straight_to_chaos(self):
-        code = chaos_outer_code()
-        out = concretize(code, self.rel(code), chaos_machine())
+        code = load_fixture("chaos-outer.code.json")
+        out = concretize(code, self.rel(code), load_fixture("chaos-machine.lts.json"))
         start = composite_name("q0", ())
         assert set(out.states) == {start, CHAOS}
         assert out.succ(start, Label("b")) == (CHAOS,)
@@ -171,9 +149,13 @@ class TestConcretize:
         assert CHAOS not in out.states
 
     def test_relation_carrier_must_match(self):
-        code = double_press_code()
+        code = load_fixture("double-press.code.json")
         with pytest.raises(AlphabetMismatch):
-            concretize(code, CompatRel.identity(atoms("a/0")), double_press_contraction())
+            concretize(
+                code,
+                CompatRel.identity(atoms("a/0")),
+                load_fixture("double-press-contraction.mealy.json"),
+            )
 
     def test_refinement_embeds_into_concretization(self):
         for seed in range(30):
@@ -237,16 +219,16 @@ class TestGaloisRefinement:
     """Refinement is left adjoint to contraction."""
 
     def test_hand_witness_left_to_right(self):
-        code = octal_letters_code()
-        n, m = choice_machine(), octal_choice_det()
+        code = load_fixture("octal-letters.code.json")
+        n, m = load_fixture("choice.lts.json"), load_fixture("octal-choice-det.lts.json")
         assert find_simulation(refine(code, n), m) is not None
         assert find_simulation(n, contract(code, m)) is not None
 
     def test_hand_witness_right_to_left(self):
-        code = double_press_code()
-        m = square_machine()
+        code = load_fixture("double-press.code.json")
+        m = load_fixture("square.mealy.json")
         assert is_deterministic(m)
-        n = double_press_contraction()
+        n = load_fixture("double-press-contraction.mealy.json")
         assert find_simulation(n, contract(code, m)) is not None
         assert find_simulation(refine(code, n), m) is not None
 
@@ -340,8 +322,9 @@ class TestICompleteness:
             assert ok and witness is None
 
     def test_worked_example(self):
-        code = double_press_code()
-        ok, _ = is_icomplete(code, CompatRel.same_input(code.source), square_machine())
+        code = load_fixture("double-press.code.json")
+        m = load_fixture("square.mealy.json")
+        ok, _ = is_icomplete(code, CompatRel.same_input(code.source), m)
         assert ok
 
     def test_missing_output_found_at_root(self):
@@ -448,25 +431,32 @@ class TestICompleteFalsification:
 
 
 class TestVerticalCheck:
+    """A concrete system against an abstract one through the code: simulated
+    by the refinement (rho mode) or by the identity concretization (gamma
+    mode) of the abstract system."""
+
     def test_expansion_related_to_choice_in_both_modes(self):
-        code = octal_letters_code()
-        m, n = octal_choice_det(), choice_machine()
-        assert vertical_check(m, n, code, MODE_RHO)
-        assert vertical_check(m, n, code, MODE_GAMMA)
+        code = load_fixture("octal-letters.code.json")
+        m, n = load_fixture("octal-choice-det.lts.json"), load_fixture("choice.lts.json")
+        assert find_simulation(m, refine(code, n)) is not None
+        gamma = concretize(code, CompatRel.identity(code.source), n)
+        assert find_simulation(m, gamma) is not None
 
     def test_refinement_is_reflexively_related(self):
         for seed in range(20):
             code = gen_code(seed, entries=3, maxlen=3)
             n = abstract_lts(seed + 79, code)
-            assert vertical_check(refine(code, n), n, code, MODE_RHO)
+            rho = refine(code, n)
+            assert find_simulation(rho, rho) is not None
 
     def test_rho_mode_implies_gamma_mode(self):
         for seed in range(40):
             code = gen_code(seed, entries=3, maxlen=3)
             n = abstract_lts(seed + 83, code)
             m = refine(code, n) if seed % 2 else concrete_lts(seed + 89, code)
-            if vertical_check(m, n, code, MODE_RHO):
-                assert vertical_check(m, n, code, MODE_GAMMA)
+            if find_simulation(m, refine(code, n)) is not None:
+                gamma = concretize(code, CompatRel.identity(code.source), n)
+                assert find_simulation(m, gamma) is not None
 
 
 class TestComposition:
@@ -503,7 +493,9 @@ class TestComposition:
         assert checked >= 20
 
     def test_concretization_does_not_commute(self):
-        inner, outer, m = chaos_inner_code(), chaos_outer_code(), chaos_machine()
+        inner = load_fixture("chaos-inner.code.json")
+        outer = load_fixture("chaos-outer.code.json")
+        m = load_fixture("chaos-machine.lts.json")
         composed = concretize(
             compose(inner, outer), CompatRel.identity(inner.source), m
         )

@@ -14,12 +14,6 @@ from actioncodes.errors import (
     NotDeterministic,
 )
 from actioncodes import simulation
-from actioncodes.gallery import (
-    choice_machine,
-    octal_choice_det,
-    octal_choice_nondet,
-    square_machine,
-)
 from actioncodes.generate import gen_lts
 from actioncodes.lts import Label, Lts
 from actioncodes.simulation import (
@@ -29,7 +23,6 @@ from actioncodes.simulation import (
     find_simulation,
     is_delay_simulation,
     is_simulation,
-    trace_inclusion_equiv_check,
 )
 
 from conftest import (
@@ -37,9 +30,11 @@ from conftest import (
     brute_force_delay_simulated,
     brute_force_isomorphic,
     brute_force_simulated,
+    load_fixture,
     relabel,
     sub_machine,
     sweep_greatest_simulation,
+    trace_inclusion_equiv_check,
 )
 
 
@@ -90,8 +85,8 @@ def numbered_copy(m: Lts, backwards: bool = False) -> Lts:
 
 class TestFindSimulation:
     def test_reflexive(self):
-        for build in (choice_machine, square_machine, octal_choice_nondet):
-            m = build()
+        for name in ("choice.lts.json", "square.mealy.json", "octal-choice-nondet.lts.json"):
+            m = load_fixture(name)
             witness = find_simulation(m, m)
             assert witness is not None
             assert all((q, q) in witness for q in m.reachable())
@@ -99,20 +94,23 @@ class TestFindSimulation:
     def test_desired_refinement_simulates_nondet_expansion(self):
         # The deterministic expansion simulates the guessing one, but not the
         # other way around: after 1·4 the guessing machine has committed.
-        left, right = octal_choice_nondet(), octal_choice_det()
+        left = load_fixture("octal-choice-nondet.lts.json")
+        right = load_fixture("octal-choice-det.lts.json")
         assert find_simulation(left, right) is not None
         assert find_simulation(right, left) is None
 
     def test_expansion_and_its_recomputation_simulate_each_other(self):
-        from actioncodes.gallery import choice_machine as ab, octal_letters_code
         from actioncodes.operators import refine
 
-        recomputed = refine(octal_letters_code(), ab())
-        assert find_simulation(octal_choice_det(), recomputed) is not None
-        assert find_simulation(recomputed, octal_choice_det()) is not None
+        recomputed = refine(
+            load_fixture("octal-letters.code.json"), load_fixture("choice.lts.json")
+        )
+        det = load_fixture("octal-choice-det.lts.json")
+        assert find_simulation(det, recomputed) is not None
+        assert find_simulation(recomputed, det) is not None
 
     def test_absent_when_right_is_stuck(self):
-        m = choice_machine()
+        m = load_fixture("choice.lts.json")
         n = Lts(["p"], "p", [], m.alphabet)
         assert find_simulation(m, n) is None
         assert find_simulation(n, m) is not None
@@ -158,22 +156,23 @@ class TestFindSimulation:
 
     def test_rejects_variant_mismatch(self):
         with pytest.raises(AlphabetMismatch):
-            find_simulation(choice_machine(), square_machine())
+            find_simulation(load_fixture("choice.lts.json"), load_fixture("square.mealy.json"))
 
     def test_is_simulation_rejects_unknown_states(self):
-        m = choice_machine()
+        m = load_fixture("choice.lts.json")
         with pytest.raises(ValueError):
             is_simulation(m, m, Relation(frozenset({("nope", "q0")})))
 
 
 class TestTraceInclusionAgreement:
     def test_expanded_machines_agree(self):
-        verdict = trace_inclusion_equiv_check(octal_choice_nondet(), octal_choice_det(), 6)
+        nondet = load_fixture("octal-choice-nondet.lts.json")
+        verdict = trace_inclusion_equiv_check(nondet, load_fixture("octal-choice-det.lts.json"), 6)
         assert verdict.simulated
         assert verdict.traces_included
 
     def test_self_check(self):
-        m = octal_choice_det()
+        m = load_fixture("octal-choice-det.lts.json")
         verdict = trace_inclusion_equiv_check(m, m, 5)
         assert verdict == (True, True)
 
@@ -188,13 +187,15 @@ class TestTraceInclusionAgreement:
             ],
             [Label("1"), Label("3"), Label("4"), Label("2")],
         )
-        verdict = trace_inclusion_equiv_check(m, octal_choice_det(), 3)
+        verdict = trace_inclusion_equiv_check(m, load_fixture("octal-choice-det.lts.json"), 3)
         assert not verdict.simulated
         assert not verdict.traces_included
 
     def test_requires_deterministic_right(self):
         with pytest.raises(NotDeterministic):
-            trace_inclusion_equiv_check(choice_machine(), octal_choice_nondet(), 3)
+            trace_inclusion_equiv_check(
+                load_fixture("choice.lts.json"), load_fixture("octal-choice-nondet.lts.json"), 3
+            )
 
     def test_agreement_on_random_pairs(self):
         agreements = 0
@@ -210,26 +211,27 @@ class TestTraceInclusionAgreement:
 
 class TestIsomorphism:
     def test_identity(self):
-        m = square_machine()
+        m = load_fixture("square.mealy.json")
         assert find_isomorphism_reachable(m, m) == {q: q for q in m.states}
 
     def test_renamed_copy(self):
-        m = octal_choice_det()
+        m = load_fixture("octal-choice-det.lts.json")
         n = relabel(m)
         mapping = find_isomorphism_reachable(m, n)
         assert mapping is not None
         assert mapping["q0"] == n.initial
 
     def test_renamed_nondeterministic_copy(self):
-        m = octal_choice_nondet()
+        m = load_fixture("octal-choice-nondet.lts.json")
         mapping = find_isomorphism_reachable(m, relabel(m))
         assert mapping is not None
 
     def test_distinguishes_structures(self):
-        assert find_isomorphism_reachable(octal_choice_det(), octal_choice_nondet()) is None
+        det = load_fixture("octal-choice-det.lts.json")
+        assert find_isomorphism_reachable(det, load_fixture("octal-choice-nondet.lts.json")) is None
 
     def test_ignores_unreachable_states(self):
-        m = choice_machine()
+        m = load_fixture("choice.lts.json")
         extra = Lts(
             list(m.states) + ["junk"],
             m.initial,
@@ -247,7 +249,7 @@ class TestIsomorphism:
             assert find_simulation(n, m) is not None
 
     def test_budget_exhaustion_raises(self):
-        m = octal_choice_nondet()
+        m = load_fixture("octal-choice-nondet.lts.json")
         with pytest.raises(IsomorphismInconclusive):
             find_isomorphism_reachable(m, relabel(m), budget=0)
 
@@ -341,6 +343,15 @@ class TestDelaySimulation:
         relation = Relation(frozenset({("p0", "p0"), pair}))
         with pytest.raises(ValueError):
             is_delay_simulation(m, m, self.TAU, relation)
+
+    def test_is_delay_simulation_checks_each_answer(self):
+        # x is answered by a hidden move and then x, not by the hidden move alone.
+        m = self._lts(["p0", "p1"], "p0", [("p0", "x", "p1")])
+        n = self._lts(["q0", "q1", "q2"], "q0", [("q0", "τ", "q1"), ("q1", "x", "q2")])
+        after_x = Relation(frozenset({("p0", "q0"), ("p1", "q2")}))
+        before_x = Relation(frozenset({("p0", "q0"), ("p1", "q1")}))
+        assert is_delay_simulation(m, n, self.TAU, after_x)
+        assert not is_delay_simulation(m, n, self.TAU, before_x)
 
     def test_witnesses_revalidate(self):
         labels = [Label("x"), Label("y"), self.TAU]
