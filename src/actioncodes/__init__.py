@@ -48,7 +48,6 @@ from .adaptor import (
     split_io,
 )
 from .simulation import (
-    Relation,
     find_delay_simulation,
     find_isomorphism_reachable,
     find_simulation,

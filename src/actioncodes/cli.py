@@ -41,7 +41,7 @@ from .errors import (
     NotDeterminate,
     NotWinning,
 )
-from .generate import gen_code, gen_lts, gen_mealy, mealy_alphabet
+from .generate import gen_code, gen_lts, gen_mealy, letters, mealy_alphabet
 from .lts import CompatRel, Label, Lts, is_deterministic
 from .operators import concretize, contract, is_icomplete, refine
 from .simulation import find_isomorphism_reachable, find_simulation
@@ -99,8 +99,8 @@ def _cmd_gen(args) -> int:
         doc = lts_to_document(machine)
     elif args.mealy:
         target = [
-            Label(string.ascii_uppercase[k], str(j))
-            for k in range(args.abstract)
+            Label(x, str(j))
+            for x in letters(args.abstract, "abstract symbols", string.ascii_uppercase)
             for j in range(args.outputs)
         ]
         source = mealy_alphabet(args.inputs, args.outputs)
@@ -124,7 +124,7 @@ def _isomorphism(args, m: Lts, n: Lts) -> tuple[bool, list[str]]:
 
 def _simulation(args, left, right):
     witness = find_simulation(left, right)
-    lines = [f"pair {q} {p}" for q, p in witness] if witness else []
+    lines = [f"pair {q} {p}" for q, p in sorted(witness)] if witness else []
     return witness is not None, lines
 
 
@@ -299,7 +299,7 @@ def _cmd_adaptor(args) -> int:
 # parsed arguments followed by the loaded documents.
 
 _OPTIONS = {
-    "--rel": {"default": "identity", "choices": ["identity", "same-input"]},
+    "--rel": {"default": "identity", "choices": list(CompatRel.NAMED)},
     "--stats": {"action": "store_true"},
     "--out": {"help": "write the result document here instead of stdout"},
     "--for": {"dest": "abstract_input"},

@@ -11,7 +11,6 @@ composition of codes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from .errors import AlphabetMismatch, EmptyCodeWord, InvalidTree, PrefixClash
 from .lts import (
@@ -69,16 +68,8 @@ class CodeMap:
                 raise PrefixClash(b1, b2)
 
     @property
-    def mapping(self) -> Mapping[Label, Word]:
-        return dict(self._map)
-
-    @property
     def domain(self) -> frozenset[Label]:
         return frozenset(b for b, _ in self.entries)
-
-    @property
-    def image(self) -> frozenset[Word]:
-        return frozenset(w for _, w in self.entries)
 
     def word_for(self, b: Label) -> Word:
         return self._map[b]
@@ -110,7 +101,6 @@ class CodeTree:
     def __init__(self, tree, leaf_labels, abstract):
         object.__setattr__(self, "tree", tree)
         normalized = tuple(sorted((str(q), lab) for q, lab in dict(leaf_labels).items()))
-        normalized = tuple((q, lab) for q, lab in normalized)
         object.__setattr__(self, "leaf_labels", normalized)
         object.__setattr__(self, "abstract", frozenset(abstract))
         self._validate()

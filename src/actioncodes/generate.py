@@ -15,6 +15,7 @@ from .codes import CodeMap
 from .lts import Label, Lts
 
 __all__ = [
+    "letters",
     "atomic_alphabet",
     "mealy_alphabet",
     "gen_lts",
@@ -31,14 +32,20 @@ def _count(value: int, what: str) -> int:
     return value
 
 
+def letters(count: int, what: str, alphabet: str = string.ascii_lowercase) -> str:
+    """The first ``count`` letters of ``alphabet``, refused when there are
+    not that many: a slice would silently stop short."""
+    if count > len(alphabet):
+        raise ValueError(f"at most {len(alphabet)} {what} are generated")
+    return alphabet[: _count(count, what)]
+
+
 def atomic_alphabet(count: int) -> list[Label]:
-    if count > 26:
-        raise ValueError("at most 26 atomic symbols are generated")
-    return [Label(s) for s in string.ascii_lowercase[: _count(count, "atomic symbols")]]
+    return [Label(s) for s in letters(count, "atomic symbols")]
 
 
 def mealy_alphabet(inputs: int, outputs: int) -> list[Label]:
-    ins = string.ascii_lowercase[: _count(inputs, "inputs")]
+    ins = letters(inputs, "inputs")
     outs = [str(k) for k in range(_count(outputs, "outputs"))]
     return [Label(i, o) for i in ins for o in outs]
 
@@ -130,7 +137,7 @@ def gen_code(
     rng = random.Random(seed)
     src = atomic_alphabet(source) if isinstance(source, int) else list(source)
     if isinstance(target, int):
-        tgt = [Label(s) for s in string.ascii_uppercase[: _count(target, "abstract symbols")]]
+        tgt = [Label(s) for s in letters(target, "abstract symbols", string.ascii_uppercase)]
     else:
         tgt = list(target)
     entries = min(_count(entries, "entries"), len(tgt))
@@ -156,10 +163,10 @@ def gen_adaptor_code(
     if abstract_inputs > inputs:
         raise ValueError("needs at least one concrete input per abstract input")
     rng = random.Random(seed)
-    ins = list(string.ascii_lowercase[:inputs])
+    ins = letters(inputs, "inputs")
     outs = [str(k) for k in range(outputs)]
     source = mealy_alphabet(inputs, outputs)
-    xs = [string.ascii_uppercase[k] for k in range(abstract_inputs)]
+    xs = letters(abstract_inputs, "abstract inputs", string.ascii_uppercase)
     root_inputs = rng.sample(ins, k=len(xs))
     entries: list[tuple[Label, tuple[Label, ...]]] = []
 

@@ -9,6 +9,7 @@ and safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .errors import AlphabetMismatch
@@ -27,37 +28,42 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Label:
+class Label(tuple):
     """An action label: an atomic symbol, or a Mealy input/output pair.
 
+    A label is the validated pair ``(symbol, output)``, with ``output`` None
+    for an atomic label, so it equals its plain pair and hashes like it.
     Mealy labels render as ``input/output``, so ``/`` is reserved and may not
     occur inside a symbol; whitespace is forbidden because the CLI formats
-    are line- and space-delimited.
+    are line- and space-delimited.  Canonical orders sort labels by rendering
+    (``key=str``), not as tuples: ``a-x/0`` renders before ``a/0``.
     """
 
-    symbol: str
-    output: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        parts = (self.symbol,) if self.output is None else (self.symbol, self.output)
-        for part in parts:
+    def __new__(cls, symbol: str, output: str | None = None) -> "Label":
+        for part in (symbol,) if output is None else (symbol, output):
             if not isinstance(part, str):
                 raise ValueError(f"bad symbol {part!r}: symbols are strings")
-            if not part or "/" in part or any(ch.isspace() for ch in part):
+            if "/" in part or part.split() != [part]:
                 raise ValueError(
                     f"bad symbol {part!r}: symbols are non-empty and contain "
                     "no whitespace and no '/'"
                 )
+        return tuple.__new__(cls, (symbol, output))
+
+    def __getnewargs__(self) -> tuple[str, str | None]:
+        # copy and pickle rebuild a label through __new__, so they validate too.
+        return tuple(self)
+
+    symbol = property(itemgetter(0))
+    #: First component; for a Mealy label this is the input symbol.
+    input = symbol
+    output = property(itemgetter(1))
 
     @property
     def is_mealy(self) -> bool:
-        return self.output is not None
-
-    @property
-    def input(self) -> str:
-        """First component; for a Mealy label this is the input symbol."""
-        return self.symbol
+        return self[1] is not None
 
     @classmethod
     def parse(cls, text: str) -> "Label":
@@ -68,7 +74,8 @@ class Label:
         return cls(text)
 
     def __str__(self) -> str:
-        return self.symbol if self.output is None else f"{self.symbol}/{self.output}"
+        symbol, output = self
+        return symbol if output is None else f"{symbol}/{output}"
 
     def __repr__(self) -> str:
         return f"Label({str(self)!r})"
@@ -170,10 +177,6 @@ class Lts:
     def inputs(self) -> frozenset[str]:
         return frozenset(a.symbol for a in self.alphabet if a.is_mealy)
 
-    @property
-    def outputs(self) -> frozenset[str]:
-        return frozenset(a.output for a in self.alphabet if a.is_mealy)
-
     def reachable(self) -> frozenset[str]:
         cached = self._reach
         if cached is None:
@@ -232,68 +235,60 @@ def explore(roots, successors, name, alphabet) -> Lts:
     return Lts(names.values(), names[roots[0]], transitions, alphabet)
 
 
-@dataclass(frozen=True)
 class CompatRel:
     """A reflexive compatibility relation over an alphabet.
 
-    ``identity`` relates every label to itself only; ``same-input`` relates
-    Mealy labels with equal input symbol; ``explicit`` wraps a caller-supplied
+    ``identity`` relates every label to itself only; ``same_input`` relates
+    Mealy labels with equal input symbol; ``explicit`` takes a caller-supplied
     set of pairs (closed reflexively).  The relation parameterizes both
-    determinism checks and the concretization operator.
+    determinism checks and the concretization operator.  It is stored as one
+    table from each label of the carrier to the labels related to it.
     """
 
-    kind: str
-    carrier: frozenset[Label]
-    pairs: frozenset[tuple[Label, Label]] = frozenset()
+    __slots__ = ("carrier", "_related")
 
-    IDENTITY = "identity"
-    SAME_INPUT = "same-input"
-    EXPLICIT = "explicit"
+    #: The relations the CLI offers by name, each with its constructor.
+    NAMED = {"identity": "identity", "same-input": "same_input"}
+
+    def __init__(self, alphabet: Iterable[Label], pairs: Iterable[tuple[Label, Label]] = ()):
+        self.carrier = frozenset(alphabet)
+        related = {a: {a} for a in self.carrier}
+        for a, b in pairs:
+            if a not in self.carrier or b not in self.carrier:
+                raise ValueError(f"pair ({a}, {b}) leaves the carrier alphabet")
+            related[a].add(b)
+        self._related = {a: tuple(sorted(bs, key=str)) for a, bs in related.items()}
 
     @classmethod
     def identity(cls, alphabet: Iterable[Label]) -> "CompatRel":
-        return cls(cls.IDENTITY, frozenset(alphabet))
+        return cls(alphabet)
 
     @classmethod
     def same_input(cls, alphabet: Iterable[Label]) -> "CompatRel":
         carrier = frozenset(alphabet)
         if not all(a.is_mealy for a in carrier):
             raise ValueError("same-input relation needs Mealy labels")
-        return cls(cls.SAME_INPUT, carrier)
+        return cls(carrier, [(a, b) for a in carrier for b in carrier if a.symbol == b.symbol])
 
     @classmethod
     def explicit(
         cls, alphabet: Iterable[Label], pairs: Iterable[tuple[Label, Label]]
     ) -> "CompatRel":
-        carrier = frozenset(alphabet)
-        closed = set(pairs) | {(a, a) for a in carrier}
-        for a, b in closed:
-            if a not in carrier or b not in carrier:
-                raise ValueError(f"pair ({a}, {b}) leaves the carrier alphabet")
-        return cls(cls.EXPLICIT, carrier, frozenset(closed))
+        return cls(alphabet, pairs)
 
     @classmethod
     def by_name(cls, name: str, alphabet: Iterable[Label]) -> "CompatRel":
-        if name == cls.IDENTITY:
-            return cls.identity(alphabet)
-        if name == cls.SAME_INPUT:
-            return cls.same_input(alphabet)
-        raise ValueError(f"unknown relation name {name!r}")
+        if name not in cls.NAMED:
+            raise ValueError(f"unknown relation name {name!r}")
+        return getattr(cls, cls.NAMED[name])(alphabet)
 
     def holds(self, a: Label, b: Label) -> bool:
-        if self.kind == self.IDENTITY:
-            return a == b
-        if self.kind == self.SAME_INPUT:
-            return a.symbol == b.symbol
-        return (a, b) in self.pairs
+        return b in self._related.get(a, ())
 
     def related(self, a: Label) -> tuple[Label, ...]:
-        """All labels b with (a, b) in the relation, sorted for determinism."""
-        if self.kind == self.IDENTITY:
-            return (a,)
-        if self.kind == self.SAME_INPUT:
-            return tuple(sorted((b for b in self.carrier if b.symbol == a.symbol), key=str))
-        return tuple(sorted((b for x, b in self.pairs if x == a), key=str))
+        """All labels b of the carrier with (a, b) in the relation, sorted by
+        rendering."""
+        return self._related.get(a, ())
 
 
 class StructuralReport(NamedTuple):
@@ -313,13 +308,11 @@ def is_deterministic(m: Lts, rel: CompatRel | None = None) -> bool:
         rel = CompatRel.identity(m.alphabet)
     if rel.carrier != m.alphabet:
         raise AlphabetMismatch("relation carrier must be the machine's alphabet")
-    by_state: dict[str, list[tuple[Label, str]]] = {}
-    for src, label, dst in m.transitions:
-        by_state.setdefault(src, []).append((label, dst))
-    for edges in by_state.values():
+    for q in m.states:
+        edges = m.out(q)
         for a, p in edges:
-            for b, q in edges:
-                if rel.holds(a, b) and not (a == b and p == q):
+            for b, r in edges:
+                if rel.holds(a, b) and not (a == b and p == r):
                     return False
     return True
 

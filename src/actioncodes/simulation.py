@@ -12,15 +12,13 @@ their parent's image, backtracking on an explicit stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import AlphabetMismatch, IsomorphismInconclusive
 from .lts import Label, Lts
 
 __all__ = [
-    "Relation",
     "find_simulation",
     "is_simulation",
     "find_isomorphism_reachable",
@@ -30,21 +28,8 @@ __all__ = [
 
 ISO_BUDGET = 10**6
 
-
-@dataclass(frozen=True)
-class Relation:
-    """A relation between the state sets of two systems."""
-
-    pairs: frozenset[tuple[str, str]]
-
-    def __contains__(self, pair: tuple[str, str]) -> bool:
-        return pair in self.pairs
-
-    def __iter__(self) -> Iterator[tuple[str, str]]:
-        return iter(sorted(self.pairs))
-
-    def __len__(self) -> int:
-        return len(self.pairs)
+#: A simulation witness: the set of related (left state, right state) pairs.
+Pairs = frozenset[tuple[str, str]]
 
 
 def _require_same_variant(m: Lts, n: Lts) -> None:
@@ -53,7 +38,7 @@ def _require_same_variant(m: Lts, n: Lts) -> None:
         raise AlphabetMismatch("cannot relate atomic labels with Mealy labels")
 
 
-def _greatest_simulation(m: Lts, n: Lts, answers) -> Relation | None:
+def _greatest_simulation(m: Lts, n: Lts, answers) -> Pairs | None:
     """The one greatest-fixpoint loop behind both simulation deciders.
 
     Starts from the full product of the reachable parts and deletes a pair
@@ -102,10 +87,10 @@ def _greatest_simulation(m: Lts, n: Lts, answers) -> Relation | None:
                     dead.append((q, p))
     if n.initial not in initial:
         return None
-    return Relation(frozenset((q, p) for q in reach_m for p in alive[q]))
+    return frozenset((q, p) for q in reach_m for p in alive[q])
 
 
-def _transfer_closed(m: Lts, n: Lts, relation: Relation, answer) -> bool:
+def _transfer_closed(m: Lts, n: Lts, relation: Pairs, answer) -> bool:
     """Check a claimed witness against a transfer property, pair by pair.
 
     ``answer(p, a)`` gives the states that may answer an ``a`` move at
@@ -113,17 +98,17 @@ def _transfer_closed(m: Lts, n: Lts, relation: Relation, answer) -> bool:
     of :func:`_greatest_simulation`, so the check stays independent.
     """
     states_m, states_n = set(m.states), set(n.states)
-    for q, p in relation.pairs:
+    for q, p in relation:
         if q not in states_m or p not in states_n:
             raise ValueError(f"pair ({q}, {p}) references unknown states")
-    return (m.initial, n.initial) in relation.pairs and all(
-        any((q2, p2) in relation.pairs for p2 in answer(p, a))
-        for q, p in relation.pairs
+    return (m.initial, n.initial) in relation and all(
+        any((q2, p2) in relation for p2 in answer(p, a))
+        for q, p in relation
         for a, q2 in m.out(q)
     )
 
 
-def find_simulation(m: Lts, n: Lts) -> Relation | None:
+def find_simulation(m: Lts, n: Lts) -> Pairs | None:
     """Greatest simulation from ``m`` to ``n`` containing the initial pair.
 
     Every move of the left state must be matched by an equally-labeled move
@@ -138,7 +123,7 @@ def find_simulation(m: Lts, n: Lts) -> Relation | None:
     return _greatest_simulation(m, n, answers)
 
 
-def is_simulation(m: Lts, n: Lts, relation: Relation) -> bool:
+def is_simulation(m: Lts, n: Lts, relation: Pairs) -> bool:
     """Re-validate a claimed simulation witness against the definition."""
     return _transfer_closed(m, n, relation, n.succ)
 
@@ -251,7 +236,7 @@ def _tau_closure(n: Lts, tau: Label, p: str) -> tuple[str, ...]:
     return tuple(sorted(seen))
 
 
-def find_delay_simulation(m: Lts, n: Lts, tau: Label) -> Relation | None:
+def find_delay_simulation(m: Lts, n: Lts, tau: Label) -> Pairs | None:
     """Greatest delay simulation from ``m`` to ``n`` containing the initial pair.
 
     A hidden move of the left system may be answered by any number of hidden
@@ -271,7 +256,7 @@ def find_delay_simulation(m: Lts, n: Lts, tau: Label) -> Relation | None:
     return _greatest_simulation(m, n, answers)
 
 
-def is_delay_simulation(m: Lts, n: Lts, tau: Label, relation: Relation) -> bool:
+def is_delay_simulation(m: Lts, n: Lts, tau: Label, relation: Pairs) -> bool:
     """Re-validate a claimed delay-simulation witness.
 
     Answers are computed once per right-hand state and label that the

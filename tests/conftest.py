@@ -13,7 +13,7 @@ from actioncodes.codes import CodeMap, CodeTree
 from actioncodes.documents import code_from_document, loads, lts_from_document
 from actioncodes.errors import NotDeterministic
 from actioncodes.lts import Label, Lts, is_deterministic, traces_up_to
-from actioncodes.simulation import Relation, find_simulation
+from actioncodes.simulation import find_simulation
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -51,7 +51,7 @@ def _is_sim_closed(m: Lts, n: Lts, relation: set[tuple[str, str]]) -> bool:
     return True
 
 
-def sweep_greatest_simulation(m: Lts, n: Lts, answers) -> Relation | None:
+def sweep_greatest_simulation(m: Lts, n: Lts, answers) -> frozenset | None:
     """The sweep that ``simulation._greatest_simulation`` replaced, kept as
     its oracle: delete failing pairs in lexicographic sweeps until stable."""
     reach_m = sorted(m.reachable())
@@ -72,7 +72,7 @@ def sweep_greatest_simulation(m: Lts, n: Lts, answers) -> Relation | None:
                         break
     if (m.initial, n.initial) not in alive:
         return None
-    return Relation(frozenset(alive))
+    return frozenset(alive)
 
 
 class TraceSimAgreement(NamedTuple):

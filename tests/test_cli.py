@@ -11,7 +11,7 @@ import pytest
 from actioncodes import adaptor
 from actioncodes.cli import main
 from actioncodes.documents import dumps, loads, lts_from_document, lts_to_document
-from actioncodes.simulation import Relation, find_isomorphism_reachable, is_simulation
+from actioncodes.simulation import find_isomorphism_reachable, is_simulation
 
 from conftest import FIXTURES, load_fixture
 from test_adaptor import SQUARE_SUT_SCRIPT
@@ -155,7 +155,7 @@ class TestCheckVerbs:
         )
         m = lts_from_document(loads((FIXTURES / "octal-choice-nondet.lts.json").read_text()))
         n = lts_from_document(loads((FIXTURES / "octal-choice-det.lts.json").read_text()))
-        assert is_simulation(m, n, Relation(pairs))
+        assert is_simulation(m, n, pairs)
 
     def test_simulation_fail_exits_1(self, capsys):
         status, out, _ = run(
@@ -423,6 +423,24 @@ class TestGen:
         status, out, err = run(capsys, "gen", what, option, value, "--seed", "1")
         assert (status, out) == (2, "")
         assert err == f"ERROR ValueError the number of {counted} cannot be negative, got {value}\n"
+
+    @pytest.mark.parametrize(
+        "args,counted",
+        [
+            (("lts", "--labels", "27"), "atomic symbols"),
+            (("mealy", "--inputs", "27"), "inputs"),
+            (("mealy", "--inputs", "30"), "inputs"),
+            (("code", "--abstract", "27"), "abstract symbols"),
+            (("code", "--abstract", "30"), "abstract symbols"),
+            (("code", "--mealy", "--abstract", "27"), "abstract symbols"),
+            (("code", "--mealy", "--inputs", "27"), "inputs"),
+        ],
+    )
+    def test_count_above_the_alphabet_is_bad_input(self, capsys, args, counted):
+        # Slicing 26 letters once gave 26 symbols for any larger count, or an IndexError.
+        status, out, err = run(capsys, "gen", *args, "--seed", "1")
+        assert (status, out) == (2, "")
+        assert err == f"ERROR ValueError at most 26 {counted} are generated\n"
 
     def test_input_enabled_generation(self, capsys):
         status, out, _ = run(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from actioncodes.codes import to_tree
 from actioncodes.errors import AlphabetMismatch
-from actioncodes.generate import gen_lts
+from actioncodes.generate import gen_lts, mealy_alphabet
 from actioncodes.lts import (
     CompatRel,
     Label,
@@ -53,6 +55,29 @@ class TestLabel:
         lab = Label("coin", "thanks")
         assert lab.input == "coin"
         assert lab.output == "thanks"
+
+    def test_is_its_validated_pair(self):
+        # Recorded decision: a label equals its plain pair and hashes like it.
+        assert isinstance(Label("a"), tuple)
+        assert Label("a", "0") == ("a", "0")
+        assert hash(Label("a", "0")) == hash(("a", "0"))
+        assert Label("a") == ("a", None)
+        assert Label("a") != "a"
+        assert {("a", "0"): 1}[Label.parse("a/0")] == 1
+
+    @pytest.mark.parametrize("text", ["go", "coin/thanks"])
+    def test_copy_and_pickle_return_a_label(self, text):
+        lab = Label.parse(text)
+        for twin in (copy.copy(lab), copy.deepcopy(lab), pickle.loads(pickle.dumps(lab))):
+            assert type(twin) is Label
+            assert twin == lab and str(twin) == text
+
+    def test_renders_in_canonical_order_not_tuple_order(self):
+        labels = [Label("a", "0"), Label("a-x", "0")]
+        assert sorted(labels) == labels
+        assert [str(a) for a in sorted(labels, key=str)] == ["a-x/0", "a/0"]
+        rel = CompatRel.explicit(labels, [(labels[0], labels[1])])
+        assert rel.related(labels[0]) == (labels[1], labels[0])
 
 
 class TestLtsConstruction:
@@ -119,6 +144,33 @@ class TestDeterminism:
         assert rel.holds(Label("a"), Label("a"))
         assert rel.holds(Label("a"), Label("b"))
         assert not rel.holds(Label("b"), Label("a"))
+        assert rel.related(Label("a")) == (Label("a"), Label("b"))
+        assert rel.related(Label("b")) == (Label("b"),)
+
+    def test_by_name_knows_the_cli_names(self):
+        alphabet = mealy_alphabet(2, 2)
+        assert list(CompatRel.NAMED) == ["identity", "same-input"]
+        for name in CompatRel.NAMED:
+            assert CompatRel.by_name(name, alphabet).carrier == frozenset(alphabet)
+        with pytest.raises(ValueError, match="unknown relation name 'explicit'"):
+            CompatRel.by_name("explicit", alphabet)
+
+    def test_explicit_same_input_pairs_agree_with_same_input(self):
+        rng = random.Random(5)
+        for _ in range(30):
+            full = mealy_alphabet(rng.randint(1, 5), rng.randint(1, 4))
+            alphabet = rng.sample(full, k=rng.randint(1, len(full)))
+            pairs = [(a, b) for a in alphabet for b in alphabet if a.input == b.input]
+            rng.shuffle(pairs)
+            explicit = CompatRel.explicit(alphabet, pairs)
+            same_input = CompatRel.same_input(alphabet)
+            for a in alphabet:
+                assert explicit.related(a) == same_input.related(a)
+                assert [str(b) for b in explicit.related(a)] == sorted(
+                    str(b) for b in alphabet if b.input == a.input
+                )
+                for b in alphabet:
+                    assert explicit.holds(a, b) == same_input.holds(a, b) == (a.input == b.input)
 
 
 class TestTraces:

@@ -15,7 +15,7 @@ PUBLIC = set("""
     CHAOS concretize contract is_icomplete refine
     AdaptorSession ExternalSut InProcessSut TAU adaptor_composition check_adaptor_theorem
     is_determinate is_input_enabled is_output_deterministic run_adaptor solve_winning split_io
-    Relation find_delay_simulation find_isomorphism_reachable find_simulation
+    find_delay_simulation find_isomorphism_reachable find_simulation
     is_delay_simulation is_simulation
 """.split())
 
