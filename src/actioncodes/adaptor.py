@@ -27,7 +27,7 @@ from .errors import (
     NotWinning,
     SutProtocolError,
 )
-from .lts import CompatRel, Label, Lts, explore, is_deterministic
+from .lts import CompatRel, Label, Lts, _Steps, explore, is_deterministic
 from .operators import contract
 from .simulation import find_delay_simulation
 
@@ -459,6 +459,7 @@ def adaptor_composition(tree: CodeTree, m: Lts) -> Lts:
     xs = sorted({a.symbol for a in tree.abstract})
     alphabet = _learner_alphabet(tree.abstract)
     labels = dict(tree.leaf_labels)
+    steps = _Steps(m)
 
     def successors(key):
         if key[0] == "P":
@@ -479,7 +480,7 @@ def adaptor_composition(tree: CodeTree, m: Lts) -> Lts:
             for a, child in tree.tree.out(node):
                 if a.symbol != i:
                     continue
-                for q2 in m.succ(q, a):
+                for q2 in steps[q].get(a, ()):
                     yield TAU, ("Q", child, x, q2)
 
     def name(key) -> str:

@@ -100,7 +100,12 @@ class CodeTree:
 
     def __init__(self, tree, leaf_labels, abstract):
         object.__setattr__(self, "tree", tree)
-        normalized = tuple(sorted((str(q), lab) for q, lab in dict(leaf_labels).items()))
+        labels: dict = {}
+        for q, lab in leaf_labels:
+            if q in labels:
+                raise InvalidTree(f"leaf {q} is labeled twice")
+            labels[q] = lab
+        normalized = tuple(sorted((str(q), lab) for q, lab in labels.items()))
         object.__setattr__(self, "leaf_labels", normalized)
         object.__setattr__(self, "abstract", frozenset(abstract))
         self._validate()

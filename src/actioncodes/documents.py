@@ -10,6 +10,7 @@ serializing a parsed document is idempotent.
 from __future__ import annotations
 
 import json
+from itertools import repeat
 from typing import Any
 
 from .codes import CodeMap, CodeTree
@@ -45,13 +46,16 @@ def _labels_sorted(labels) -> list[str]:
 
 def lts_to_document(m: Lts) -> dict[str, Any]:
     kind = "mealy" if m.is_mealy else "lts"
+    names = {a: str(a) for a in m.alphabet}
+    states = sorted(m.states)
     return {
         "schema": LTS_SCHEMA,
         "kind": kind,
-        "alphabet": _labels_sorted(m.alphabet),
-        "states": sorted(m.states),
+        "alphabet": sorted(names.values()),
+        "states": states,
         "initial": m.initial,
-        "transitions": sorted([src, str(a), dst] for src, a, dst in m.transitions),
+        # out() is sorted by rendered label, then target: the rows come out sorted.
+        "transitions": [[q, names[a], dst] for q in states for a, dst in m.out(q)],
     }
 
 
@@ -71,7 +75,10 @@ def _list(value, what: str) -> list:
 def _field(doc: dict, key: str, schema: str, rows: bool = False) -> list:
     """A list field of a document; with ``rows``, each of its items is a list."""
     items = _list(_expect(doc, key, schema), f"the {key!r} field")
-    return [_list(row, f"each item of {key!r}") for row in items] if rows else items
+    if rows and set(map(type, items)) - {list}:
+        for row in items:
+            _list(row, f"each item of {key!r}")
+    return items
 
 
 def _state(name):
@@ -88,9 +95,17 @@ def lts_from_document(doc: dict[str, Any]) -> Lts:
     if kind not in ("lts", "mealy"):
         raise DocumentError(f"unknown kind {kind!r}")
     try:
-        alphabet = [Label.parse(t) for t in _field(doc, "alphabet", "lts")]
+        texts = _field(doc, "alphabet", "lts")
+        alphabet = [Label.parse(t) for t in texts]
+        # Each label string is parsed once; an unknown string or a non-string
+        # goes through Label.parse, which raises what it always raised.
+        parsed = {t: a for t, a in zip(texts, alphabet) if type(t) is str}
         transitions = [
-            (_state(src), Label.parse(t), _state(dst))
+            (
+                src if type(src) is str else _state(src),
+                type(t) is str and parsed.get(t) or Label.parse(t),
+                dst if type(dst) is str else _state(dst),
+            )
             for src, t, dst in _field(doc, "transitions", "lts", rows=True)
         ]
         m = Lts(
@@ -163,8 +178,43 @@ _KEY_ORDER = {
 }
 
 
+_encode = json.encoder.encode_basestring  # what json.dumps escapes with, given ensure_ascii=False
+
+
+def _write(value, level: int) -> str:
+    """``value`` exactly as ``json.dumps(value, indent=2, ensure_ascii=False)``
+    writes it ``level`` containers deep.
+
+    Strings, lists and string-keyed dicts are written here; lists of strings
+    and rows of strings (the bulk of a document) take one join each, with no
+    Python call per item.  Anything else is left to ``json.dumps``.
+    """
+    if type(value) is str:
+        return _encode(value)
+    outer = "\n" + "  " * level
+    pad = outer + "  "
+    if type(value) is list and value:
+        try:
+            if set(map(type, value)) == {list} and all(value):
+                inner = pad + "  "
+                rows = map(("," + inner).join, map(map, repeat(_encode), value))
+                body = "[" + inner + (pad + "]," + pad + "[" + inner).join(rows) + pad + "]"
+            else:
+                body = ("," + pad).join(map(_encode, value))
+        except TypeError:  # an item that is not a string: one item at a time
+            body = ("," + pad).join([_write(x, level + 1) for x in value])
+        return "[" + pad + body + outer + "]"
+    if type(value) is dict and value and set(map(type, value)) == {str}:
+        body = ("," + pad).join([_encode(k) + ": " + _write(v, level + 1) for k, v in value.items()])
+        return "{" + pad + body + outer + "}"
+    return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", outer)
+
+
 def dumps(doc: dict[str, Any]) -> str:
-    """Serialize a document with a fixed key order and a trailing newline."""
+    """Serialize a document with a fixed key order and a trailing newline.
+
+    The text is byte-identical to ``json.dumps(doc, indent=2,
+    ensure_ascii=False) + "\\n"`` with the keys in canonical order."""
     schema = doc.get("schema")
     order = _KEY_ORDER.get(schema)
     if order is None:
@@ -173,8 +223,7 @@ def dumps(doc: dict[str, Any]) -> str:
     extra = [k for k in doc if k not in order]
     if missing or extra:
         raise DocumentError(f"bad document shape (missing {missing}, extra {extra})")
-    ordered = {k: doc[k] for k in order}
-    return json.dumps(ordered, indent=2, ensure_ascii=False) + "\n"
+    return _write({k: doc[k] for k in order}, 0) + "\n"
 
 
 def loads(text: str) -> dict[str, Any]:

@@ -124,12 +124,15 @@ class Lts:
         object.__setattr__(self, "transitions", frozenset(transitions))
         object.__setattr__(self, "alphabet", frozenset(alphabet))
         self._validate()
+        # Each label is rendered once.  Rendering is injective, so sorting
+        # (rendered, target, label) never compares two labels.
+        names = {a: str(a) for a in self.alphabet}
         out: dict[str, list | tuple] = {q: [] for q in self.states}
         for src, label, dst in self.transitions:
-            out[src].append((label, dst))
+            out[src].append((names[label], dst, label))
         for q, edges in out.items():
-            edges.sort(key=lambda e: (str(e[0]), e[1]))
-            out[q] = tuple(edges)  # out() hands the tuple out without a copy
+            edges.sort()
+            out[q] = tuple([(label, dst) for _, dst, label in edges])  # out() hands it out without a copy
         object.__setattr__(self, "_out", out)
         object.__setattr__(self, "_reach", None)
 
@@ -197,6 +200,26 @@ class Lts:
             f"Lts(states={len(self.states)}, transitions={len(self.transitions)}, "
             f"alphabet={len(self.alphabet)}, initial={self.initial!r})"
         )
+
+
+class _Steps(dict):
+    """One system's edges as ``state -> label -> targets``, each state filled
+    on first use.  Operators build one per call and drop it on return: kept
+    on the ``Lts``, it would hold a second copy of every edge for the life of
+    the system.  Targets keep ``out()`` order, so they ascend."""
+
+    __slots__ = ("_m",)
+
+    def __init__(self, m: Lts):
+        super().__init__()
+        self._m = m
+
+    def __missing__(self, state: str) -> dict[Label, list[str]]:
+        table: dict[Label, list[str]] = {}
+        for label, dst in self._m.out(state):
+            table.setdefault(label, []).append(dst)
+        self[state] = table
+        return table
 
 
 def explore(roots, successors, name, alphabet) -> Lts:

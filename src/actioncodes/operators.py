@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .codes import CodeMap, to_tree
 from .errors import AlphabetMismatch
-from .lts import CompatRel, Label, Lts, Word, explore
+from .lts import CompatRel, Label, Lts, Word, _Steps, explore
 
 __all__ = [
     "CHAOS",
@@ -52,9 +52,16 @@ def contract(code: CodeMap, m: Lts) -> Lts:
     if not m.alphabet <= code.source:
         raise AlphabetMismatch("machine alphabet must lie within the code's source alphabet")
 
+    steps = _Steps(m)
+
     def successors(q: str):
         for b, word in code.entries:
-            for q2 in sorted(m.word_targets(q, word)):
+            current = {q}
+            for a in word:
+                current = {dst for p in current for dst in steps[p].get(a, ())}
+                if not current:
+                    break
+            for q2 in sorted(current):
                 yield b, q2
 
     return explore([m.initial], successors, str, code.target)
@@ -72,16 +79,19 @@ def refine(code: CodeMap, n: Lts) -> Lts:
     if not n.alphabet <= code.target:
         raise AlphabetMismatch("machine alphabet must lie within the code's target alphabet")
 
+    steps = _Steps(n)
+
     def successors(key: tuple[str, Word]):
         q, w = key
+        edges = steps[q]
         for b, word in code.entries:
-            if not n.enables(q, b):
+            if b not in edges:
                 continue
             if len(w) < len(word) and word[: len(w)] == w:
                 a = word[len(w)]
                 if len(w) + 1 == len(word):
                     # The letter completes the word: jump in the abstract system.
-                    for q2 in n.succ(q, b):
+                    for q2 in edges[b]:
                         yield a, (q2, ())
                 else:
                     yield a, (q, w + (a,))
@@ -110,6 +120,8 @@ def concretize(code: CodeMap, rel: CompatRel, m: Lts) -> Lts:
         for i in range(1, len(word)):
             prefixes.add(word[:i])
 
+    steps = _Steps(m)
+
     def successors(key):
         if key == CHAOS:
             for a in source:
@@ -121,7 +133,7 @@ def concretize(code: CodeMap, rel: CompatRel, m: Lts) -> Lts:
             if wa in prefixes:
                 yield a, (q, wa)
             elif wa in complete:
-                for q2 in sorted(m.succ(q, complete[wa])):
+                for q2 in steps[q].get(complete[wa], ()):
                     yield a, (q2, ())
             if all(
                 w + (a2,) not in prefixes and w + (a2,) not in complete
@@ -160,23 +172,26 @@ def is_icomplete(
     if rel.carrier != code.source:
         raise AlphabetMismatch("relation carrier must be the code's source alphabet")
     tree = to_tree(code)
-    node_edges: dict[str, dict[Label, str]] = {
-        q: {a: dst for a, dst in tree.tree.out(q)} for q in tree.tree.states
-    }
     root = tree.root
+    # Node edges keep out() order, which is sorted by rendered label.
+    node_edges: dict[str, dict[Label, str]] = {
+        q: {a: root if tree.is_leaf(dst) else dst for a, dst in tree.tree.out(q)}
+        for q in tree.tree.states
+    }
+    steps = _Steps(m)
     start = (m.initial, root)
     seen = {start}
     todo = deque([start])
     while todo:
         q, node = todo.popleft()
         edges = node_edges[node]
-        for a in sorted(edges, key=str):
+        moves = steps[q]
+        for a in edges:
             for a2 in rel.related(a):
-                if m.enables(q, a2) and a2 not in edges:
+                if a2 in moves and a2 not in edges:
                     return False, IncompletenessWitness(q, node, a, a2)
-        for a, child in sorted(edges.items(), key=lambda e: str(e[0])):
-            nxt = root if tree.is_leaf(child) else child
-            for q2 in m.succ(q, a):
+        for a, nxt in edges.items():
+            for q2 in moves.get(a, ()):
                 pair = (q2, nxt)
                 if pair not in seen:
                     seen.add(pair)

@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
-from actioncodes.codes import CodeMap, CodeTree
+from actioncodes.codes import CodeMap, CodeTree, to_tree
 from actioncodes.documents import code_from_document, loads, lts_from_document
 from actioncodes.errors import NotDeterministic
-from actioncodes.lts import Label, Lts, is_deterministic, traces_up_to
+from actioncodes.lts import CompatRel, Label, Lts, explore, is_deterministic, traces_up_to
+from actioncodes.operators import CHAOS, IncompletenessWitness, composite_name
 from actioncodes.simulation import find_simulation
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -233,6 +235,97 @@ def brute_force_conflicts(tree: CodeTree) -> list[tuple[str, str, str, str]]:
             for x in below[i1] & below[i2]:
                 conflicts.append((node, x, i1, i2))
     return sorted(conflicts, key=lambda c: (c[0], c[2], c[3], c[1]))
+
+
+# -- scan-based operators ------------------------------------------------------
+# The operators as they were before their per-call step index: every edge is
+# found by scanning ``Lts.succ``, ``enables`` and ``word_targets``.  Kept as
+# oracles for the indexed versions, which must agree with them exactly.
+
+
+def _pending_name(key) -> str:
+    return CHAOS if key == CHAOS else composite_name(*key)
+
+
+def scan_contract(code: CodeMap, m: Lts) -> Lts:
+    def successors(q: str):
+        for b, word in code.entries:
+            for q2 in sorted(m.word_targets(q, word)):
+                yield b, q2
+
+    return explore([m.initial], successors, str, code.target)
+
+
+def scan_refine(code: CodeMap, n: Lts) -> Lts:
+    def successors(key):
+        q, w = key
+        for b, word in code.entries:
+            if not n.enables(q, b):
+                continue
+            if len(w) < len(word) and word[: len(w)] == w:
+                a = word[len(w)]
+                if len(w) + 1 == len(word):
+                    for q2 in n.succ(q, b):
+                        yield a, (q2, ())
+                else:
+                    yield a, (q, w + (a,))
+
+    return explore([(n.initial, ())], successors, _pending_name, code.source)
+
+
+def scan_concretize(code: CodeMap, rel: CompatRel, m: Lts) -> Lts:
+    source = sorted(code.source, key=str)
+    prefixes: set = {()}
+    complete: dict = {}
+    for b, word in code.entries:
+        complete[word] = b
+        for i in range(1, len(word)):
+            prefixes.add(word[:i])
+
+    def successors(key):
+        if key == CHAOS:
+            for a in source:
+                yield a, CHAOS
+            return
+        q, w = key
+        for a in source:
+            wa = w + (a,)
+            if wa in prefixes:
+                yield a, (q, wa)
+            elif wa in complete:
+                for q2 in sorted(m.succ(q, complete[wa])):
+                    yield a, (q2, ())
+            if all(
+                w + (a2,) not in prefixes and w + (a2,) not in complete
+                for a2 in rel.related(a)
+            ):
+                yield a, CHAOS
+
+    return explore([(m.initial, ())], successors, _pending_name, code.source)
+
+
+def scan_is_icomplete(code: CodeMap, rel: CompatRel, m: Lts):
+    tree = to_tree(code)
+    node_edges = {q: {a: dst for a, dst in tree.tree.out(q)} for q in tree.tree.states}
+    root = tree.root
+    start = (m.initial, root)
+    seen = {start}
+    todo = deque([start])
+    while todo:
+        q, node = todo.popleft()
+        edges = node_edges[node]
+        for a in sorted(edges, key=str):
+            for a2 in rel.related(a):
+                if m.enables(q, a2) and a2 not in edges:
+                    return False, IncompletenessWitness(q, node, a, a2)
+        for a, child in sorted(edges.items(), key=lambda e: str(e[0])):
+            nxt = root if tree.is_leaf(child) else child
+            for q2 in m.succ(q, a):
+                pair = (q2, nxt)
+                if pair not in seen:
+                    seen.add(pair)
+                    todo.append(pair)
+    return True, None
 
 
 # -- instance construction ----------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import sys
 import textwrap
@@ -449,6 +451,32 @@ class TestComposedProcess:
         composed = adaptor_composition(to_tree(code), m)
         view = split_io(contract(code, m))
         assert observable_traces(composed, 8, TAU) == observable_traces(view, 8, TAU)
+
+    def test_compositions_are_pinned(self):
+        # SHA-256 of state order, initial state, transitions and alphabet,
+        # pinned before the composition looked edges up in a step index.
+        def fingerprint(m: Lts) -> str:
+            rows = [list(m.states), m.initial,
+                    sorted([s, str(a), d] for s, a, d in m.transitions),
+                    sorted(str(a) for a in m.alphabet)]
+            return hashlib.sha256(json.dumps(rows, ensure_ascii=False).encode()).hexdigest()
+
+        square = load_fixture("square.mealy.json")
+        pins = {
+            "double-press.code.json":
+                "49f0f2960a19c2ca7245adb857ad1a77c88b3f572873e037254cfd8a2994ab51",
+            "split-press.code.json":
+                "3f75799e5c6de13be2dccbdc6da1072dc18aff9cfdd2f55bdc9a4aee071bdb45",
+        }
+        for name, pin in pins.items():
+            assert fingerprint(adaptor_composition(to_tree(load_fixture(name)), square)) == pin
+        digest = hashlib.sha256()
+        for seed in range(25):  # the instances of the next test
+            code = gen_adaptor_code(seed, inputs=2, outputs=2, abstract_inputs=2)
+            m = gen_mealy(seed + 19, states=4, inputs=2, outputs=2, input_enabled=True)
+            digest.update(fingerprint(adaptor_composition(to_tree(code), m)).encode())
+        assert digest.hexdigest() == (
+            "140d6346d334aa4c68286fa4348bafdce5c95fcedcf53aad4c5d2a73d087bb2f")
 
     def test_random_instances_satisfy_the_theorem(self):
         for seed in range(25):

@@ -713,3 +713,17 @@ def test_non_string_document_values_exit_2(capsys, tmp_path, verb, doc, error):
     path.write_text(dumps(doc), encoding="utf-8")
     status, out, err = run(capsys, *(a.replace("{doc}", str(path)) for a in verb))
     assert (status, out, err) == (2, "", f"ERROR DocumentError {error}\n")
+
+
+def test_a_leaf_labeled_twice_exits_2(capsys, tmp_path):
+    # The tree form of a code, with its first leaf given a second label.
+    status, text, _ = run(capsys, "to-tree", fixture("coffee.code.json"))
+    assert status == 0
+    doc = loads(text)
+    leaf = doc["leaf_labels"][0][0]
+    doc["abstract_alphabet"].append("tea/9")
+    doc["leaf_labels"].append([leaf, "tea/9"])
+    path = tmp_path / "tree.json"
+    path.write_text(dumps(doc), encoding="utf-8")
+    status, out, err = run(capsys, "to-map", str(path))
+    assert (status, out, err) == (2, "", f"ERROR InvalidTree leaf {leaf} is labeled twice\n")

@@ -8,8 +8,11 @@ import json
 import pytest
 
 from actioncodes.codes import CodeMap, to_map, to_tree
-from actioncodes.errors import PrefixClash
+from actioncodes.errors import InvalidTree, PrefixClash
 from actioncodes.documents import (
+    CODE_SCHEMA,
+    LTS_SCHEMA,
+    TREE_SCHEMA,
     DocumentError,
     code_from_document,
     code_to_document,
@@ -62,6 +65,64 @@ class TestRoundTrips:
             assert to_map(back) == to_map(tree)
 
 
+def json_oracle(doc: dict) -> str:
+    """What ``dumps`` writes, by the standard encoder."""
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+#: Names the escaper must handle: quotes, backslashes, control characters,
+#: non-ASCII and astral characters, and a lone surrogate.
+ODD = ['q"0', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "χ", "⟨⟩", "𝔸𝟘", "\U0001f600", "\ud800"]
+
+
+def hand_made_documents() -> list[dict]:
+    lts = {"schema": LTS_SCHEMA, "kind": "lts", "alphabet": ["χ", "⟨a⟩", '"'],
+           "states": ODD, "initial": ODD[0],
+           "transitions": [[s, "χ", t] for s, t in zip(ODD, ODD[1:])]}
+    empty_lts = {"schema": LTS_SCHEMA, "kind": "lts", "alphabet": [], "states": ["q"],
+                 "initial": "q", "transitions": []}
+    scalars = {"schema": LTS_SCHEMA, "kind": "lts", "alphabet": [[7], [], {}],
+               "states": [1, "x", None], "initial": 2.5,
+               "transitions": [["x", True, {"k": [1, "χ"]}], [], ["x"]]}
+    ragged = {**empty_lts, "transitions": [["q", "a", "q"], [], ["q"], "qaq"]}
+    empty_row = {**empty_lts, "transitions": [["q", "a", "q"], []]}
+    code = {"schema": CODE_SCHEMA, "source_alphabet": ODD, "target_alphabet": ["⟨B⟩"],
+            "entries": [["⟨B⟩", ODD], ["C", []]]}
+    empty_code = {"schema": CODE_SCHEMA, "source_alphabet": [], "target_alphabet": [],
+                  "entries": []}
+    tree = {"schema": TREE_SCHEMA, "abstract_alphabet": [], "leaf_labels": [],
+            "tree": empty_lts}
+    odd_tree = {"schema": TREE_SCHEMA, "abstract_alphabet": ["χ"],
+                "leaf_labels": [[ODD[1], "χ"]], "tree": lts}
+    return [lts, empty_lts, scalars, ragged, empty_row, code, empty_code, tree, odd_tree]
+
+
+def seeded_documents() -> list[dict]:
+    docs = []
+    for seed in range(12):
+        docs.append(lts_to_document(gen_lts(seed, states=6, labels=3)))
+        docs.append(lts_to_document(gen_mealy(seed, states=5, inputs=2, outputs=3)))
+        code = gen_code(seed, entries=4, maxlen=3)
+        docs.append(code_to_document(code))
+        docs.append(tree_to_document(to_tree(code)))
+    return docs
+
+
+class TestWriter:
+    """``dumps`` is a writer of its own; the standard encoder is its oracle."""
+
+    def test_fixtures_match_the_standard_encoder(self):
+        for path in sorted(FIXTURES.glob("*.json")):
+            text = path.read_text(encoding="utf-8")
+            assert dumps(loads(text)) == json_oracle(loads(text)) == text, path.name
+
+    @pytest.mark.parametrize(
+        "doc", seeded_documents() + hand_made_documents(),
+    )
+    def test_documents_match_the_standard_encoder(self, doc):
+        assert dumps(doc) == json_oracle(doc)
+
+
 LTS_DOC = {
     "schema": "actioncodes/lts-v1",
     "kind": "lts",
@@ -76,6 +137,9 @@ CODE_DOC = {
     "target_alphabet": ["a", "b"],
     "entries": [["a", ["1", "4", "1"]], ["b", ["1", "4", "2"]]],
 }
+
+
+BAD_SYMBOL = "symbols are non-empty and contain no whitespace and no '/'"
 
 
 class TestRejection:
@@ -104,6 +168,44 @@ class TestRejection:
         parse(base)  # well-formed as given
         with pytest.raises(DocumentError, match="must be a list, not str"):
             parse({**base, key: value})
+
+    @pytest.mark.parametrize(
+        "alphabet,transitions,message",
+        [
+            (["a"], [["q", "b", "q"]], "transition label b is not in the alphabet"),
+            (["a"], [["q", "a b", "q"]], "bad symbol 'a b': " + BAD_SYMBOL),
+            (["a"], [["q", "a/b/c", "q"]], "bad symbol 'b/c': " + BAD_SYMBOL),
+            (["a b"], [], "bad symbol 'a b': " + BAD_SYMBOL),
+            (["a/b/c"], [], "bad symbol 'b/c': " + BAD_SYMBOL),
+            (["a"], [["q", 7, "q"]], "bad symbol 7: symbols are strings"),
+            (["a"], [["q", [], "q"]], "bad symbol []: symbols are strings"),
+            (["a"], [["q", None, "q"]], "bad symbol None: symbols are strings"),
+            (["a"], [[1, "a", "q"]], "state name 1 is not a string"),
+            (["a"], [["q", "a", None]], "state name None is not a string"),
+            (["a"], [[1, "b b", None]], "state name 1 is not a string"),
+            (["a", "a/0"], [], "alphabet mixes atomic and Mealy labels"),
+            (["a/0"], [["q", "a", "q"]], "transition label a is not in the alphabet"),
+            (["a"], [["q", "a", "q"], ["q", "a/0", "r"]],
+             "transition label a/0 is not in the alphabet"),
+        ],
+        ids=["outside-alphabet", "whitespace", "two-slashes", "alphabet-whitespace",
+             "alphabet-two-slashes", "int", "list", "null", "source", "target",
+             "source-first", "mixed-alphabet", "atomic-in-mealy", "mealy-in-atomic"],
+    )
+    def test_label_and_state_errors_are_exact(self, alphabet, transitions, message):
+        doc = {**LTS_DOC, "alphabet": alphabet, "states": ["q", "r"],
+               "transitions": transitions}
+        with pytest.raises(DocumentError) as err:
+            lts_from_document(doc)
+        assert str(err.value) == message
+
+    def test_a_leaf_labeled_twice_is_rejected(self):
+        doc = tree_to_document(to_tree(code_from_document(CODE_DOC)))
+        leaf = doc["leaf_labels"][0][0]
+        doc = {**doc, "abstract_alphabet": doc["abstract_alphabet"] + ["c"],
+               "leaf_labels": doc["leaf_labels"] + [[leaf, "c"]]}
+        with pytest.raises(InvalidTree, match=f"^leaf {leaf} is labeled twice$"):
+            tree_from_document(doc)
 
     def test_unknown_schema(self):
         with pytest.raises(DocumentError):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from actioncodes.codes import to_tree
 from actioncodes.errors import AlphabetMismatch
-from actioncodes.generate import gen_lts, mealy_alphabet
+from actioncodes.generate import gen_lts, gen_mealy, mealy_alphabet
 from actioncodes.lts import (
     CompatRel,
     Label,
@@ -96,6 +96,18 @@ class TestLtsConstruction:
     def test_rejects_mixed_variants(self):
         with pytest.raises(ValueError):
             Lts(["p"], "p", [], [Label("a"), Label("a", "0")])
+
+    def test_out_is_sorted_by_rendered_label_then_target(self):
+        # Tuple order puts a/0 before a-x/0; the rendered order is the reverse.
+        crossed = [Label(i, o) for i in ("a", "a-x") for o in "01"]
+        systems = [gen_lts(seed, states=4, labels=crossed) for seed in range(20)]
+        systems += [gen_lts(seed, states=5, labels=3) for seed in range(20)]
+        systems += [gen_mealy(seed, states=5, inputs=3, outputs=2) for seed in range(20)]
+        assert any(len({a for a, _ in m.out(q)}) > 1 for m in systems[:20] for q in m.states)
+        for m in systems:
+            for q in m.states:
+                edges = [(a, dst) for src, a, dst in m.transitions if src == q]
+                assert m.out(q) == tuple(sorted(edges, key=lambda e: (str(e[0]), e[1])))
 
 
 class TestReachable:

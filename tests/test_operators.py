@@ -31,7 +31,16 @@ from actioncodes.simulation import (
     find_simulation,
 )
 
-from conftest import atoms, entry, load_fixture, sub_machine
+from conftest import (
+    atoms,
+    entry,
+    load_fixture,
+    scan_concretize,
+    scan_contract,
+    scan_is_icomplete,
+    scan_refine,
+    sub_machine,
+)
 
 
 def abstract_lts(seed, code, states=4, deterministic=False):
@@ -91,6 +100,53 @@ class TestContract:
                 for word in itertools.product(dom, repeat=length):
                     flat = tuple(a for b in word for a in code.word_for(b))
                     assert has_trace(abstract, word) == has_trace(m, flat)
+
+
+def _oracle_instances():
+    """Seeded codes with a concrete and an abstract system over their
+    alphabets, deterministic and not.  The third code's Mealy symbols sort
+    differently as tuples than rendered (``a-x/0`` before ``a/0``)."""
+    crossed = [Label(i, o) for i in ("a", "a-x") for o in "01"]
+    for seed in range(30):
+        deterministic = seed % 3 == 0
+        codes = [
+            (gen_code(seed, entries=3, maxlen=3), CompatRel.identity),
+            (gen_adaptor_code(seed, inputs=2, outputs=2, abstract_inputs=2),
+             CompatRel.same_input),
+            (gen_code(seed, source=crossed, target=atoms("X-y", "X", "Z"), entries=3,
+                      maxlen=3), CompatRel.same_input),
+        ]
+        for code, rel in codes:
+            m = concrete_lts(seed + 5, code, states=5, deterministic=deterministic)
+            n = abstract_lts(seed + 9, code, states=5, deterministic=deterministic)
+            yield code, rel(code.source), m, n
+
+
+def _system(m: Lts) -> tuple:
+    return m.states, m.initial, m.transitions, m.alphabet
+
+
+class TestAgainstScanOracles:
+    """The operators walk a per-call step index; the scan-based versions they
+    replaced (``tests/conftest.py``) must give the same systems, with the
+    same state order, and the same completeness verdicts and witnesses."""
+
+    def test_operators_agree_with_the_scans(self):
+        for code, rel, m, n in _oracle_instances():
+            assert _system(contract(code, m)) == _system(scan_contract(code, m))
+            assert _system(refine(code, n)) == _system(scan_refine(code, n))
+            gamma = concretize(code, rel, n)
+            assert _system(gamma) == _system(scan_concretize(code, rel, n))
+            assert _system(contract(code, gamma)) == _system(scan_contract(code, gamma))
+
+    def test_icomplete_agrees_with_the_scan(self):
+        verdicts = set()
+        for code, rel, m, n in _oracle_instances():
+            for machine in (m, concretize(code, CompatRel.identity(code.source), n)):
+                found = is_icomplete(code, rel, machine)
+                assert found == scan_is_icomplete(code, rel, machine)
+                verdicts.add(found[0])
+        assert verdicts == {True, False}
 
 
 class TestRefine:
