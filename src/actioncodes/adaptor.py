@@ -13,9 +13,6 @@ from __future__ import annotations
 
 import os
 import random
-import select
-import socket
-import subprocess
 import time
 from collections import deque
 from typing import Iterable, NamedTuple, Sequence
@@ -230,6 +227,13 @@ class InProcessSut:
         self._pending = None
 
 
+def _check_timeout(timeout: float) -> None:
+    """Refuse a timeout that is not a finite number > 0: ``select`` and
+    sockets reject infinity, and a socket with timeout 0 does not block."""
+    if not 0 < timeout < float("inf"):  # nan fails both comparisons
+        raise ValueError(f"the timeout must be a finite number > 0, got {timeout}")
+
+
 class ExternalSut:
     """A SUT behind a newline-delimited byte stream (child process or TCP).
 
@@ -247,6 +251,9 @@ class ExternalSut:
 
     @classmethod
     def spawn(cls, command: Sequence[str], timeout: float = 5.0) -> "ExternalSut":
+        import select
+        import subprocess
+        _check_timeout(timeout)
         proc = subprocess.Popen(
             list(command),
             stdin=subprocess.PIPE,
@@ -283,6 +290,8 @@ class ExternalSut:
 
     @classmethod
     def connect(cls, host: str, port: int, timeout: float = 5.0) -> "ExternalSut":
+        import socket
+        _check_timeout(timeout)
         sock = socket.create_connection((host, port), timeout=timeout)
 
         def write(data: bytes) -> None:

@@ -168,7 +168,7 @@ def _galois_refinement(args, code, abstract, concrete):
     """Adjunction between refinement and contraction on one instance."""
     left = find_simulation(refine(code, abstract), concrete) is not None
     right = find_simulation(abstract, contract(code, concrete)) is not None
-    over_domain = all(a in code.domain for _, a, _ in abstract.transitions)
+    over_domain = {a for q in abstract.states for a, _ in abstract.out(q)} <= code.domain
     det = is_deterministic(concrete)
     ok = True
     lines = [
@@ -200,7 +200,7 @@ def _galois_concretization(args, code, concrete, abstract):
 
 
 def _insertion(args, code, abstract):
-    used = {a for _, a, _ in abstract.transitions}
+    used = {a for q in abstract.states for a, _ in abstract.out(q)}
     if not used <= code.domain:
         return False, ["machine uses labels outside the code domain"]
     back = contract(code, concretize(code, _rel(args, code), abstract))
@@ -373,7 +373,8 @@ def _run_operator(args) -> int:
     _emit(to_document(result), args.out)
     if "--stats" in options and args.stats:
         print(
-            f"states {len(result.states)} transitions {len(result.transitions)}",
+            f"states {len(result.states)} "
+            f"transitions {sum(len(result.out(q)) for q in result.states)}",
             file=sys.stderr,
         )
     return EXIT_OK

@@ -10,11 +10,9 @@ composition of codes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import AlphabetMismatch, EmptyCodeWord, InvalidTree, PrefixClash
 from .lts import (
-    Label, Lts, Word, explore, is_deterministic, render_word, structural_predicates
+    Label, Word, _Value, explore, is_deterministic, render_word, structural_predicates
 )
 
 __all__ = ["CodeMap", "CodeTree", "to_tree", "to_map", "compose"]
@@ -24,8 +22,7 @@ def _is_prefix(u: Word, w: Word) -> bool:
     return len(u) <= len(w) and w[: len(u)] == u
 
 
-@dataclass(frozen=True)
-class CodeMap:
+class CodeMap(_Value):
     """Map form of an action code: abstract label -> non-empty concrete word.
 
     ``source`` is the concrete alphabet the words are written in, ``target``
@@ -34,21 +31,14 @@ class CodeMap:
     prefix-freeness and canonically sorts the entries.
     """
 
-    source: frozenset[Label]
-    target: frozenset[Label]
-    entries: tuple[tuple[Label, Word], ...]
+    __slots__ = ("source", "target", "entries", "_map")
 
     def __init__(self, source, target, entries):
-        object.__setattr__(self, "source", frozenset(source))
-        object.__setattr__(self, "target", frozenset(target))
-        normalized = tuple(
+        self.source = frozenset(source)
+        self.target = frozenset(target)
+        self.entries = tuple(
             sorted(((b, tuple(w)) for b, w in entries), key=lambda e: str(e[0]))
         )
-        object.__setattr__(self, "entries", normalized)
-        self._validate()
-        object.__setattr__(self, "_map", dict(self.entries))
-
-    def _validate(self):
         seen: set[Label] = set()
         for b, word in self.entries:
             if b not in self.target:
@@ -66,6 +56,10 @@ class CodeMap:
         for (b1, w1), (b2, w2) in zip(by_word, by_word[1:]):
             if _is_prefix(w1, w2):
                 raise PrefixClash(b1, b2)
+        self._map = dict(self.entries)
+
+    def _key(self):
+        return self.source, self.target, self.entries
 
     @property
     def domain(self) -> frozenset[Label]:
@@ -85,8 +79,7 @@ class CodeMap:
         return f"CodeMap({inner})"
 
 
-@dataclass(frozen=True)
-class CodeTree:
+class CodeTree(_Value):
     """Tree form of an action code.
 
     The carrier is a deterministic, tree-shaped, grounded LTS over the
@@ -94,36 +87,28 @@ class CodeTree:
     and the root carries none.
     """
 
-    tree: Lts
-    leaf_labels: tuple[tuple[str, Label], ...]
-    abstract: frozenset[Label]
+    __slots__ = ("tree", "leaf_labels", "abstract", "_labels")
 
     def __init__(self, tree, leaf_labels, abstract):
-        object.__setattr__(self, "tree", tree)
+        self.tree = tree
         labels: dict = {}
         for q, lab in leaf_labels:
             if q in labels:
                 raise InvalidTree(f"leaf {q} is labeled twice")
             labels[q] = lab
-        normalized = tuple(sorted((str(q), lab) for q, lab in labels.items()))
-        object.__setattr__(self, "leaf_labels", normalized)
-        object.__setattr__(self, "abstract", frozenset(abstract))
-        self._validate()
-        object.__setattr__(self, "_labels", dict(self.leaf_labels))
-
-    def _validate(self):
-        report = structural_predicates(self.tree)
-        if not is_deterministic(self.tree):
+        self.leaf_labels = tuple(sorted((str(q), lab) for q, lab in labels.items()))
+        self.abstract = frozenset(abstract)
+        report = structural_predicates(tree)
+        if not is_deterministic(tree):
             raise InvalidTree("carrier is not deterministic")
         if not report.tree_shaped:
             raise InvalidTree("carrier is not tree-shaped")
         if not report.grounded:
             raise InvalidTree("carrier is not grounded")
-        if set(self.tree.states) != self.tree.reachable():
+        if set(tree.states) != tree.reachable():
             raise InvalidTree("carrier has unreachable states")
-        root = self.tree.initial
         labeled = {q for q, _ in self.leaf_labels}
-        expected = set(report.leaves) - {root}
+        expected = set(report.leaves) - {tree.initial}
         if labeled != expected:
             raise InvalidTree(
                 "labeled states must be exactly the non-root leaves "
@@ -135,6 +120,10 @@ class CodeTree:
         for lab in labels:
             if lab not in self.abstract:
                 raise InvalidTree(f"leaf label {lab} is not in the abstract alphabet")
+        self._labels = dict(self.leaf_labels)
+
+    def _key(self):
+        return self.tree, self.leaf_labels, self.abstract
 
     @property
     def root(self) -> str:

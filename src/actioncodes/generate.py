@@ -141,7 +141,7 @@ def gen_code(
     else:
         tgt = list(target)
     entries = min(_count(entries, "entries"), len(tgt))
-    words = _grow_tree_words(rng, src, entries, maxlen)
+    words = _grow_tree_words(rng, src, entries, _count(maxlen, "letters per code word"))
     chosen = rng.sample(sorted(tgt, key=str), k=len(words))
     return CodeMap(src, tgt, list(zip(chosen, words)))
 

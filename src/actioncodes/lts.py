@@ -8,7 +8,6 @@ and safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
@@ -92,65 +91,77 @@ def render_word(word: Word) -> str:
     return ".".join(str(a) for a in word) if word else "ε"
 
 
-def _same_variant(labels: Iterable[Label]) -> bool:
-    kinds = {a.is_mealy for a in labels}
-    return len(kinds) <= 1
+class _Value:
+    """Base of the value types: each attribute is written once, by
+    ``__init__`` or by a cache on first use, and is never rebound or deleted.
+    Equality and hash are those of ``_key()``, within one class."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        if hasattr(self, name):
+            raise AttributeError(f"cannot assign to field {name!r}")
+        super().__setattr__(name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
-@dataclass(frozen=True)
-class Lts:
+class Lts(_Value):
     """A finite labeled transition system with an explicit alphabet.
 
     The alphabet may strictly contain the labels used on transitions:
     concretization and the completeness check quantify over labels that no
     transition carries.  Duplicate transitions are collapsed (the transition
-    relation is a set).
+    relation is a set); the sorted out-lists are its one store.
     """
 
-    states: tuple[str, ...]
-    initial: str
-    transitions: frozenset[Transition]
-    alphabet: frozenset[Label]
+    __slots__ = ("states", "initial", "alphabet", "_out", "_reach")
 
     def __init__(self, states, initial, transitions, alphabet):
-        ordered: list[str] = []
-        seen = set()
-        for q in states:
-            if q not in seen:
-                seen.add(q)
-                ordered.append(q)
-        object.__setattr__(self, "states", tuple(ordered))
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "transitions", frozenset(transitions))
-        object.__setattr__(self, "alphabet", frozenset(alphabet))
-        self._validate()
+        self.states = tuple(dict.fromkeys(states))
+        self.initial = initial
+        self.alphabet = frozenset(alphabet)
+        if not self.states:
+            raise ValueError("an LTS needs at least one state")
+        if initial not in self.states:
+            raise ValueError(f"initial state {initial!r} is not a state")
+        if len({a.is_mealy for a in self.alphabet}) > 1:
+            raise ValueError("alphabet mixes atomic and Mealy labels")
         # Each label is rendered once.  Rendering is injective, so sorting
         # (rendered, target, label) never compares two labels.
         names = {a: str(a) for a in self.alphabet}
         out: dict[str, list | tuple] = {q: [] for q in self.states}
-        for src, label, dst in self.transitions:
-            out[src].append((names[label], dst, label))
+        for src, label, dst in dict.fromkeys(transitions):  # duplicates collapse
+            edges = out.get(src)
+            if edges is None or dst not in out:
+                raise ValueError(f"transition {src}-{label}->{dst} leaves the state set")
+            name = names.get(label)
+            if name is None:
+                raise ValueError(f"transition label {label} is not in the alphabet")
+            edges.append((name, dst, label))
         for q, edges in out.items():
             edges.sort()
             out[q] = tuple([(label, dst) for _, dst, label in edges])  # out() hands it out without a copy
-        object.__setattr__(self, "_out", out)
-        object.__setattr__(self, "_reach", None)
+        self._out = out
 
-    def _validate(self):
-        if not self.states:
-            raise ValueError("an LTS needs at least one state")
-        if self.initial not in self.states:
-            raise ValueError(f"initial state {self.initial!r} is not a state")
-        if not _same_variant(self.alphabet):
-            raise ValueError("alphabet mixes atomic and Mealy labels")
-        state_set = set(self.states)
-        for src, label, dst in self.transitions:
-            if src not in state_set or dst not in state_set:
-                raise ValueError(f"transition {src}-{label}->{dst} leaves the state set")
-            if label not in self.alphabet:
-                raise ValueError(f"transition label {label} is not in the alphabet")
+    def _key(self):
+        return self.states, self.initial, self.alphabet, tuple(self._out.values())
 
     # -- queries ----------------------------------------------------------
+
+    @property
+    def transitions(self) -> frozenset[Transition]:
+        """The edges as ``(source, label, target)`` triples, built on each call."""
+        return frozenset((q, a, dst) for q, edges in self._out.items() for a, dst in edges)
 
     def out(self, state: str) -> tuple[tuple[Label, str], ...]:
         """Outgoing (label, target) edges of a state, sorted by rendered
@@ -181,23 +192,24 @@ class Lts:
         return frozenset(a.symbol for a in self.alphabet if a.is_mealy)
 
     def reachable(self) -> frozenset[str]:
-        cached = self._reach
-        if cached is None:
+        if not hasattr(self, "_reach"):
             todo = [self.initial]
             seen = {self.initial}
             while todo:
-                q = todo.pop()
-                for _, dst in self._out[q]:
+                for _, dst in self._out[todo.pop()]:
                     if dst not in seen:
                         seen.add(dst)
                         todo.append(dst)
-            cached = frozenset(seen)
-            object.__setattr__(self, "_reach", cached)
-        return cached
+            try:
+                self._reach = frozenset(seen)
+            except AttributeError:  # another thread cached it first
+                pass
+        return self._reach
 
     def __repr__(self) -> str:
+        edges = sum(map(len, self._out.values()))
         return (
-            f"Lts(states={len(self.states)}, transitions={len(self.transitions)}, "
+            f"Lts(states={len(self.states)}, transitions={edges}, "
             f"alphabet={len(self.alphabet)}, initial={self.initial!r})"
         )
 
@@ -376,18 +388,16 @@ def structural_predicates(m: Lts) -> StructuralReport:
     """
     reach = m.reachable()
     in_degree = {q: 0 for q in reach}
-    for src, _, dst in m.transitions:
-        if src in reach and dst in reach:
+    preds: dict[str, set[str]] = {q: set() for q in reach}
+    for src in reach:
+        for _, dst in m.out(src):
             in_degree[dst] += 1
+            preds[dst].add(src)
     tree_shaped = in_degree[m.initial] == 0 and all(
         d == 1 for q, d in in_degree.items() if q != m.initial
     )
     leaves = frozenset(q for q in reach if not m.out(q))
     # Backward closure from the leaves decides groundedness.
-    preds: dict[str, set[str]] = {q: set() for q in reach}
-    for src, _, dst in m.transitions:
-        if src in reach and dst in reach:
-            preds[dst].add(src)
     can_ground = set(leaves)
     todo = list(leaves)
     while todo:

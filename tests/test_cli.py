@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import socket
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -416,6 +419,7 @@ class TestGen:
             ("mealy", "--inputs", "-1", "inputs"),
             ("mealy", "--outputs", "-2", "outputs"),
             ("code", "--abstract", "-2", "abstract symbols"),
+            ("code", "--maxlen", "-1", "letters per code word"),
         ],
     )
     def test_negative_count_is_bad_input(self, capsys, what, option, value, counted):
@@ -553,6 +557,27 @@ class TestAdaptorVerb:
             "--sut-exec", "", "--inputs", _inputs(tmp_path),
         )
         assert (status, out, err) == (2, "", "ERROR ValueError --sut-exec needs a command\n")
+
+    @pytest.mark.parametrize("timeout", ["inf", "1e400", "nan", "0", "-1"])
+    @pytest.mark.parametrize("backend", ["--sut-exec", "--sut-tcp"])
+    def test_bad_timeout_is_refused_before_the_sut_starts(
+        self, capsys, tmp_path, monkeypatch, backend, timeout
+    ):
+        # An infinite timeout once escaped from select or create_connection as
+        # an OverflowError, and a TCP timeout of 0 as a BlockingIOError.
+        started = []
+        monkeypatch.setattr(subprocess, "Popen", lambda *args, **kw: started.append(args))
+        monkeypatch.setattr(socket, "create_connection", lambda *args, **kw: started.append(args))
+        sut = f"{sys.executable} -c pass" if backend == "--sut-exec" else "127.0.0.1:9"
+        status, out, err = run(
+            capsys, "adaptor", "--code", fixture("double-press.code.json"),
+            backend, sut, "--timeout", timeout, "--inputs", _inputs(tmp_path),
+        )
+        assert (status, out, started) == (2, "", [])
+        assert err == (
+            "ERROR ValueError the timeout must be a finite number > 0, "
+            f"got {float(timeout)}\n"
+        )
 
     def test_game_is_solved_once(self, capsys, tmp_path, monkeypatch):
         calls = []
@@ -727,3 +752,16 @@ def test_a_leaf_labeled_twice_exits_2(capsys, tmp_path):
     path.write_text(dumps(doc), encoding="utf-8")
     status, out, err = run(capsys, "to-map", str(path))
     assert (status, out, err) == (2, "", f"ERROR InvalidTree leaf {leaf} is labeled twice\n")
+
+
+def test_import_leaves_the_transports_and_dataclasses_out():
+    # Each SUT transport is imported by the backend that uses it, and the
+    # value types are plain classes, so a CLI call imports none of these.
+    heavy = ("dataclasses", "inspect", "socket", "subprocess", "select")
+    probe = f"import sys, actioncodes.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == "[]\n"

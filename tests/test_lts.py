@@ -10,7 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from actioncodes.codes import to_tree
+from actioncodes.codes import to_map, to_tree
+from actioncodes.documents import (
+    code_from_document, code_to_document, dumps, loads, lts_from_document, lts_to_document
+)
 from actioncodes.errors import AlphabetMismatch
 from actioncodes.generate import gen_lts, gen_mealy, mealy_alphabet
 from actioncodes.lts import (
@@ -23,7 +26,7 @@ from actioncodes.lts import (
     traces_up_to,
 )
 
-from conftest import add_noise, load_fixture
+from conftest import FIXTURES, add_noise, load_fixture
 
 
 def word(text: str) -> tuple[Label, ...]:
@@ -108,6 +111,60 @@ class TestLtsConstruction:
             for q in m.states:
                 edges = [(a, dst) for src, a, dst in m.transitions if src == q]
                 assert m.out(q) == tuple(sorted(edges, key=lambda e: (str(e[0]), e[1])))
+
+
+def _values():
+    """One value of each immutable type, with its public fields."""
+    code = load_fixture("double-press.code.json")
+    return [
+        (load_fixture("square.mealy.json"), ("states", "initial", "transitions", "alphabet")),
+        (code, ("source", "target", "entries")),
+        (to_tree(code), ("tree", "leaf_labels", "abstract")),
+    ]
+
+
+class TestValueSemantics:
+    @pytest.mark.parametrize("index", range(3))
+    def test_fields_cannot_be_assigned_or_deleted(self, index):
+        value, fields = _values()[index]
+        for field in fields:
+            before = getattr(value, field)
+            with pytest.raises(AttributeError):
+                setattr(value, field, before)
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+            assert getattr(value, field) == before
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+    def test_equal_values_hash_equal(self):
+        for name in sorted(p.name for p in FIXTURES.glob("*.json")):
+            value = load_fixture(name)
+            is_code = name.endswith(".code.json")
+            to_document = code_to_document if is_code else lts_to_document
+            from_document = code_from_document if is_code else lts_from_document
+            again = from_document(loads(dumps(to_document(value))))
+            assert again == value and hash(again) == hash(value)
+            if is_code:
+                back = to_map(to_tree(value))
+                assert back == value and hash(back) == hash(value)
+                assert to_tree(value) == to_tree(back)
+                assert hash(to_tree(value)) == hash(to_tree(back))
+        m = gen_mealy(3, states=6, inputs=2, outputs=2)
+        assert m != gen_mealy(4, states=6, inputs=2, outputs=2)
+        assert m != (m.states, m.initial, m.transitions, m.alphabet)
+
+    def test_transitions_is_the_frozenset_of_triples(self):
+        doc = loads((FIXTURES / "double-press-concretization.mealy.json").read_text("utf-8"))
+        m = lts_from_document(doc)
+        assert type(m.transitions) is frozenset
+        assert m.transitions == {(s, Label.parse(a), d) for s, a, d in doc["transitions"]}
+        assert m.transitions == {(q, a, d) for q in m.states for a, d in m.out(q)}
+        assert repr(m).startswith(f"Lts(states={len(m.states)}, transitions={len(m.transitions)}, ")
+
+    def test_reachable_is_cached(self):
+        m = load_fixture("square.mealy.json")
+        assert m.reachable() is m.reachable()
 
 
 class TestReachable:
