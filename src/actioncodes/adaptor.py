@@ -292,6 +292,8 @@ class ExternalSut:
     def connect(cls, host: str, port: int, timeout: float = 5.0) -> "ExternalSut":
         import socket
         _check_timeout(timeout)
+        if not 0 < port < 65536:  # the resolver would truncate it to 16 bits
+            raise ValueError(f"the port must be in 1..65535, got {port}")
         sock = socket.create_connection((host, port), timeout=timeout)
 
         def write(data: bytes) -> None:

@@ -18,20 +18,19 @@ from .lts import (
 __all__ = ["CodeMap", "CodeTree", "to_tree", "to_map", "compose"]
 
 
-def _is_prefix(u: Word, w: Word) -> bool:
-    return len(u) <= len(w) and w[: len(u)] == u
-
-
 class CodeMap(_Value):
     """Map form of an action code: abstract label -> non-empty concrete word.
 
     ``source`` is the concrete alphabet the words are written in, ``target``
     the abstract alphabet the keys are drawn from; ``target`` may strictly
     contain the domain.  Construction validates non-emptiness and
-    prefix-freeness and canonically sorts the entries.
+    prefix-freeness, canonically sorts the entries and builds the prefix
+    tree that ``to_tree``, ``concretize`` and ``is_icomplete`` read: each
+    proper prefix of a code word maps its next letters, in rendered order,
+    to the longer prefixes, and each complete word maps to its label.
     """
 
-    __slots__ = ("source", "target", "entries", "_map")
+    __slots__ = ("source", "target", "entries", "_map", "_children", "_leaves")
 
     def __init__(self, source, target, entries):
         self.source = frozenset(source)
@@ -51,12 +50,21 @@ class CodeMap(_Value):
             for a in word:
                 if a not in self.source:
                     raise AlphabetMismatch(f"letter {a} of the word for {b} is not in the source alphabet")
-        # Sorting words lexicographically makes any prefix pair adjacent.
-        by_word = sorted(self.entries, key=lambda e: tuple(str(a) for a in e[1]))
-        for (b1, w1), (b2, w2) in zip(by_word, by_word[1:]):
-            if _is_prefix(w1, w2):
-                raise PrefixClash(b1, b2)
+        # In rendered-word order a word follows every word that is its prefix,
+        # and the first clash met is between neighbours in that order.
+        children: dict[Word, dict[Label, Word]] = {}
+        leaves: dict[Word, Label] = {}
+        for b, word in sorted(self.entries, key=lambda e: tuple(str(a) for a in e[1])):
+            for i, a in enumerate(word):
+                prefix = word[:i]
+                if prefix in leaves:
+                    raise PrefixClash(leaves[prefix], b)
+                children.setdefault(prefix, {})[a] = word[: i + 1]
+            if word in leaves:
+                raise PrefixClash(leaves[word], b)
+            leaves[word] = b
         self._map = dict(self.entries)
+        self._children, self._leaves = children, leaves
 
     def _key(self):
         return self.source, self.target, self.entries
@@ -103,8 +111,6 @@ class CodeTree(_Value):
             raise InvalidTree("carrier is not deterministic")
         if not report.tree_shaped:
             raise InvalidTree("carrier is not tree-shaped")
-        if not report.grounded:
-            raise InvalidTree("carrier is not grounded")
         if set(tree.states) != tree.reachable():
             raise InvalidTree("carrier has unreachable states")
         labeled = {q for q, _ in self.leaf_labels}
@@ -146,21 +152,12 @@ class CodeTree(_Value):
 def to_tree(code: CodeMap) -> CodeTree:
     """The unique grounded tree form of a map-based code.
 
-    Nodes are the prefixes of the code words (the empty prefix is the root),
-    named by their rendered word; edges extend a prefix by one letter, and
-    the node of a complete code word becomes a leaf labeled with its
-    abstract label.
+    It explores the code's prefix tree: nodes are the prefixes of the code
+    words (the empty prefix is the root), named by their rendered word;
+    edges extend a prefix by one letter, and the node of a complete code
+    word becomes a leaf labeled with its abstract label.
     """
-    letters: dict[Word, set[Label]] = {}
-    for _, w in code.entries:
-        for i in range(len(w)):
-            letters.setdefault(w[:i], set()).add(w[i])
-
-    def successors(w: Word):
-        for a in sorted(letters.get(w, ()), key=str):
-            yield a, w + (a,)
-
-    tree = explore([()], successors, render_word, code.source)
+    tree = explore([()], lambda w: code._children.get(w, {}).items(), render_word, code.source)
     leaf_labels = [(render_word(w), b) for b, w in code.entries]
     return CodeTree(tree, leaf_labels, code.target)
 

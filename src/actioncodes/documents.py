@@ -229,7 +229,7 @@ def dumps(doc: dict[str, Any]) -> str:
 def loads(text: str) -> dict[str, Any]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep for the parser's stack
         raise DocumentError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DocumentError("top-level JSON value must be an object")

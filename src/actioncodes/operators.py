@@ -12,9 +12,9 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from .codes import CodeMap, to_tree
+from .codes import CodeMap
 from .errors import AlphabetMismatch
-from .lts import CompatRel, Label, Lts, Word, _Steps, explore
+from .lts import CompatRel, Label, Lts, Word, _Steps, explore, render_word
 
 __all__ = [
     "CHAOS",
@@ -103,9 +103,9 @@ def concretize(code: CodeMap, rel: CompatRel, m: Lts) -> Lts:
     """Like refinement, but complete every run outside the code demonically.
 
     States pair an abstract state with a pending proper prefix of a code
-    word.  A letter that can neither extend the prefix nor finish a code
-    word, not even up to the compatibility relation, jumps to the chaos
-    state, which enables every concrete label forever.  A single chaos state
+    word, a node of the code's prefix tree.  A letter jumps to the chaos
+    state when no letter related to it, itself included, is a child of the
+    node; chaos enables every concrete label forever.  A single chaos state
     is emitted, and only if it is reachable.
     """
     if not m.alphabet <= code.target:
@@ -113,13 +113,7 @@ def concretize(code: CodeMap, rel: CompatRel, m: Lts) -> Lts:
     if rel.carrier != code.source:
         raise AlphabetMismatch("relation carrier must be the code's source alphabet")
     source = sorted(code.source, key=str)
-    prefixes: set[Word] = {()}
-    complete: dict[Word, Label] = {}
-    for b, word in code.entries:
-        complete[word] = b
-        for i in range(1, len(word)):
-            prefixes.add(word[:i])
-
+    children, leaves = code._children, code._leaves
     steps = _Steps(m)
 
     def successors(key):
@@ -128,17 +122,17 @@ def concretize(code: CodeMap, rel: CompatRel, m: Lts) -> Lts:
                 yield a, CHAOS
             return
         q, w = key
+        edges = children.get(w, {})
         for a in source:
-            wa = w + (a,)
-            if wa in prefixes:
-                yield a, (q, wa)
-            elif wa in complete:
-                for q2 in steps[q].get(complete[wa], ()):
-                    yield a, (q2, ())
-            if all(
-                w + (a2,) not in prefixes and w + (a2,) not in complete
-                for a2 in rel.related(a)
-            ):
+            wa = edges.get(a)
+            if wa is not None:
+                b = leaves.get(wa)
+                if b is None:
+                    yield a, (q, wa)
+                else:
+                    for q2 in steps[q].get(b, ()):
+                        yield a, (q2, ())
+            if all(a2 not in edges for a2 in rel.related(a)):
                 yield a, CHAOS
 
     return explore([(m.initial, ())], successors, _pending_name, code.source)
@@ -160,37 +154,33 @@ def is_icomplete(
 ) -> tuple[bool, IncompletenessWitness | None]:
     """Whether the code covers, up to the relation, everything ``m`` can do.
 
-    The decision explores pairs of a machine state and a code-tree node in
-    lockstep: both start at their roots, advance together on letters the
-    tree knows, and the node resets to the root whenever a code word
-    completes.  At every reachable pair, any machine transition related to
-    some edge of the node must itself be an edge of the node.  The pair
-    space is finite, so the exploration terminates.
+    The decision explores pairs of a machine state and a node of the code's
+    prefix tree in lockstep: both start at their roots, advance together on
+    letters the tree knows, and the node resets to the root whenever a code
+    word completes.  At every reachable pair, any machine transition related
+    to some edge of the node must itself be an edge of the node; a witness
+    names the node by its rendered word (``ε`` for the root).
     """
     if not m.alphabet <= code.source:
         raise AlphabetMismatch("machine alphabet must lie within the code's source alphabet")
     if rel.carrier != code.source:
         raise AlphabetMismatch("relation carrier must be the code's source alphabet")
-    tree = to_tree(code)
-    root = tree.root
-    # Node edges keep out() order, which is sorted by rendered label.
-    node_edges: dict[str, dict[Label, str]] = {
-        q: {a: root if tree.is_leaf(dst) else dst for a, dst in tree.tree.out(q)}
-        for q in tree.tree.states
-    }
+    children, leaves = code._children, code._leaves
     steps = _Steps(m)
-    start = (m.initial, root)
+    start = (m.initial, ())
     seen = {start}
     todo = deque([start])
     while todo:
-        q, node = todo.popleft()
-        edges = node_edges[node]
+        q, w = todo.popleft()
+        edges = children.get(w, {})
         moves = steps[q]
         for a in edges:
             for a2 in rel.related(a):
                 if a2 in moves and a2 not in edges:
-                    return False, IncompletenessWitness(q, node, a, a2)
+                    return False, IncompletenessWitness(q, render_word(w), a, a2)
         for a, nxt in edges.items():
+            if nxt in leaves:
+                nxt = ()
             for q2 in moves.get(a, ()):
                 pair = (q2, nxt)
                 if pair not in seen:

@@ -328,6 +328,22 @@ def scan_is_icomplete(code: CodeMap, rel: CompatRel, m: Lts):
     return True, None
 
 
+# -- prefix-freeness -----------------------------------------------------------
+
+
+def sort_prefix_clash(entries) -> tuple[Label, Label] | None:
+    """The clash ``CodeMap`` reported before it kept a prefix tree: sort the
+    entries by label, then stably by rendered word, and report the first
+    neighbours whose earlier word is a prefix of the later one as
+    ``(first, second)``; None when the words are prefix-free."""
+    by_label = sorted(entries, key=lambda e: str(e[0]))
+    by_word = sorted(by_label, key=lambda e: tuple(str(a) for a in e[1]))
+    for (b1, w1), (b2, w2) in zip(by_word, by_word[1:]):
+        if len(w1) <= len(w2) and w2[: len(w1)] == w1:
+            return b1, b2
+    return None
+
+
 # -- instance construction ----------------------------------------------------
 
 

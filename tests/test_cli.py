@@ -579,6 +579,19 @@ class TestAdaptorVerb:
             f"got {float(timeout)}\n"
         )
 
+    @pytest.mark.parametrize("port", ["0", "65536", "70000", "-1"])
+    def test_bad_port_is_refused_before_connecting(self, capsys, tmp_path, monkeypatch, port):
+        # The resolver once truncated a port to 16 bits (70000 reached port
+        # 4464, 65536 port 0), and -1 escaped as a gaierror.
+        started = []
+        monkeypatch.setattr(socket, "create_connection", lambda *args, **kw: started.append(args))
+        status, out, err = run(
+            capsys, "adaptor", "--code", fixture("double-press.code.json"),
+            "--sut-tcp", f"127.0.0.1:{port}", "--inputs", _inputs(tmp_path),
+        )
+        assert (status, out, started) == (2, "", [])
+        assert err == f"ERROR ValueError the port must be in 1..65535, got {port}\n"
+
     def test_game_is_solved_once(self, capsys, tmp_path, monkeypatch):
         calls = []
 
@@ -701,6 +714,17 @@ def test_non_string_state_names_exit_2(capsys, tmp_path):
     status, _, err = run(capsys, "check", "simulation", str(path), str(path))
     assert status == 2
     assert err == "ERROR DocumentError state name 1 is not a string\n"
+
+
+def test_deeply_nested_json_exits_2(capsys, tmp_path):
+    # Nesting deeper than the JSON parser's stack once escaped as a
+    # RecursionError traceback with exit 1.
+    path = tmp_path / "deep.json"
+    path.write_text('{"a": ' + "[" * 200_000 + "]" * 200_000 + "}", encoding="utf-8")
+    status, out, err = run(capsys, "check", "simulation", str(path), str(path))
+    assert (status, out) == (2, "")
+    assert err.startswith("ERROR DocumentError not valid JSON: ") and "recursion" in err
+    assert err.count("\n") == 1
 
 
 _TREE = {

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from actioncodes.generate import gen_code
 from actioncodes.lts import Label, Lts, structural_predicates
 from actioncodes.simulation import find_isomorphism_reachable
 
-from conftest import atoms, entry, load_fixture
+from conftest import atoms, entry, load_fixture, sort_prefix_clash
 
 
 class TestValidation:
@@ -74,6 +76,40 @@ class TestValidation:
         except PrefixClash:
             assert clash
 
+    def test_clash_pair_matches_the_sort_oracle(self):
+        # The reported (first, second) pair, or no clash, is the one the
+        # sort-and-compare check gives.  a/0 sorts before a-x/0 as a tuple
+        # but after it rendered, so an order by tuples would name other pairs.
+        letters = atoms("a/0", "a-x/0", "b/1")
+        target = atoms(*"ABCDEF")
+        shapes = {"duplicate word": 0, "prefix of two words": 0, "prefix-free": 0}
+        for seed in range(600):
+            rng = random.Random(seed)
+            words = [
+                tuple(rng.choices(letters, k=rng.randint(1, 3)))
+                for _ in range(rng.randint(1, 6))
+            ]
+            entries = list(zip(target, words))
+            rng.shuffle(entries)
+            expected = sort_prefix_clash(entries)
+            try:
+                CodeMap(letters, target, entries)
+                found = None
+            except PrefixClash as err:
+                found = (err.first, err.second)
+            assert found == expected, entries
+            shapes["duplicate word"] += len(set(words)) < len(words)
+            shapes["prefix of two words"] += any(
+                sum(len(v) > len(w) and v[: len(w)] == w for v in words) >= 2 for w in words
+            )
+            shapes["prefix-free"] += expected is None
+        assert min(shapes.values()) >= 50, shapes
+        # Two clashes: by tuples A, B would come first, rendered C, D do.
+        mixed = [entry("A", "a/0"), entry("B", "a/0 b/1"), entry("C", "a-x/0"), entry("D", "a-x/0 b/1")]
+        with pytest.raises(PrefixClash) as err:
+            CodeMap(letters, target, mixed)
+        assert (err.value.first, err.value.second) == sort_prefix_clash(mixed) == tuple(atoms("C", "D"))
+
 
 class TestTreeForm:
     def test_ascii_tree_shape(self):
@@ -108,8 +144,13 @@ class TestTreeForm:
         with pytest.raises(InvalidTree):  # root labeled
             CodeTree(line, [("r0", Label("A")), ("r1", Label("B"))], atoms("A", "B"))
         cyclic = Lts(["r0"], "r0", [("r0", a, "r0")], [a])
-        with pytest.raises(InvalidTree):  # not a tree
+        with pytest.raises(InvalidTree, match="tree-shaped"):  # not a tree
             CodeTree(cyclic, [], [])
+        # A root edge into a self-loop: a cycle below the root is caught by
+        # the tree-shape check, so no carrier gets as far as being ungrounded.
+        lasso = Lts(["r0", "r1"], "r0", [("r0", a, "r1"), ("r1", a, "r1")], [a])
+        with pytest.raises(InvalidTree, match="tree-shaped"):
+            CodeTree(lasso, [], [])
         fork = Lts(
             ["r0", "r1", "r2"],
             "r0",

@@ -8,7 +8,7 @@ import re
 import pytest
 
 from actioncodes.adaptor import split_io
-from actioncodes.codes import CodeMap, compose
+from actioncodes.codes import CodeMap, compose, to_tree
 from actioncodes.errors import AlphabetMismatch
 from actioncodes.generate import (
     gen_adaptor_code,
@@ -592,3 +592,19 @@ QUESTION_MEALY = Lts(["q", "q?a"], "q", [("q", Label("a", "0"), "q?a")], atoms("
 def test_state_name_collision_is_rejected(build, name):
     with pytest.raises(ValueError, match=re.escape(repr(name))):
         build()
+
+
+def test_icomplete_decides_words_whatever_their_names():
+    # The tree nodes (a.b,) and (a, b) of DOTTED both render as "a.b", so
+    # to_tree refuses the code; the completeness check walks words, not
+    # names, and gives its verdict.
+    a_b, a, b, c = (Label(s) for s in ("a.b", "a", "b", "c"))
+    m = Lts(
+        ["p0", "p1", "p2", "p3"],
+        "p0",
+        [("p0", a_b, "p1"), ("p1", c, "p0"), ("p0", a, "p2"), ("p2", b, "p3"), ("p3", c, "p0")],
+        DOTTED.source,
+    )
+    assert is_icomplete(DOTTED, CompatRel.identity(DOTTED.source), m) == (True, None)
+    with pytest.raises(ValueError, match=re.escape(repr("a.b")) + " is ambiguous"):
+        to_tree(DOTTED)
