@@ -27,10 +27,8 @@ from .lts import (
     Label,
     Lts,
     Word,
-    has_trace,
     is_deterministic,
     structural_predicates,
-    traces_up_to,
 )
 from .operators import CHAOS, concretize, contract, is_icomplete, refine
 from .adaptor import (

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .lts import CompatRel, Label, Lts, _Steps, explore, is_deterministic
 from .operators import contract
-from .simulation import find_delay_simulation
+from .simulation import _delay_simulates
 
 __all__ = [
     "TAU",
@@ -73,9 +73,6 @@ class WinningTable:
 
     def is_winning(self, node: str, abstract_input: str) -> bool:
         return (node, abstract_input) in self._wins
-
-    def multi_winner_pairs(self) -> tuple[tuple[str, str], ...]:
-        return tuple(sorted(k for k, v in self._wins.items() if len(v) > 1))
 
 
 class DeterminacyWitness(NamedTuple):
@@ -509,7 +506,6 @@ def check_adaptor_theorem(tree: CodeTree, m: Lts) -> bool:
     SUT model delay-simulate each other (hidden moves absorbed)."""
     composed = adaptor_composition(tree, m)
     learner_view = split_io(contract(to_map(tree), m))
-    return (
-        find_delay_simulation(composed, learner_view, TAU) is not None
-        and find_delay_simulation(learner_view, composed, TAU) is not None
+    return _delay_simulates(composed, learner_view, TAU) and _delay_simulates(
+        learner_view, composed, TAU
     )

@@ -44,7 +44,7 @@ from .errors import (
 from .generate import gen_code, gen_lts, gen_mealy, letters, mealy_alphabet
 from .lts import CompatRel, Label, Lts, is_deterministic
 from .operators import concretize, contract, is_icomplete, refine
-from .simulation import find_isomorphism_reachable, find_simulation
+from .simulation import _simulates, find_isomorphism_reachable, find_simulation
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -166,8 +166,8 @@ def _determinate(args, code):
 
 def _galois_refinement(args, code, abstract, concrete):
     """Adjunction between refinement and contraction on one instance."""
-    left = find_simulation(refine(code, abstract), concrete) is not None
-    right = find_simulation(abstract, contract(code, concrete)) is not None
+    left = _simulates(refine(code, abstract), concrete)
+    right = _simulates(abstract, contract(code, concrete))
     over_domain = {a for q in abstract.states for a, _ in abstract.out(q)} <= code.domain
     det = is_deterministic(concrete)
     ok = True
@@ -193,8 +193,8 @@ def _galois_concretization(args, code, concrete, abstract):
     if not complete:
         return False, lines + witness_lines
     rel = _rel(args, code)
-    left = find_simulation(contract(code, concrete), abstract) is not None
-    right = find_simulation(concrete, concretize(code, rel, abstract)) is not None
+    left = _simulates(contract(code, concrete), abstract)
+    right = _simulates(concrete, concretize(code, rel, abstract))
     lines += [f"contraction-simulated {left}", f"concretization-simulated {right}"]
     return left == right, lines
 
@@ -230,8 +230,8 @@ def _gamma_noncompose(args, inner, outer, machine):
     composed = concretize(compose(inner, outer), rel_inner, machine)
     stacked = concretize(inner, rel_inner, concretize(outer, rel_outer, machine))
     iso = find_isomorphism_reachable(composed, stacked)
-    forward = find_simulation(composed, stacked) is not None
-    backward = find_simulation(stacked, composed) is not None
+    forward = _simulates(composed, stacked)
+    backward = _simulates(stacked, composed)
     lines = [
         f"isomorphic {iso is not None}",
         f"simulated-forward {forward}",

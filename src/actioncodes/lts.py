@@ -20,8 +20,6 @@ __all__ = [
     "CompatRel",
     "StructuralReport",
     "is_deterministic",
-    "traces_up_to",
-    "has_trace",
     "structural_predicates",
     "render_word",
 ]
@@ -173,15 +171,6 @@ class Lts(_Value):
 
     def enables(self, state: str, label: Label) -> bool:
         return any(a == label for a, _ in self._out[state])
-
-    def word_targets(self, state: str, word: Word) -> frozenset[str]:
-        """All states reachable from ``state`` by a run spelling ``word``."""
-        current = {state}
-        for label in word:
-            current = {dst for q in current for dst in self.succ(q, label)}
-            if not current:
-                break
-        return frozenset(current)
 
     @property
     def is_mealy(self) -> bool:
@@ -350,33 +339,6 @@ def is_deterministic(m: Lts, rel: CompatRel | None = None) -> bool:
                 if rel.holds(a, b) and not (a == b and p == r):
                     return False
     return True
-
-
-def traces_up_to(m: Lts, k: int) -> set[Word]:
-    """All traces of length at most ``k``; always contains the empty word."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    result: set[Word] = {()}
-    frontier: dict[Word, frozenset[str]] = {(): frozenset({m.initial})}
-    for _ in range(k):
-        extended: dict[Word, frozenset[str]] = {}
-        for word, states in frontier.items():
-            by_label: dict[Label, set[str]] = {}
-            for q in states:
-                for a, dst in m.out(q):
-                    by_label.setdefault(a, set()).add(dst)
-            for a, targets in by_label.items():
-                extended[word + (a,)] = frozenset(targets)
-        if not extended:
-            break
-        result.update(extended)
-        frontier = extended
-    return result
-
-
-def has_trace(m: Lts, word: Word) -> bool:
-    """Whether some run from the initial state spells ``word``."""
-    return bool(m.word_targets(m.initial, word))
 
 
 def structural_predicates(m: Lts) -> StructuralReport:

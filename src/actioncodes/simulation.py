@@ -1,11 +1,11 @@
 """Deciders for simulation, reachable-part isomorphism, and delay simulation.
 
 All three are computed on finite systems only.  Simulation and delay
-simulation share one greatest-fixpoint deletion engine over the product of
-the reachable state sets and differ only in the answers to a move: a first
-pass deletes the pairs whose right state cannot answer some label at all,
-then a worklist of deleted pairs re-checks only the pairs that used them as
-an answer.  The
+simulation share one greatest-fixpoint deletion engine over bit masks and
+differ only in the answers to a move.  It runs over the whole product of the
+reachable parts for ``find_simulation`` and ``find_delay_simulation``, which
+return the greatest relation, and over the pairs that the simulation game
+reaches from the initial pair for callers that want a verdict alone.  The
 isomorphism decider matches states breadth first among the successors of
 their parent's image, backtracking on an explicit stack.
 """
@@ -38,74 +38,156 @@ def _require_same_variant(m: Lts, n: Lts) -> None:
         raise AlphabetMismatch("cannot relate atomic labels with Mealy labels")
 
 
-def _greatest_simulation(m: Lts, n: Lts, answers) -> Pairs | None:
-    """The one greatest-fixpoint loop behind both simulation deciders.
+def _union(rows: list[int], mask: int) -> int:
+    """The union of ``rows[i]`` over the set bits ``i`` of ``mask``."""
+    union = 0
+    while mask:
+        low = mask & -mask
+        union |= rows[low.bit_length() - 1]
+        mask ^= low
+    return union
 
-    Starts from the full product of the reachable parts and deletes a pair
-    ``(q, p)`` as soon as some move ``(a, q2)`` of ``q`` has no answer: no
-    ``p2`` in ``answers[a][p]`` with ``(q2, p2)`` still alive.  One pass
-    over the states of ``m`` deletes the pairs that fail against the full
-    product, where ``p`` has no answer at all to some label of ``q``.  After
-    that, each deleted pair ``(q2, p2)`` re-checks only the pairs it may
-    have been an answer for: ``(q, p)`` with an edge ``q -a-> q2`` and
-    ``p2`` in ``answers[a][p]``, found through a reverse index of
-    ``answers[a]`` (Henzinger, Henzinger & Kopke, FOCS 1995).  Labels are
-    looked up only while the indexes are built, once per edge of ``m``, so
-    the loops hash state names alone.  ``None`` when the initial pair dies.
+
+def _greatest_simulation(m: Lts, n: Lts, answers, from_initial: bool = False) -> Pairs | None:
+    """The one greatest-fixpoint engine behind both simulation deciders.
+
+    ``answers[a][p]`` are the states that may answer an ``a`` move at ``p``.
+    Sets of ``n``'s reachable states, numbered in sorted order, are ``int``
+    bit masks.  Per label: ``ans[i]``, the answers of state ``i``; ``pre[j]``,
+    the states that answer with ``j``; and the states with some answer.
+    ``alive[q]`` holds the ``p`` with ``(q, p)`` still related, and
+    ``removed[q]`` the deleted ``p`` whose predecessors are unchecked.
+
+    The pairs take part from the whole product of the reachable parts, or,
+    with ``from_initial``, only those the game reaches from the initial
+    pair: ``(q, p)`` leads to ``(q2, p2)`` for each move ``q -a-> q2`` and
+    each ``p2`` in ``answers[a][p]``, and is expanded only when ``p``
+    answers every label of ``q`` (Fernandez & Mounier, CAV 1991).  The
+    result is the greatest simulation within those pairs.
+
+    Pairs whose ``p`` lacks an answer to some label of ``q`` die first.  A
+    worklist of left states then re-checks predecessors in batches
+    (Henzinger, Henzinger & Kopke, FOCS 1995): popping ``q2`` takes all of
+    ``removed[q2]``; for each edge ``q -a-> q2`` the candidates are
+    ``alive[q]`` when it has no more members than the batch, else its
+    members in the union of ``pre`` over the batch, and a candidate ``p``
+    dies when ``ans[p] & alive[q2]`` is empty.  ``None`` as soon as the
+    initial pair dies.
     """
-    reach_m = sorted(m.reachable())
-    # Per label: answers[a], its reverse index back[p2] (the p answering
-    # with p2), and the states with some answer.
+    names = sorted(n.reachable())
+    index = {p: i for i, p in enumerate(names)}
+    width = len(names)
     tables = {}
     for a, by_state in answers.items():
-        back: dict[str, list[str]] = {}
+        ans, pre, answering = [0] * width, [0] * width, 0
         for p, targets in by_state.items():
+            i = index[p]
+            bit = 1 << i
             for p2 in targets:
-                back.setdefault(p2, []).append(p)
-        tables[a] = (by_state, back, {p for p, targets in by_state.items() if targets})
-    unanswered = ({}, {}, set())
-    everyone = n.reachable()
-    alive = {}  # alive[q]: the p with (q, p) alive
-    preds: dict[str, list] = {q: [] for q in reach_m}  # per edge into q2: q and its tables
-    dead: list[tuple[str, str]] = []  # deleted pairs whose predecessors are unchecked
+                j = index[p2]
+                ans[i] |= 1 << j
+                pre[j] |= bit
+            if ans[i]:
+                answering |= bit
+        tables[a] = ans, pre, answering
+    reach_m = sorted(m.reachable())
+    full = (1 << width) - 1
+    fit = {}  # fit[q]: the p that answer every label of q
+    preds: dict[str, dict[Label, list[str]]] = {q: {} for q in reach_m}
     for q in reach_m:
-        alive_q = alive[q] = set(everyone)
+        mask = full
         for a, q2 in m.out(q):
-            by_state, back, answering = tables.get(a, unanswered)
-            alive_q &= answering
-            preds[q2].append((q, by_state, back))
-        dead += [(q, p) for p in everyone - alive_q]
-    initial = alive[m.initial]
-    while dead and n.initial in initial:
-        q2, p2 = dead.pop()
+            if a in tables:
+                mask &= tables[a][2]
+                preds[q2].setdefault(a, []).append(q)
+            else:
+                mask = 0
+        fit[q] = mask
+    start = 1 << index[n.initial]
+    if from_initial:
+        reached = dict.fromkeys(reach_m, 0)
+        reached[m.initial] = start
+        todo = [(m.initial, start)]
+        while todo:
+            q, new = todo.pop()
+            new &= fit[q]
+            if new:
+                for a, q2 in m.out(q):
+                    fresh = _union(tables[a][0], new) & ~reached[q2]
+                    if fresh:
+                        reached[q2] |= fresh
+                        todo.append((q2, fresh))
+    else:
+        reached = dict.fromkeys(reach_m, full)
+    alive = {q: reached[q] & fit[q] for q in reach_m}
+    removed = {q: reached[q] & ~fit[q] for q in reach_m}
+    work = [q for q in reach_m if removed[q]]
+    while work and alive[m.initial] & start:
+        q2 = work.pop()
+        gone, removed[q2] = removed[q2], 0
+        size = gone.bit_count()
         alive_q2 = alive[q2]
-        for q, by_state, back in preds[q2]:
-            alive_q = alive[q]
-            for p in back.get(p2, ()):
-                if p in alive_q and not any(x in alive_q2 for x in by_state[p]):
-                    alive_q.discard(p)
-                    dead.append((q, p))
-    if n.initial not in initial:
+        for a, qs in preds[q2].items():
+            ans, pre, _ = tables[a]
+            union = None
+            for q in qs:
+                candidates = alive_q = alive[q]
+                if alive_q.bit_count() > size:
+                    if union is None:
+                        union = _union(pre, gone)
+                    candidates &= union
+                dead = 0
+                while candidates:
+                    low = candidates & -candidates
+                    if not ans[low.bit_length() - 1] & alive_q2:
+                        dead |= low
+                    candidates ^= low
+                if dead:
+                    alive[q] = alive_q ^ dead
+                    if not removed[q]:
+                        work.append(q)
+                    removed[q] |= dead
+    if not alive[m.initial] & start:
         return None
-    return frozenset((q, p) for q in reach_m for p in alive[q])
+    pairs = []
+    for q, mask in alive.items():
+        while mask:
+            low = mask & -mask
+            pairs.append((q, names[low.bit_length() - 1]))
+            mask ^= low
+    return frozenset(pairs)
 
 
 def _transfer_closed(m: Lts, n: Lts, relation: Pairs, answer) -> bool:
-    """Check a claimed witness against a transfer property, pair by pair.
+    """Check a claimed witness against a transfer property, left state by
+    left state.
 
     ``answer(p, a)`` gives the states that may answer an ``a`` move at
     ``p``; the callers compute it from the definition, not from the tables
     of :func:`_greatest_simulation`, so the check stays independent.
     """
     states_m, states_n = set(m.states), set(n.states)
+    related: dict[str, set[str]] = {}  # related[q]: the p with (q, p) in the relation
     for q, p in relation:
         if q not in states_m or p not in states_n:
             raise ValueError(f"pair ({q}, {p}) references unknown states")
-    return (m.initial, n.initial) in relation and all(
-        any((q2, p2) in relation for p2 in answer(p, a))
-        for q, p in relation
+        related.setdefault(q, set()).add(p)
+    return n.initial in related.get(m.initial, ()) and all(
+        not related.get(q2, set()).isdisjoint(answer(p, a))
+        for q, ps in related.items()
         for a, q2 in m.out(q)
+        for p in ps
     )
+
+
+def _step_answers(m: Lts, n: Lts) -> dict[Label, dict[str, list[str]]]:
+    """The answers of simulation: ``n``'s equally labeled moves."""
+    _require_same_variant(m, n)
+    answers: dict[Label, dict[str, list[str]]] = {}
+    for p in n.reachable():
+        for a, p2 in n.out(p):
+            answers.setdefault(a, {}).setdefault(p, []).append(p2)
+    return answers
 
 
 def find_simulation(m: Lts, n: Lts) -> Pairs | None:
@@ -115,12 +197,13 @@ def find_simulation(m: Lts, n: Lts) -> Pairs | None:
     of the right state into a surviving pair.  Returns ``None`` when the
     initial pair does not survive.
     """
-    _require_same_variant(m, n)
-    answers: dict[Label, dict[str, list[str]]] = {}
-    for p in n.reachable():
-        for a, p2 in n.out(p):
-            answers.setdefault(a, {}).setdefault(p, []).append(p2)
-    return _greatest_simulation(m, n, answers)
+    return _greatest_simulation(m, n, _step_answers(m, n))
+
+
+def _simulates(m: Lts, n: Lts) -> bool:
+    """Whether ``n`` simulates ``m``, deciding only the pairs that the game
+    from the initial pair reaches."""
+    return _greatest_simulation(m, n, _step_answers(m, n), from_initial=True) is not None
 
 
 def is_simulation(m: Lts, n: Lts, relation: Pairs) -> bool:
@@ -236,13 +319,9 @@ def _tau_closure(n: Lts, tau: Label, p: str) -> tuple[str, ...]:
     return tuple(sorted(seen))
 
 
-def find_delay_simulation(m: Lts, n: Lts, tau: Label) -> Pairs | None:
-    """Greatest delay simulation from ``m`` to ``n`` containing the initial pair.
-
-    A hidden move of the left system may be answered by any number of hidden
-    moves on the right, including none; a visible move must be matched after
-    a hidden run, with no trailing hidden closure.
-    """
+def _delay_answers(m: Lts, n: Lts, tau: Label) -> dict[Label, dict[str, Iterable[str]]]:
+    """The answers of delay simulation: a hidden move is answered by any
+    hidden run, a visible one by a hidden run and then that move."""
     _require_same_variant(m, n)
     if tau not in m.alphabet or tau not in n.alphabet:
         raise AlphabetMismatch(f"hidden label {tau} must be in both alphabets")
@@ -253,7 +332,23 @@ def find_delay_simulation(m: Lts, n: Lts, tau: Label) -> Pairs | None:
             for a, p2 in n.out(p1):
                 if a != tau:
                     answers.setdefault(a, {}).setdefault(p, set()).add(p2)
-    return _greatest_simulation(m, n, answers)
+    return answers
+
+
+def find_delay_simulation(m: Lts, n: Lts, tau: Label) -> Pairs | None:
+    """Greatest delay simulation from ``m`` to ``n`` containing the initial pair.
+
+    A hidden move of the left system may be answered by any number of hidden
+    moves on the right, including none; a visible move must be matched after
+    a hidden run, with no trailing hidden closure.
+    """
+    return _greatest_simulation(m, n, _delay_answers(m, n, tau))
+
+
+def _delay_simulates(m: Lts, n: Lts, tau: Label) -> bool:
+    """Whether ``n`` delay-simulates ``m``, deciding only the pairs that the
+    game from the initial pair reaches."""
+    return _greatest_simulation(m, n, _delay_answers(m, n, tau), from_initial=True) is not None
 
 
 def is_delay_simulation(m: Lts, n: Lts, tau: Label, relation: Pairs) -> bool:

@@ -13,7 +13,7 @@ import pytest
 from actioncodes.codes import CodeMap, CodeTree, to_tree
 from actioncodes.documents import code_from_document, loads, lts_from_document
 from actioncodes.errors import NotDeterministic
-from actioncodes.lts import CompatRel, Label, Lts, explore, is_deterministic, traces_up_to
+from actioncodes.lts import CompatRel, Label, Lts, Word, explore, is_deterministic
 from actioncodes.operators import CHAOS, IncompletenessWitness, composite_name
 from actioncodes.simulation import find_simulation
 
@@ -75,6 +75,59 @@ def sweep_greatest_simulation(m: Lts, n: Lts, answers) -> frozenset | None:
     if (m.initial, n.initial) not in alive:
         return None
     return frozenset(alive)
+
+
+# -- traces and the winning table -----------------------------------------------
+# Readings of the definitions that the package itself has no use for.
+
+
+def word_targets(m: Lts, state: str, word: Word) -> frozenset[str]:
+    """All states reachable from ``state`` by a run spelling ``word``."""
+    current = {state}
+    for label in word:
+        current = {dst for q in current for dst in m.succ(q, label)}
+        if not current:
+            break
+    return frozenset(current)
+
+
+def traces_up_to(m: Lts, k: int) -> set[Word]:
+    """All traces of length at most ``k``; always contains the empty word."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    result: set[Word] = {()}
+    frontier: dict[Word, frozenset[str]] = {(): frozenset({m.initial})}
+    for _ in range(k):
+        extended: dict[Word, frozenset[str]] = {}
+        for word, states in frontier.items():
+            by_label: dict[Label, set[str]] = {}
+            for q in states:
+                for a, dst in m.out(q):
+                    by_label.setdefault(a, set()).add(dst)
+            for a, targets in by_label.items():
+                extended[word + (a,)] = frozenset(targets)
+        if not extended:
+            break
+        result.update(extended)
+        frontier = extended
+    return result
+
+
+def has_trace(m: Lts, word: Word) -> bool:
+    """Whether some run from the initial state spells ``word``."""
+    return bool(word_targets(m, m.initial, word))
+
+
+def multi_winner_pairs(tree: CodeTree, table) -> list[tuple[str, str]]:
+    """The (node, abstract input) pairs that ``table`` wins with more than
+    one concrete input, sorted."""
+    inputs = {lab.symbol for _, lab in tree.leaf_labels}
+    return sorted(
+        (node, x)
+        for node in tree.tree.states
+        for x in inputs
+        if len(table.winning_inputs(node, x)) > 1
+    )
 
 
 class TraceSimAgreement(NamedTuple):
@@ -250,7 +303,7 @@ def _pending_name(key) -> str:
 def scan_contract(code: CodeMap, m: Lts) -> Lts:
     def successors(q: str):
         for b, word in code.entries:
-            for q2 in sorted(m.word_targets(q, word)):
+            for q2 in sorted(word_targets(m, q, word)):
                 yield b, q2
 
     return explore([m.initial], successors, str, code.target)

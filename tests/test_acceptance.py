@@ -25,7 +25,7 @@ from actioncodes.cli import main as cli_main
 from actioncodes.codes import CodeMap, compose, to_map, to_tree
 from actioncodes.documents import dumps, loads, lts_from_document
 from actioncodes.generate import gen_adaptor_code, gen_code, gen_lts, gen_mealy, mealy_alphabet
-from actioncodes.lts import CompatRel, Label, Lts, has_trace, is_deterministic
+from actioncodes.lts import CompatRel, Label, Lts, is_deterministic
 from actioncodes.operators import concretize, contract, is_icomplete, refine
 from actioncodes.simulation import find_isomorphism_reachable, find_simulation
 
@@ -33,6 +33,7 @@ from conftest import (
     FIXTURES,
     brute_force_simulated,
     brute_force_winning,
+    has_trace,
     load_fixture,
     sub_machine,
     trace_inclusion_equiv_check,

@@ -33,15 +33,18 @@ from actioncodes.errors import (
     SutProtocolError,
 )
 from actioncodes.generate import gen_adaptor_code, gen_code, gen_mealy, mealy_alphabet
-from actioncodes.lts import Label, Lts, has_trace, traces_up_to
+from actioncodes.lts import Label, Lts
 from actioncodes.operators import contract
 from conftest import (
     brute_force_conflicts,
     atoms,
     brute_force_winning,
     entry,
+    has_trace,
     load_fixture,
+    multi_winner_pairs,
     observable_traces,
+    traces_up_to,
 )
 
 
@@ -94,7 +97,7 @@ class TestWinning:
             tree = to_tree(code)
             assert is_determinate(tree)[0]
             table = solve_winning(tree)
-            assert table.multi_winner_pairs() == ()
+            assert multi_winner_pairs(tree, table) == []
 
 
 class TestDeterminate:

@@ -20,13 +20,11 @@ from actioncodes.lts import (
     CompatRel,
     Label,
     Lts,
-    has_trace,
     is_deterministic,
     structural_predicates,
-    traces_up_to,
 )
 
-from conftest import FIXTURES, add_noise, load_fixture
+from conftest import FIXTURES, add_noise, has_trace, load_fixture, traces_up_to
 
 
 def word(text: str) -> tuple[Label, ...]:

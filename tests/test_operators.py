@@ -34,12 +34,14 @@ from actioncodes.simulation import (
 from conftest import (
     atoms,
     entry,
+    has_trace,
     load_fixture,
     scan_concretize,
     scan_contract,
     scan_is_icomplete,
     scan_refine,
     sub_machine,
+    word_targets,
 )
 
 
@@ -88,8 +90,6 @@ class TestContract:
         # An abstract word is a trace of the contraction exactly when the
         # concatenation of its code words is a trace of the source system.
         import itertools
-
-        from actioncodes.lts import has_trace
 
         for seed in range(40):
             code = gen_code(seed, entries=3, maxlen=3)
@@ -181,7 +181,7 @@ class TestRefine:
                 if rest not in present:
                     continue
                 for b in sorted(code.domain, key=str):
-                    endpoints = expanded.word_targets(rest, code.word_for(b))
+                    endpoints = word_targets(expanded, rest, code.word_for(b))
                     expected = {composite_name(q2, ()) for q2 in n.succ(q, b)}
                     assert endpoints == expected
 
@@ -413,7 +413,7 @@ def _definition_violation(code, rel, m, prefix_labels):
     word = []
     for b in prefix_labels:
         word.extend(code.word_for(b))
-    starts = m.word_targets(m.initial, tuple(word))
+    starts = word_targets(m, m.initial, tuple(word))
 
     def descend(q, node):
         edges = {a: dst for a, dst in tree.tree.out(node)}

@@ -11,7 +11,7 @@ PUBLIC = set("""
     ActionCodesError AlphabetMismatch CodeIncomplete EmptyCodeWord InvalidTree
     IsomorphismInconclusive NotDeterminate NotDeterministic NotWinning PrefixClash
     SutProtocolError
-    CompatRel Label Lts Word has_trace is_deterministic structural_predicates traces_up_to
+    CompatRel Label Lts Word is_deterministic structural_predicates
     CHAOS concretize contract is_icomplete refine
     AdaptorSession ExternalSut InProcessSut TAU adaptor_composition check_adaptor_theorem
     is_determinate is_input_enabled is_output_deterministic run_adaptor solve_winning split_io

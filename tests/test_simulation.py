@@ -13,8 +13,8 @@ from actioncodes.errors import (
     IsomorphismInconclusive,
     NotDeterministic,
 )
-from actioncodes import simulation
-from actioncodes.generate import gen_lts
+from actioncodes import check_adaptor_theorem, simulation, to_tree
+from actioncodes.generate import gen_adaptor_code, gen_lts, gen_mealy
 from actioncodes.lts import Label, Lts
 from actioncodes.simulation import (
     find_delay_simulation,
@@ -408,15 +408,105 @@ def sweep_instances(count: int):
 def test_engine_matches_the_sweep_oracle(monkeypatch):
     pairs = list(sweep_instances(3000))
     engine = [(find_simulation(m, n), find_delay_simulation(m, n, TAU)) for m, n in pairs]
+    from_initial = [
+        (simulation._simulates(m, n), simulation._delay_simulates(m, n, TAU)) for m, n in pairs
+    ]
     monkeypatch.setattr(simulation, "_greatest_simulation", sweep_greatest_simulation)
     oracle = [(find_simulation(m, n), find_delay_simulation(m, n, TAU)) for m, n in pairs]
     assert engine == oracle
+    assert from_initial == [(plain is not None, delay is not None) for plain, delay in oracle]
     for (m, n), (plain, delay) in zip(pairs, engine):
         assert plain is None or is_simulation(m, n, plain)
         assert delay is None or is_delay_simulation(m, n, TAU, delay)
     for k in (0, 1):  # simulation, delay simulation
         verdicts = [r[k] is not None for r in engine]
         assert verdicts.count(True) >= 1500 and verdicts.count(False) >= 400
+
+
+def agrees_with_the_oracle(m: Lts, n: Lts) -> bool:
+    """Check both root sets of the engine against the sweep oracle: the
+    relations of both deciders (delay simulation when both alphabets have
+    τ) and the verdicts from the initial pair.  Returns the simulation
+    verdict."""
+    expected = sweep_greatest_simulation(m, n, simulation._step_answers(m, n))
+    assert find_simulation(m, n) == expected
+    assert simulation._simulates(m, n) == (expected is not None)
+    if TAU in m.alphabet and TAU in n.alphabet:
+        delay = sweep_greatest_simulation(m, n, simulation._delay_answers(m, n, TAU))
+        assert find_delay_simulation(m, n, TAU) == delay
+        assert simulation._delay_simulates(m, n, TAU) == (delay is not None)
+    return expected is not None
+
+
+class TestMaskEdges:
+    """Hand-built cases for the bit masks of the engine."""
+
+    A, B = Label("a"), Label("b")
+
+    @pytest.mark.parametrize("width", [65, 130])
+    def test_right_sides_wider_than_a_machine_word(self, width):
+        # An a-chain with random b and τ edges: every state is reachable,
+        # and the a-edges alone never cycle.
+        rng = random.Random(width)
+        ids = [f"q{k}" for k in range(width)]
+        edges = [(s, self.A, d) for s, d in zip(ids, ids[1:])]
+        edges += [(rng.choice(ids), lab, rng.choice(ids)) for _ in range(width)
+                  for lab in (self.B, TAU)]
+        n = Lts(ids, ids[0], edges, [self.A, self.B, TAU])
+        assert len(n.reachable()) == width
+        assert agrees_with_the_oracle(a_chain(40, "p", extra=[TAU]), n)
+        part = relabel(sub_machine(rng, n, keep=0.9))
+        assert len(part.reachable()) > 64
+        assert agrees_with_the_oracle(part, n)
+        assert not agrees_with_the_oracle(add_noise(rng, relabel(n), extra=3), n)
+
+    def test_a_label_the_right_side_lacks(self):
+        n = a_chain(3, "q", extra=[self.B])  # b is in the alphabet, on no edge
+        deep_b = Lts(["p0", "p1", "p2"], "p0", [("p0", self.A, "p1"), ("p1", self.B, "p2")],
+                     [self.A, self.B])
+        assert not agrees_with_the_oracle(deep_b, n)
+        assert not agrees_with_the_oracle(deep_b, a_chain(3, "q"))  # b not even in it
+        unreached_b = Lts(["p0", "p1", "junk"], "p0",
+                          [("p0", self.A, "p1"), ("junk", self.B, "p0")], [self.A, self.B])
+        assert agrees_with_the_oracle(unreached_b, n)
+
+    @pytest.mark.parametrize("b_everywhere", [True, False])
+    def test_left_self_loops(self, b_everywhere):
+        # One left state loops on a and b; the right ring has b at all of
+        # its states or at all but one.  Deaths in the left state's own batch
+        # must still reach its other pairs.
+        m = Lts(["p"], "p", [("p", self.A, "p"), ("p", self.B, "p")], [self.A, self.B, TAU])
+        ids = [f"q{k}" for k in range(5)]
+        ring = [(s, self.A, d) for s, d in zip(ids, ids[1:] + ids[:1])]
+        with_b = ids if b_everywhere else ids[:-1]
+        n = Lts(ids, "q0", ring + [(q, self.B, q) for q in with_b], [self.A, self.B, TAU])
+        assert agrees_with_the_oracle(m, n) == b_everywhere
+        looped = Lts(["p0", "p1"], "p0", [("p0", self.A, "p0"), ("p0", self.A, "p1"),
+                                          ("p1", self.B, "p1"), ("p1", TAU, "p0")],
+                     [self.A, self.B, TAU])
+        agrees_with_the_oracle(looped, n)
+        agrees_with_the_oracle(n, looped)
+
+    def test_right_initial_state_without_moves(self):
+        n = Lts(["q0", "q1"], "q0", [("q1", self.A, "q0")], [self.A, TAU])
+        assert agrees_with_the_oracle(Lts(["p"], "p", [], [self.A, TAU]), n)
+        assert not agrees_with_the_oracle(a_chain(2, "p", extra=[TAU]), n)
+        hidden = Lts(["p0", "p1"], "p0", [("p0", TAU, "p1")], [self.A, TAU])
+        stuck = Lts(["q"], "q", [], [TAU])
+        assert not agrees_with_the_oracle(hidden, stuck)
+        # The empty hidden run answers a hidden move.
+        assert simulation._delay_simulates(hidden, stuck, TAU)
+
+    def test_unreachable_states_on_both_sides(self):
+        for seed in range(20):
+            rng = random.Random(seed)
+            m = gen_lts(seed, states=5, labels=[self.A, self.B, TAU])
+            n = add_noise(rng, relabel(m), extra=2)
+            left, right = with_unreachable_part(m), with_unreachable_part(n)
+            assert agrees_with_the_oracle(left, right)
+            relation = find_simulation(left, right)
+            assert all(q in m.reachable() and p != "junk" for q, p in relation)
+            agrees_with_the_oracle(right, left)
 
 
 class TestNoCliff:
@@ -449,3 +539,29 @@ class TestNoCliff:
         assert witness is not None and is_delay_simulation(padded, same, TAU, witness)
         shorter = a_chain(self.N - 1, "q", extra=[TAU])
         assert self.decide(find_delay_simulation, padded, shorter, TAU) is None
+
+
+class TestVerdictPathNoCliff:
+    """The verdict entry points explore only the game from the initial pair.
+    On a 2-vCPU machine the chains took under 10 ms and each adaptor
+    theorem 19-30 ms; over the whole product the same chains take 0.8-1.8 s,
+    and the theorem took 0.8-1.2 s.  The CPU-time bound leaves a wide
+    margin."""
+
+    N = 1600
+    BOUND_S = 1.0
+    decide = TestNoCliff.decide
+
+    def test_a_chain_one_longer_is_not_simulated(self):
+        m, n = a_chain(self.N + 1, "p"), a_chain(self.N, "q")
+        assert self.decide(simulation._simulates, m, n) is False
+
+    def test_a_chain_is_simulated_by_a_longer_one(self):
+        m, n = a_chain(self.N, "p"), a_chain(self.N + 1, "q")
+        assert self.decide(simulation._simulates, m, n) is True
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_adaptor_theorem_on_160_states(self, seed):
+        tree = to_tree(gen_adaptor_code(seed, 3, 2, 2, 3))
+        m = gen_mealy(seed, 160, 3, 2, True)
+        assert self.decide(check_adaptor_theorem, tree, m) is True
