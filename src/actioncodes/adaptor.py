@@ -441,7 +441,7 @@ def split_io(m: Lts) -> Lts:
     def name(key) -> str:
         return key if isinstance(key, str) else f"{key[0]}?{key[1]}"
 
-    roots = [m.initial, *(q for q in m.states if q != m.initial)]
+    roots = [m.initial, *m.states]
     return explore(roots, successors, name, _learner_alphabet(m.alphabet))
 
 

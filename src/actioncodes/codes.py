@@ -23,14 +23,15 @@ class CodeMap(_Value):
 
     ``source`` is the concrete alphabet the words are written in, ``target``
     the abstract alphabet the keys are drawn from; ``target`` may strictly
-    contain the domain.  Construction validates non-emptiness and
-    prefix-freeness, canonically sorts the entries and builds the prefix
-    tree that ``to_tree``, ``concretize`` and ``is_icomplete`` read: each
-    proper prefix of a code word maps its next letters, in rendered order,
-    to the longer prefixes, and each complete word maps to its label.
+    contain the domain.  Construction checks that the words are non-empty
+    and prefix-free, sorts the entries by label and builds the prefix tree
+    that ``to_tree`` and the operators read: each proper prefix of a code
+    word maps its next letters, in rendered order, to the longer prefixes
+    and has the set of labels whose words it begins; each complete word maps
+    to its label.
     """
 
-    __slots__ = ("source", "target", "entries", "_map", "_children", "_leaves")
+    __slots__ = ("source", "target", "entries", "_map", "_children", "_below", "_leaves")
 
     def __init__(self, source, target, entries):
         self.source = frozenset(source)
@@ -53,6 +54,7 @@ class CodeMap(_Value):
         # In rendered-word order a word follows every word that is its prefix,
         # and the first clash met is between neighbours in that order.
         children: dict[Word, dict[Label, Word]] = {}
+        below: dict[Word, set[Label]] = {}
         leaves: dict[Word, Label] = {}
         for b, word in sorted(self.entries, key=lambda e: tuple(str(a) for a in e[1])):
             for i, a in enumerate(word):
@@ -60,11 +62,12 @@ class CodeMap(_Value):
                 if prefix in leaves:
                     raise PrefixClash(leaves[prefix], b)
                 children.setdefault(prefix, {})[a] = word[: i + 1]
+                below.setdefault(prefix, set()).add(b)
             if word in leaves:
                 raise PrefixClash(leaves[word], b)
             leaves[word] = b
         self._map = dict(self.entries)
-        self._children, self._leaves = children, leaves
+        self._children, self._below, self._leaves = children, below, leaves
 
     def _key(self):
         return self.source, self.target, self.entries

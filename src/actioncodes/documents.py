@@ -47,15 +47,15 @@ def _labels_sorted(labels) -> list[str]:
 def lts_to_document(m: Lts) -> dict[str, Any]:
     kind = "mealy" if m.is_mealy else "lts"
     names = {a: str(a) for a in m.alphabet}
-    states = sorted(m.states)
     return {
         "schema": LTS_SCHEMA,
         "kind": kind,
         "alphabet": sorted(names.values()),
-        "states": states,
+        "states": list(m.states),
         "initial": m.initial,
-        # out() is sorted by rendered label, then target: the rows come out sorted.
-        "transitions": [[q, names[a], dst] for q in states for a, dst in m.out(q)],
+        # States are held sorted and out() is sorted by rendered label, then
+        # target: the rows come out sorted.
+        "transitions": [[q, names[a], dst] for q in m.states for a, dst in m.out(q)],
     }
 
 
@@ -126,9 +126,7 @@ def code_to_document(code: CodeMap) -> dict[str, Any]:
         "schema": CODE_SCHEMA,
         "source_alphabet": _labels_sorted(code.source),
         "target_alphabet": _labels_sorted(code.target),
-        "entries": sorted(
-            [str(b), [str(a) for a in w]] for b, w in code.entries
-        ),
+        "entries": [[str(b), [str(a) for a in w]] for b, w in code.entries],
     }
 
 
@@ -151,7 +149,7 @@ def tree_to_document(tree: CodeTree) -> dict[str, Any]:
     return {
         "schema": TREE_SCHEMA,
         "abstract_alphabet": _labels_sorted(tree.abstract),
-        "leaf_labels": sorted([leaf, str(lab)] for leaf, lab in tree.leaf_labels),
+        "leaf_labels": [[leaf, str(lab)] for leaf, lab in tree.leaf_labels],
         "tree": lts_to_document(tree.tree),
     }
 

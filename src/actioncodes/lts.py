@@ -118,14 +118,14 @@ class Lts(_Value):
 
     The alphabet may strictly contain the labels used on transitions:
     concretization and the completeness check quantify over labels that no
-    transition carries.  Duplicate transitions are collapsed (the transition
-    relation is a set); the sorted out-lists are its one store.
+    transition carries.  States are held sorted, so equality ignores the
+    order they came in; the sorted, duplicate-free out-lists store the edges.
     """
 
     __slots__ = ("states", "initial", "alphabet", "_out", "_reach")
 
     def __init__(self, states, initial, transitions, alphabet):
-        self.states = tuple(dict.fromkeys(states))
+        self.states = tuple(sorted(dict.fromkeys(states)))  # not a set: sorted input sorts in linear time
         self.initial = initial
         self.alphabet = frozenset(alphabet)
         if not self.states:
@@ -206,8 +206,7 @@ class Lts(_Value):
 class _Steps(dict):
     """One system's edges as ``state -> label -> targets``, each state filled
     on first use.  Operators build one per call and drop it on return: kept
-    on the ``Lts``, it would hold a second copy of every edge for the life of
-    the system.  Targets keep ``out()`` order, so they ascend."""
+    on the ``Lts``, it would copy every edge for the life of the system."""
 
     __slots__ = ("_m",)
 

@@ -45,24 +45,27 @@ def contract(code: CodeMap, m: Lts) -> Lts:
 
     States are the concrete states reachable through complete code-word runs
     from the initial state; each run spelling the word of an abstract label
-    b yields one b-transition.  Runs to distinct endpoints yield distinct
-    b-successors, so a nondeterministic source may produce a
-    nondeterministic contraction.
+    b yields one b-transition, and runs to distinct endpoints give distinct
+    b-successors.  From each state the prefix tree and the out-lists are
+    walked together, one state set per node, so words share the steps of a
+    common prefix.
     """
     if not m.alphabet <= code.source:
         raise AlphabetMismatch("machine alphabet must lie within the code's source alphabet")
-
-    steps = _Steps(m)
+    children, leaves, out = code._children, code._leaves, m.out
 
     def successors(q: str):
-        for b, word in code.entries:
-            current = {q}
-            for a in word:
-                current = {dst for p in current for dst in steps[p].get(a, ())}
-                if not current:
-                    break
-            for q2 in sorted(current):
-                yield b, q2
+        todo = [((), {q})]
+        for w, current in todo:  # the list grows while it is read
+            node, pending = children.get(w, {}), {}
+            for p in current:
+                for a, dst in out(p):
+                    wa = node.get(a)
+                    if wa in leaves:
+                        yield leaves[wa], dst
+                    elif wa is not None:
+                        pending.setdefault(wa, set()).add(dst)
+            todo += pending.items()
 
     return explore([m.initial], successors, str, code.target)
 
@@ -70,31 +73,27 @@ def contract(code: CodeMap, m: Lts) -> Lts:
 def refine(code: CodeMap, n: Lts) -> Lts:
     """Expand each abstract transition of ``n`` into its code-word path.
 
-    A state pairs an abstract state q with a pending concrete word w that
-    lies strictly below some code word of a label enabled at q; paths for
-    different labels share their common prefixes.  Abstract transitions
-    whose label is outside the code's domain contribute nothing.  Only the
-    reachable part is built.
+    A state pairs an abstract state q with a node w of the code's prefix
+    tree: a pending proper prefix of the word of some label enabled at q.
+    Paths for different labels share their common prefixes.  Abstract
+    transitions whose label is outside the code's domain contribute
+    nothing.  Only the reachable part is built.
     """
     if not n.alphabet <= code.target:
         raise AlphabetMismatch("machine alphabet must lie within the code's target alphabet")
-
+    children, below, leaves = code._children, code._below, code._leaves
     steps = _Steps(n)
 
     def successors(key: tuple[str, Word]):
         q, w = key
         edges = steps[q]
-        for b, word in code.entries:
-            if b not in edges:
-                continue
-            if len(w) < len(word) and word[: len(w)] == w:
-                a = word[len(w)]
-                if len(w) + 1 == len(word):
-                    # The letter completes the word: jump in the abstract system.
-                    for q2 in edges[b]:
-                        yield a, (q2, ())
-                else:
-                    yield a, (q, w + (a,))
+        for a, wa in children.get(w, {}).items():
+            b = leaves.get(wa)
+            if b is not None:
+                for q2 in edges.get(b, ()):  # the letter completes b's word
+                    yield a, (q2, ())
+            elif not below[wa].isdisjoint(edges):
+                yield a, (q, wa)
 
     return explore([(n.initial, ())], successors, _pending_name, code.source)
 

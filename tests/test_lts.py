@@ -152,6 +152,14 @@ class TestValueSemantics:
         assert m != gen_mealy(4, states=6, inputs=2, outputs=2)
         assert m != (m.states, m.initial, m.transitions, m.alphabet)
 
+    def test_state_order_is_not_part_of_the_value(self):
+        m = gen_mealy(5, states=6, inputs=2, outputs=2)
+        edges = sorted(m.transitions, key=str)
+        states = list(reversed(m.states))
+        listed = Lts(states + states[:2], m.initial, edges[::-1], m.alphabet)
+        assert listed == m and hash(listed) == hash(m)
+        assert listed.states == tuple(sorted(states))
+
     def test_transitions_is_the_frozenset_of_triples(self):
         doc = loads((FIXTURES / "double-press-concretization.mealy.json").read_text("utf-8"))
         m = lts_from_document(doc)

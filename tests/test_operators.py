@@ -105,7 +105,8 @@ class TestContract:
 def _oracle_instances():
     """Seeded codes with a concrete and an abstract system over their
     alphabets, deterministic and not.  The third code's Mealy symbols sort
-    differently as tuples than rendered (``a-x/0`` before ``a/0``)."""
+    differently as tuples than rendered (``a-x/0`` before ``a/0``).  One
+    fixed case follows them."""
     crossed = [Label(i, o) for i in ("a", "a-x") for o in "01"]
     for seed in range(30):
         deterministic = seed % 3 == 0
@@ -120,6 +121,17 @@ def _oracle_instances():
             m = concrete_lts(seed + 5, code, states=5, deterministic=deterministic)
             n = abstract_lts(seed + 9, code, states=5, deterministic=deterministic)
             yield code, rel(code.source), m, n
+    # X and Y share the prefix 0.0, and each abstract state enables at most
+    # one of them: n2 enables neither, so refine must not extend 0 there.
+    code = CodeMap(atoms("0", "1", "2"), atoms("X", "Y", "Z"),
+                   [entry("X", "0 0 1"), entry("Y", "0 0 2"), entry("Z", "1")])
+    m = Lts([f"m{k}" for k in range(4)], "m0",  # edges spelled source, letter, target
+            [(f"m{s}", Label(a), f"m{d}")
+             for s, a, d in ("001", "002", "103", "203", "310", "321", "112", "220")],
+            code.source)
+    n = Lts(["n0", "n1", "n2"], "n0",
+            [(f"n{s}", Label(b), f"n{d}") for s, b, d in ("0X1", "1Y2", "2Z0")], code.target)
+    yield code, CompatRel.identity(code.source), m, n
 
 
 def _system(m: Lts) -> tuple:

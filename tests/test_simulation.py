@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 
@@ -58,15 +57,14 @@ def with_unreachable_part(m: Lts) -> Lts:
 
 def forked_chain(left: int, right: int) -> Lts:
     """A root with two ``b`` edges into ``a``-chains of the given state
-    counts; the states are listed in breadth-first order."""
+    counts."""
     a, b = Label("a"), Label("b")
     xs = [f"x{k}" for k in range(left)]
     ys = [f"y{k}" for k in range(right)]
     edges = [("r", b, xs[0]), ("r", b, ys[0])]
     for chain in (xs, ys):
         edges += [(src, a, dst) for src, dst in zip(chain, chain[1:])]
-    ordered = [q for pair in itertools.zip_longest(xs, ys) for q in pair if q]
-    return Lts(["r", *ordered], "r", edges, [a, b])
+    return Lts(["r", *xs, *ys], "r", edges, [a, b])
 
 
 def numbered_copy(m: Lts, backwards: bool = False) -> Lts:
