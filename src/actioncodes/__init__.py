@@ -17,7 +17,6 @@ from .errors import (
     InvalidTree,
     IsomorphismInconclusive,
     NotDeterminate,
-    NotDeterministic,
     NotWinning,
     PrefixClash,
     SutProtocolError,

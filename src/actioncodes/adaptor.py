@@ -24,7 +24,7 @@ from .errors import (
     NotWinning,
     SutProtocolError,
 )
-from .lts import CompatRel, Label, Lts, _Steps, explore, is_deterministic
+from .lts import CompatRel, Label, Lts, explore, is_deterministic
 from .operators import contract
 from .simulation import _delay_simulates
 
@@ -92,15 +92,12 @@ def _solve(tree: CodeTree) -> tuple[WinningTable, DeterminacyWitness | None]:
     concrete inputs; the witness is the first conflict of the least node.
     """
     _require_mealy_tree(tree)
-    order = [tree.root]
-    for q in order:  # the list grows while it is read: breadth first
-        order.extend(dst for _, dst in tree.tree.out(q))
-    labels = dict(tree.leaf_labels)
+    labels = tree._labels
     below: dict[str, set[str]] = {}  # abstract inputs of the leaves under a node
     won: dict[str, set[str]] = {}  # abstract inputs a node wins
     wins: dict[tuple[str, str], tuple[str, ...]] = {}
     witness = None
-    for node in reversed(order):  # children before parents
+    for node in reversed(tree._words):  # breadth first, reversed: children before parents
         if node in labels:  # labeled nodes are exactly the non-root leaves
             x = labels[node].symbol
             below[node] = won[node] = {x}
@@ -190,10 +187,6 @@ class InProcessSut:
         self._script = deque(script or ())
         self._state = machine.initial
         self._pending: str | None = None
-
-    @property
-    def state(self) -> str:
-        return self._state
 
     def send(self, symbol: str) -> None:
         options = [e for e in self.machine.out(self._state) if e[0].symbol == symbol]
@@ -466,8 +459,7 @@ def adaptor_composition(tree: CodeTree, m: Lts) -> Lts:
 
     xs = sorted({a.symbol for a in tree.abstract})
     alphabet = _learner_alphabet(tree.abstract)
-    labels = dict(tree.leaf_labels)
-    steps = _Steps(m)
+    labels = tree._labels
 
     def successors(key):
         if key[0] == "P":
@@ -488,8 +480,9 @@ def adaptor_composition(tree: CodeTree, m: Lts) -> Lts:
             for a, child in tree.tree.out(node):
                 if a.symbol != i:
                     continue
-                for q2 in steps[q].get(a, ()):
-                    yield TAU, ("Q", child, x, q2)
+                for a2, q2 in m.out(q):
+                    if a2 == a:
+                        yield TAU, ("Q", child, x, q2)
 
     def name(key) -> str:
         if key[0] == "P":

@@ -11,9 +11,7 @@ composition of codes.
 from __future__ import annotations
 
 from .errors import AlphabetMismatch, EmptyCodeWord, InvalidTree, PrefixClash
-from .lts import (
-    Label, Word, _Value, explore, is_deterministic, render_word, structural_predicates
-)
+from .lts import Label, Word, _Value, explore, is_deterministic, render_word
 
 __all__ = ["CodeMap", "CodeTree", "to_tree", "to_map", "compose"]
 
@@ -95,10 +93,11 @@ class CodeTree(_Value):
 
     The carrier is a deterministic, tree-shaped, grounded LTS over the
     concrete alphabet; every non-root leaf carries a distinct abstract label
-    and the root carries none.
+    and the root carries none.  Construction walks the carrier once, breadth
+    first from the root, and keeps each node's access word.
     """
 
-    __slots__ = ("tree", "leaf_labels", "abstract", "_labels")
+    __slots__ = ("tree", "leaf_labels", "abstract", "_labels", "_words")
 
     def __init__(self, tree, leaf_labels, abstract):
         self.tree = tree
@@ -109,15 +108,20 @@ class CodeTree(_Value):
             labels[q] = lab
         self.leaf_labels = tuple(sorted((str(q), lab) for q, lab in labels.items()))
         self.abstract = frozenset(abstract)
-        report = structural_predicates(tree)
         if not is_deterministic(tree):
             raise InvalidTree("carrier is not deterministic")
-        if not report.tree_shaped:
-            raise InvalidTree("carrier is not tree-shaped")
-        if set(tree.states) != tree.reachable():
+        words: dict[str, Word] = {tree.initial: ()}
+        order = [tree.initial]
+        for q in order:  # the list grows while it is read: breadth first
+            for a, dst in tree.out(q):
+                if dst in words:  # a second way in, or an edge into the root
+                    raise InvalidTree("carrier is not tree-shaped")
+                words[dst] = words[q] + (a,)
+                order.append(dst)
+        if len(words) != len(tree.states):
             raise InvalidTree("carrier has unreachable states")
         labeled = {q for q, _ in self.leaf_labels}
-        expected = set(report.leaves) - {tree.initial}
+        expected = {q for q in order[1:] if not tree.out(q)}
         if labeled != expected:
             raise InvalidTree(
                 "labeled states must be exactly the non-root leaves "
@@ -130,6 +134,7 @@ class CodeTree(_Value):
             if lab not in self.abstract:
                 raise InvalidTree(f"leaf label {lab} is not in the abstract alphabet")
         self._labels = dict(self.leaf_labels)
+        self._words = words
 
     def _key(self):
         return self.tree, self.leaf_labels, self.abstract
@@ -167,14 +172,7 @@ def to_tree(code: CodeMap) -> CodeTree:
 
 def to_map(tree: CodeTree) -> CodeMap:
     """Recover the map form: each labeled leaf contributes its access word."""
-    words: dict[str, Word] = {tree.root: ()}
-    todo = [tree.root]
-    while todo:
-        q = todo.pop()
-        for a, dst in tree.tree.out(q):
-            words[dst] = words[q] + (a,)
-            todo.append(dst)
-    entries = [(lab, words[leaf]) for leaf, lab in tree.leaf_labels]
+    entries = [(lab, tree._words[leaf]) for leaf, lab in tree.leaf_labels]
     return CodeMap(tree.tree.alphabet, tree.abstract, entries)
 
 

@@ -11,10 +11,6 @@ class AlphabetMismatch(ActionCodesError):
     """An operation was applied to values over incompatible alphabets."""
 
 
-class NotDeterministic(ActionCodesError):
-    """A deterministic machine was required but not supplied."""
-
-
 class EmptyCodeWord(ActionCodesError):
     """A code maps an abstract label to the empty word."""
 

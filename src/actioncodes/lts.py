@@ -203,25 +203,6 @@ class Lts(_Value):
         )
 
 
-class _Steps(dict):
-    """One system's edges as ``state -> label -> targets``, each state filled
-    on first use.  Operators build one per call and drop it on return: kept
-    on the ``Lts``, it would copy every edge for the life of the system."""
-
-    __slots__ = ("_m",)
-
-    def __init__(self, m: Lts):
-        super().__init__()
-        self._m = m
-
-    def __missing__(self, state: str) -> dict[Label, list[str]]:
-        table: dict[Label, list[str]] = {}
-        for label, dst in self._m.out(state):
-            table.setdefault(label, []).append(dst)
-        self[state] = table
-        return table
-
-
 def explore(roots, successors, name, alphabet) -> Lts:
     """Build the part of an implicit system reachable from ``roots``.
 

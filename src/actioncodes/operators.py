@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .codes import CodeMap
 from .errors import AlphabetMismatch
-from .lts import CompatRel, Label, Lts, Word, _Steps, explore, render_word
+from .lts import CompatRel, Label, Lts, Word, explore, render_word
 
 __all__ = [
     "CHAOS",
@@ -82,17 +82,17 @@ def refine(code: CodeMap, n: Lts) -> Lts:
     if not n.alphabet <= code.target:
         raise AlphabetMismatch("machine alphabet must lie within the code's target alphabet")
     children, below, leaves = code._children, code._below, code._leaves
-    steps = _Steps(n)
 
     def successors(key: tuple[str, Word]):
         q, w = key
-        edges = steps[q]
+        edges = n.out(q)
         for a, wa in children.get(w, {}).items():
             b = leaves.get(wa)
             if b is not None:
-                for q2 in edges.get(b, ()):  # the letter completes b's word
-                    yield a, (q2, ())
-            elif not below[wa].isdisjoint(edges):
+                for b2, q2 in edges:  # the letter completes b's word
+                    if b2 == b:
+                        yield a, (q2, ())
+            elif not below[wa].isdisjoint([b2 for b2, _ in edges]):
                 yield a, (q, wa)
 
     return explore([(n.initial, ())], successors, _pending_name, code.source)
@@ -113,7 +113,6 @@ def concretize(code: CodeMap, rel: CompatRel, m: Lts) -> Lts:
         raise AlphabetMismatch("relation carrier must be the code's source alphabet")
     source = sorted(code.source, key=str)
     children, leaves = code._children, code._leaves
-    steps = _Steps(m)
 
     def successors(key):
         if key == CHAOS:
@@ -129,8 +128,9 @@ def concretize(code: CodeMap, rel: CompatRel, m: Lts) -> Lts:
                 if b is None:
                     yield a, (q, wa)
                 else:
-                    for q2 in steps[q].get(b, ()):
-                        yield a, (q2, ())
+                    for b2, q2 in m.out(q):
+                        if b2 == b:
+                            yield a, (q2, ())
             if all(a2 not in edges for a2 in rel.related(a)):
                 yield a, CHAOS
 
@@ -165,23 +165,22 @@ def is_icomplete(
     if rel.carrier != code.source:
         raise AlphabetMismatch("relation carrier must be the code's source alphabet")
     children, leaves = code._children, code._leaves
-    steps = _Steps(m)
     start = (m.initial, ())
     seen = {start}
     todo = deque([start])
     while todo:
         q, w = todo.popleft()
         edges = children.get(w, {})
-        moves = steps[q]
         for a in edges:
             for a2 in rel.related(a):
-                if a2 in moves and a2 not in edges:
+                if a2 not in edges and m.enables(q, a2):
                     return False, IncompletenessWitness(q, render_word(w), a, a2)
-        for a, nxt in edges.items():
-            if nxt in leaves:
-                nxt = ()
-            for q2 in moves.get(a, ()):
-                pair = (q2, nxt)
+        # Out-lists and node letters share one order, so pairs are met
+        # letter by letter, each letter's targets in order.
+        for a, q2 in m.out(q):
+            nxt = edges.get(a)
+            if nxt is not None:
+                pair = (q2, () if nxt in leaves else nxt)
                 if pair not in seen:
                     seen.add(pair)
                     todo.append(pair)

@@ -12,7 +12,6 @@ import pytest
 
 from actioncodes.codes import CodeMap, CodeTree, to_tree
 from actioncodes.documents import code_from_document, loads, lts_from_document
-from actioncodes.errors import NotDeterministic
 from actioncodes.lts import CompatRel, Label, Lts, Word, explore, is_deterministic
 from actioncodes.operators import CHAOS, IncompletenessWitness, composite_name
 from actioncodes.simulation import find_simulation
@@ -143,7 +142,7 @@ def trace_inclusion_equiv_check(m: Lts, n: Lts, k: int) -> TraceSimAgreement:
     which makes this a cross-check oracle for the simulation decider.
     """
     if not is_deterministic(n):
-        raise NotDeterministic("right-hand system must be deterministic")
+        raise ValueError("right-hand system must be deterministic")
     simulated = find_simulation(m, n) is not None
     included = traces_up_to(m, k) <= traces_up_to(n, k)
     return TraceSimAgreement(simulated, included)
@@ -291,9 +290,10 @@ def brute_force_conflicts(tree: CodeTree) -> list[tuple[str, str, str, str]]:
 
 
 # -- scan-based operators ------------------------------------------------------
-# The operators as they were before their per-call step index: every edge is
-# found by scanning ``Lts.succ``, ``enables`` and ``word_targets``.  Kept as
-# oracles for the indexed versions, which must agree with them exactly.
+# The operators as they were before they walked the code's prefix tree: every
+# code word is matched against the system one entry at a time, through
+# ``Lts.succ``, ``enables`` and ``word_targets``.  Kept as oracles for the
+# tree walks, which must agree with them exactly.
 
 
 def _pending_name(key) -> str:

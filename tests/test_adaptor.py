@@ -99,6 +99,14 @@ class TestWinning:
             table = solve_winning(tree)
             assert multi_winner_pairs(tree, table) == []
 
+    def test_needs_mealy_labels(self):
+        atomic = to_tree(CodeMap(atoms("a"), atoms("A/0"), [entry("A/0", "a")]))
+        with pytest.raises(ValueError, match="^adaptor codes need Mealy labels on the tree$"):
+            solve_winning(atomic)
+        atomic_leaf = to_tree(CodeMap(atoms("a/0"), atoms("A"), [entry("A", "a/0")]))
+        with pytest.raises(ValueError, match="^adaptor codes need Mealy leaf labels$"):
+            solve_winning(atomic_leaf)
+
 
 class TestDeterminate:
     def test_fixture_codes_are_determinate(self):
@@ -154,6 +162,26 @@ class TestInProcessSut:
         m = Lts(["q0"], "q0", [], atoms("a/0"))
         with pytest.raises(ValueError):
             InProcessSut(m)
+
+    def test_requires_a_mealy_machine(self):
+        with pytest.raises(ValueError, match="^in-process SUT needs a Mealy machine$"):
+            InProcessSut(Lts(["q0"], "q0", [("q0", Label("a"), "q0")], atoms("a")))
+
+    def test_reset_returns_to_the_initial_state(self):
+        # The output tells the states apart: q0 answers a with 0, q1 with 1.
+        m = Lts(
+            ["q0", "q1"],
+            "q0",
+            [("q0", Label("a", "0"), "q1"), ("q1", Label("a", "1"), "q0")],
+            atoms("a/0", "a/1"),
+        )
+        sut = InProcessSut(m)
+        sut.send("a")
+        sut.reset()
+        with pytest.raises(SutProtocolError, match=r"^receive\(\) called before send\(\)$"):
+            sut.receive()  # the pending output went with the reset
+        sut.send("a")
+        assert sut.receive() == "0"
 
     def test_seeded_choices_reproduce(self):
         m = gen_mealy(3, states=3, inputs=2, outputs=2, input_enabled=True)
@@ -482,6 +510,19 @@ class TestComposedProcess:
         assert digest.hexdigest() == (
             "d55045f94132577605f9ef802704ec364a5b335baafcd423b007bc9efbfbae35")
 
+    def test_split_io_needs_a_mealy_machine(self):
+        atomic = Lts(["q0"], "q0", [("q0", Label("a"), "q0")], atoms("a"))
+        with pytest.raises(ValueError, match="^split_io needs a Mealy machine$"):
+            split_io(atomic)
+
+    def test_namespaced_symbols_must_not_collide(self):
+        # Output x is emitted as x!, which is also the input symbol x!.
+        m = Lts(["q0"], "q0", [("q0", Label("x!", "x"), "q0")], [Label("x!", "x")])
+        with pytest.raises(
+            ValueError, match="^abstract input/output symbols collide after namespacing$"
+        ):
+            split_io(m)
+
     def test_random_instances_satisfy_the_theorem(self):
         for seed in range(25):
             code = gen_adaptor_code(seed, inputs=2, outputs=2, abstract_inputs=2)
@@ -489,9 +530,13 @@ class TestComposedProcess:
             assert check_adaptor_theorem(to_tree(code), m)
 
     def test_preconditions_are_enforced(self):
+        double_press = to_tree(load_fixture("double-press.code.json"))
         lazy = Lts(["q0"], "q0", [], atoms("a/0"))
         with pytest.raises(ValueError):
-            adaptor_composition(to_tree(load_fixture("double-press.code.json")), lazy)
+            adaptor_composition(double_press, lazy)
+        atomic = Lts(["q0"], "q0", [("q0", Label("a"), "q0")], atoms("a"))
+        with pytest.raises(ValueError, match="^the SUT model must be a Mealy machine$"):
+            adaptor_composition(double_press, atomic)
         shared = to_tree(load_fixture("shared-input.code.json"))
         with pytest.raises(NotDeterminate):
             adaptor_composition(shared, _tiny_enabled())

@@ -16,10 +16,10 @@ from actioncodes.errors import (
     PrefixClash,
 )
 from actioncodes.generate import gen_code
-from actioncodes.lts import Label, Lts, structural_predicates
+from actioncodes.lts import Label, Lts, is_deterministic, structural_predicates
 from actioncodes.simulation import find_isomorphism_reachable
 
-from conftest import atoms, entry, load_fixture, sort_prefix_clash
+from conftest import all_small_machines, atoms, entry, load_fixture, sort_prefix_clash
 
 
 class TestValidation:
@@ -49,6 +49,14 @@ class TestValidation:
     def test_word_letters_must_be_in_source(self):
         with pytest.raises(AlphabetMismatch):
             CodeMap(atoms("a"), atoms("A"), [entry("A", "z")])
+
+    def test_entries_name_distinct_target_labels(self):
+        with pytest.raises(
+            AlphabetMismatch, match="^abstract label C is not in the target alphabet$"
+        ):
+            CodeMap(atoms("a"), atoms("A"), [entry("C", "a")])
+        with pytest.raises(ValueError, match="^duplicate entry for abstract label A$"):
+            CodeMap(atoms("a", "b"), atoms("A"), [entry("A", "a"), entry("A", "b")])
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -167,6 +175,40 @@ class TestTreeForm:
         )
         with pytest.raises(InvalidTree):  # labels must be injective
             CodeTree(vee, [("r1", Label("B")), ("r2", Label("B"))], [Label("B")])
+
+    def test_carrier_rejections_follow_the_checks_in_order(self):
+        # Every small carrier, each non-root leaf with a label of its own: the
+        # carrier is accepted, or rejected by the first of these checks to fail.
+        for m in all_small_machines(2, 2) + all_small_machines(3, 1):
+            leaf_labels = [
+                (q, Label(q.upper())) for q in m.states if q != m.initial and not m.out(q)
+            ]
+            abstract = [lab for _, lab in leaf_labels]
+            if not is_deterministic(m):
+                expected = "carrier is not deterministic"
+            elif not structural_predicates(m).tree_shaped:
+                expected = "carrier is not tree-shaped"
+            elif set(m.states) != m.reachable():
+                expected = "carrier has unreachable states"
+            else:
+                expected = None
+            try:
+                CodeTree(m, leaf_labels, abstract)
+            except InvalidTree as err:
+                assert str(err) == expected, m.transitions
+            else:
+                assert expected is None, m.transitions
+
+    def test_unreachable_states_and_foreign_labels_are_rejected(self):
+        a = Label("a")
+        detached = Lts(["r0", "r1", "r2"], "r0", [("r0", a, "r1")], [a])
+        with pytest.raises(InvalidTree, match="^carrier has unreachable states$"):
+            CodeTree(detached, [("r1", Label("B")), ("r2", Label("C"))], atoms("B", "C"))
+        line = Lts(["r0", "r1"], "r0", [("r0", a, "r1")], [a])
+        with pytest.raises(
+            InvalidTree, match="^leaf label B is not in the abstract alphabet$"
+        ):
+            CodeTree(line, [("r1", Label("B"))], [Label("C")])
 
 
 class TestRoundTrip:

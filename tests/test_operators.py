@@ -139,9 +139,10 @@ def _system(m: Lts) -> tuple:
 
 
 class TestAgainstScanOracles:
-    """The operators walk a per-call step index; the scan-based versions they
-    replaced (``tests/conftest.py``) must give the same systems, with the
-    same state order, and the same completeness verdicts and witnesses."""
+    """The operators walk the code's prefix tree and the system's out-lists;
+    the scan-based versions they replaced (``tests/conftest.py``) must give
+    the same systems, with the same state order, and the same completeness
+    verdicts and witnesses."""
 
     def test_operators_agree_with_the_scans(self):
         for code, rel, m, n in _oracle_instances():

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import ast
+import importlib
 import types
+from pathlib import Path
 
 import actioncodes
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 PUBLIC = set("""
     CodeMap CodeTree compose to_map to_tree
     ActionCodesError AlphabetMismatch CodeIncomplete EmptyCodeWord InvalidTree
-    IsomorphismInconclusive NotDeterminate NotDeterministic NotWinning PrefixClash
+    IsomorphismInconclusive NotDeterminate NotWinning PrefixClash
     SutProtocolError
     CompatRel Label Lts Word is_deterministic structural_predicates
     CHAOS concretize contract is_icomplete refine
@@ -29,3 +34,23 @@ def test_public_names_are_pinned():
         and not isinstance(getattr(actioncodes, name), types.ModuleType)
     }
     assert names == PUBLIC
+
+
+def test_names_the_benchmark_imports_resolve():
+    # The benchmark imports from the package; a name dropped here fails this
+    # test rather than the benchmark run.  The files are only parsed.
+    imported = [
+        (node.module, alias.name)
+        for path in sorted(BENCH.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "actioncodes"
+        for alias in node.names
+    ]
+    assert len(imported) > 20
+    missing = [
+        f"{module}.{name}"
+        for module, name in imported
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []

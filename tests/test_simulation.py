@@ -10,7 +10,6 @@ import pytest
 from actioncodes.errors import (
     AlphabetMismatch,
     IsomorphismInconclusive,
-    NotDeterministic,
 )
 from actioncodes import check_adaptor_theorem, simulation, to_tree
 from actioncodes.generate import gen_adaptor_code, gen_lts, gen_mealy
@@ -189,7 +188,7 @@ class TestTraceInclusionAgreement:
         assert not verdict.traces_included
 
     def test_requires_deterministic_right(self):
-        with pytest.raises(NotDeterministic):
+        with pytest.raises(ValueError, match="^right-hand system must be deterministic$"):
             trace_inclusion_equiv_check(
                 load_fixture("choice.lts.json"), load_fixture("octal-choice-nondet.lts.json"), 3
             )
