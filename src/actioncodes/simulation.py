@@ -1,19 +1,19 @@
 """Deciders for simulation, reachable-part isomorphism, and delay simulation.
 
 All three are computed on finite systems only.  Simulation and delay
-simulation share one greatest-fixpoint deletion engine over bit masks and
-differ only in the answers to a move.  It runs over the whole product of the
-reachable parts for ``find_simulation`` and ``find_delay_simulation``, which
-return the greatest relation, and over the pairs that the simulation game
-reaches from the initial pair for callers that want a verdict alone.  The
-isomorphism decider matches states breadth first among the successors of
-their parent's image, backtracking on an explicit stack.
+simulation share one greatest-fixpoint engine over bit masks, built from the
+out-lists, that deletes pairs by pre-image; they differ only in the answers
+to a move.  It runs over the whole product of the reachable parts for
+``find_simulation`` and ``find_delay_simulation``, which return the greatest
+relation, and over the pairs that the game reaches from the initial pair for
+callers that want a verdict alone.  The isomorphism decider matches states
+breadth first among the successors of their parent's image, backtracking on
+an explicit stack.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Iterable
 
 from .errors import AlphabetMismatch, IsomorphismInconclusive
 from .lts import Label, Lts
@@ -48,50 +48,86 @@ def _union(rows: list[int], mask: int) -> int:
     return union
 
 
-def _greatest_simulation(m: Lts, n: Lts, answers, from_initial: bool = False) -> Pairs | None:
-    """The one greatest-fixpoint engine behind both simulation deciders.
+def _closures(rows: list[int]) -> list[int]:
+    """Per ``i``, the mask of the states that ``rows`` reaches from ``i`` in
+    zero or more steps."""
+    closures = []
+    for i in range(len(rows)):
+        seen = frontier = 1 << i
+        while frontier:
+            frontier = _union(rows, frontier) & ~seen
+            seen |= frontier
+        closures.append(seen)
+    return closures
 
-    ``answers[a][p]`` are the states that may answer an ``a`` move at ``p``.
-    Sets of ``n``'s reachable states, numbered in sorted order, are ``int``
-    bit masks.  Per label: ``ans[i]``, the answers of state ``i``; ``pre[j]``,
-    the states that answer with ``j``; and the states with some answer.
-    ``alive[q]`` holds the ``p`` with ``(q, p)`` still related, and
-    ``removed[q]`` the deleted ``p`` whose predecessors are unchecked.
 
-    The pairs take part from the whole product of the reachable parts, or,
-    with ``from_initial``, only those the game reaches from the initial
-    pair: ``(q, p)`` leads to ``(q2, p2)`` for each move ``q -a-> q2`` and
-    each ``p2`` in ``answers[a][p]``, and is expanded only when ``p``
-    answers every label of ``q`` (Fernandez & Mounier, CAV 1991).  The
-    result is the greatest simulation within those pairs.
+def _answer_tables(n: Lts, tau: Label | None) -> tuple[list[str], dict[Label, tuple]]:
+    """``n``'s reachable states, sorted, whose positions number the bits of
+    every mask, and per label the masks ``(ans, pre, answering)``: in
+    ``ans[i]`` the states that answer a move at ``i``, in ``pre[j]`` those
+    that may answer with ``j``, in ``answering`` those with some answer.
 
-    Pairs whose ``p`` lacks an answer to some label of ``q`` die first.  A
-    worklist of left states then re-checks predecessors in batches
-    (Henzinger, Henzinger & Kopke, FOCS 1995): popping ``q2`` takes all of
-    ``removed[q2]``; for each edge ``q -a-> q2`` the candidates are
-    ``alive[q]`` when it has no more members than the batch, else its
-    members in the union of ``pre`` over the batch, and a candidate ``p``
-    dies when ``ans[p] & alive[q2]`` is empty.  ``None`` as soon as the
-    initial pair dies.
+    One pass over the out-lists gives the step masks per label and their
+    reverse, which are the answers of simulation.  With ``tau``, a hidden
+    move is answered by the closure under ``tau`` steps, with the reverse
+    closures as reverse; a visible move by the steps out of the closure,
+    with the reverse closures over the reverse steps as reverse.
     """
     names = sorted(n.reachable())
     index = {p: i for i, p in enumerate(names)}
     width = len(names)
-    tables = {}
-    for a, by_state in answers.items():
-        ans, pre, answering = [0] * width, [0] * width, 0
-        for p, targets in by_state.items():
-            i = index[p]
-            bit = 1 << i
-            for p2 in targets:
-                j = index[p2]
-                ans[i] |= 1 << j
-                pre[j] |= bit
-            if ans[i]:
-                answering |= bit
-        tables[a] = ans, pre, answering
+    steps: dict[Label, tuple[list[int], list[int]]] = {}
+    for i, p in enumerate(names):
+        for a, p2 in n.out(p):
+            if a not in steps:
+                steps[a] = [0] * width, [0] * width
+            forward, back = steps[a]
+            j = index[p2]
+            forward[i] |= 1 << j
+            back[j] |= 1 << i
+    if tau is not None:
+        closure, reverse = map(_closures, steps.pop(tau, ([0] * width,) * 2))
+        steps = {
+            a: ([_union(forward, c) for c in closure], [_union(reverse, b) for b in back])
+            for a, (forward, back) in steps.items()
+        }
+        steps[tau] = closure, reverse
+    return names, {
+        a: (ans, pre, sum(1 << i for i, row in enumerate(ans) if row))
+        for a, (ans, pre) in steps.items()
+    }
+
+
+def _greatest_simulation(
+    m: Lts, n: Lts, tau: Label | None = None, from_initial: bool = False
+) -> Pairs | None:
+    """The one greatest-fixpoint engine behind both deciders: simulation, or
+    with ``tau`` delay simulation, after checking that the labels are of one
+    kind and ``tau`` in both alphabets.  ``alive[q]`` is the mask of the
+    ``p`` with ``(q, p)`` still related (see :func:`_answer_tables`).
+
+    The pairs take part from the whole product of the reachable parts, or,
+    with ``from_initial``, only those the game reaches from the initial
+    pair: ``(q, p)`` leads to ``(q2, p2)`` for each move ``q -a-> q2`` and
+    each answer ``p2`` of ``p``, and is expanded only when ``p`` answers
+    every label of ``q`` (Fernandez & Mounier, CAV 1991).  The result is
+    the greatest simulation within those pairs.
+
+    Pairs whose ``p`` lacks an answer to some label of ``q`` die first.  A
+    left state is pending while its predecessors are unchecked against its
+    shrunken alive set.  Popping ``q2`` takes, per label ``a`` into it, the
+    pre-image ``keep``, the union of ``pre`` over ``alive[q2]``: the ``p``
+    with an ``a`` answer into the relation (Henzinger, Henzinger & Kopke,
+    FOCS 1995).  Each ``q -a-> q2`` cuts ``alive[q]`` down to ``keep``, and a
+    ``q`` that lost pairs is pending again.  ``None`` once the initial pair
+    dies.
+    """
+    _require_same_variant(m, n)
+    if tau is not None and (tau not in m.alphabet or tau not in n.alphabet):
+        raise AlphabetMismatch(f"hidden label {tau} must be in both alphabets")
+    names, tables = _answer_tables(n, tau)
     reach_m = sorted(m.reachable())
-    full = (1 << width) - 1
+    full = (1 << len(names)) - 1
     fit = {}  # fit[q]: the p that answer every label of q
     preds: dict[str, dict[Label, list[str]]] = {q: {} for q in reach_m}
     for q in reach_m:
@@ -103,7 +139,7 @@ def _greatest_simulation(m: Lts, n: Lts, answers, from_initial: bool = False) ->
             else:
                 mask = 0
         fit[q] = mask
-    start = 1 << index[n.initial]
+    start = 1 << names.index(n.initial)
     if from_initial:
         reached = dict.fromkeys(reach_m, 0)
         reached[m.initial] = start
@@ -120,33 +156,17 @@ def _greatest_simulation(m: Lts, n: Lts, answers, from_initial: bool = False) ->
     else:
         reached = dict.fromkeys(reach_m, full)
     alive = {q: reached[q] & fit[q] for q in reach_m}
-    removed = {q: reached[q] & ~fit[q] for q in reach_m}
-    work = [q for q in reach_m if removed[q]]
-    while work and alive[m.initial] & start:
-        q2 = work.pop()
-        gone, removed[q2] = removed[q2], 0
-        size = gone.bit_count()
+    pending = dict.fromkeys(q for q in reach_m if reached[q] & ~fit[q])  # a LIFO set
+    while pending and alive[m.initial] & start:
+        q2, _ = pending.popitem()
         alive_q2 = alive[q2]
         for a, qs in preds[q2].items():
-            ans, pre, _ = tables[a]
-            union = None
+            keep = _union(tables[a][1], alive_q2)
             for q in qs:
-                candidates = alive_q = alive[q]
-                if alive_q.bit_count() > size:
-                    if union is None:
-                        union = _union(pre, gone)
-                    candidates &= union
-                dead = 0
-                while candidates:
-                    low = candidates & -candidates
-                    if not ans[low.bit_length() - 1] & alive_q2:
-                        dead |= low
-                    candidates ^= low
-                if dead:
-                    alive[q] = alive_q ^ dead
-                    if not removed[q]:
-                        work.append(q)
-                    removed[q] |= dead
+                alive_q = alive[q]
+                if alive_q & ~keep:
+                    alive[q] = alive_q & keep
+                    pending[q] = None
     if not alive[m.initial] & start:
         return None
     pairs = []
@@ -180,16 +200,6 @@ def _transfer_closed(m: Lts, n: Lts, relation: Pairs, answer) -> bool:
     )
 
 
-def _step_answers(m: Lts, n: Lts) -> dict[Label, dict[str, list[str]]]:
-    """The answers of simulation: ``n``'s equally labeled moves."""
-    _require_same_variant(m, n)
-    answers: dict[Label, dict[str, list[str]]] = {}
-    for p in n.reachable():
-        for a, p2 in n.out(p):
-            answers.setdefault(a, {}).setdefault(p, []).append(p2)
-    return answers
-
-
 def find_simulation(m: Lts, n: Lts) -> Pairs | None:
     """Greatest simulation from ``m`` to ``n`` containing the initial pair.
 
@@ -197,13 +207,13 @@ def find_simulation(m: Lts, n: Lts) -> Pairs | None:
     of the right state into a surviving pair.  Returns ``None`` when the
     initial pair does not survive.
     """
-    return _greatest_simulation(m, n, _step_answers(m, n))
+    return _greatest_simulation(m, n)
 
 
 def _simulates(m: Lts, n: Lts) -> bool:
     """Whether ``n`` simulates ``m``, deciding only the pairs that the game
     from the initial pair reaches."""
-    return _greatest_simulation(m, n, _step_answers(m, n), from_initial=True) is not None
+    return _greatest_simulation(m, n, from_initial=True) is not None
 
 
 def is_simulation(m: Lts, n: Lts, relation: Pairs) -> bool:
@@ -319,22 +329,6 @@ def _tau_closure(n: Lts, tau: Label, p: str) -> tuple[str, ...]:
     return tuple(sorted(seen))
 
 
-def _delay_answers(m: Lts, n: Lts, tau: Label) -> dict[Label, dict[str, Iterable[str]]]:
-    """The answers of delay simulation: a hidden move is answered by any
-    hidden run, a visible one by a hidden run and then that move."""
-    _require_same_variant(m, n)
-    if tau not in m.alphabet or tau not in n.alphabet:
-        raise AlphabetMismatch(f"hidden label {tau} must be in both alphabets")
-    closure = {p: _tau_closure(n, tau, p) for p in n.reachable()}
-    answers: dict[Label, dict[str, Iterable[str]]] = {tau: closure}
-    for p, run in closure.items():
-        for p1 in run:
-            for a, p2 in n.out(p1):
-                if a != tau:
-                    answers.setdefault(a, {}).setdefault(p, set()).add(p2)
-    return answers
-
-
 def find_delay_simulation(m: Lts, n: Lts, tau: Label) -> Pairs | None:
     """Greatest delay simulation from ``m`` to ``n`` containing the initial pair.
 
@@ -342,13 +336,13 @@ def find_delay_simulation(m: Lts, n: Lts, tau: Label) -> Pairs | None:
     moves on the right, including none; a visible move must be matched after
     a hidden run, with no trailing hidden closure.
     """
-    return _greatest_simulation(m, n, _delay_answers(m, n, tau))
+    return _greatest_simulation(m, n, tau)
 
 
 def _delay_simulates(m: Lts, n: Lts, tau: Label) -> bool:
     """Whether ``n`` delay-simulates ``m``, deciding only the pairs that the
     game from the initial pair reaches."""
-    return _greatest_simulation(m, n, _delay_answers(m, n, tau), from_initial=True) is not None
+    return _greatest_simulation(m, n, tau, from_initial=True) is not None
 
 
 def is_delay_simulation(m: Lts, n: Lts, tau: Label, relation: Pairs) -> bool:

@@ -6,15 +6,16 @@ import itertools
 import random
 from collections import deque
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import pytest
 
 from actioncodes.codes import CodeMap, CodeTree, to_tree
 from actioncodes.documents import code_from_document, loads, lts_from_document
+from actioncodes.errors import AlphabetMismatch
 from actioncodes.lts import CompatRel, Label, Lts, Word, explore, is_deterministic
 from actioncodes.operators import CHAOS, IncompletenessWitness, composite_name
-from actioncodes.simulation import find_simulation
+from actioncodes.simulation import _require_same_variant, _tau_closure, find_simulation
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -74,6 +75,36 @@ def sweep_greatest_simulation(m: Lts, n: Lts, answers) -> frozenset | None:
     if (m.initial, n.initial) not in alive:
         return None
     return frozenset(alive)
+
+
+# The answers of a move as dicts of lists or sets, read off the definitions:
+# the sweep's input, and the reference for the engine's answer masks.
+
+
+def _step_answers(m: Lts, n: Lts) -> dict[Label, dict[str, list[str]]]:
+    """The answers of simulation: ``n``'s equally labeled moves."""
+    _require_same_variant(m, n)
+    answers: dict[Label, dict[str, list[str]]] = {}
+    for p in n.reachable():
+        for a, p2 in n.out(p):
+            answers.setdefault(a, {}).setdefault(p, []).append(p2)
+    return answers
+
+
+def _delay_answers(m: Lts, n: Lts, tau: Label) -> dict[Label, dict[str, Iterable[str]]]:
+    """The answers of delay simulation: a hidden move is answered by any
+    hidden run, a visible one by a hidden run and then that move."""
+    _require_same_variant(m, n)
+    if tau not in m.alphabet or tau not in n.alphabet:
+        raise AlphabetMismatch(f"hidden label {tau} must be in both alphabets")
+    closure = {p: _tau_closure(n, tau, p) for p in n.reachable()}
+    answers: dict[Label, dict[str, Iterable[str]]] = {tau: closure}
+    for p, run in closure.items():
+        for p1 in run:
+            for a, p2 in n.out(p1):
+                if a != tau:
+                    answers.setdefault(a, {}).setdefault(p, set()).add(p2)
+    return answers
 
 
 # -- traces and the winning table -----------------------------------------------

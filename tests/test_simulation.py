@@ -23,6 +23,8 @@ from actioncodes.simulation import (
 )
 
 from conftest import (
+    _delay_answers,
+    _step_answers,
     add_noise,
     brute_force_delay_simulated,
     brute_force_isomorphic,
@@ -402,13 +404,44 @@ def sweep_instances(count: int):
         yield m, n
 
 
+def as_masks(names: list[str], answers) -> dict:
+    """Dict answers as the engine's ``(ans, pre, answering)`` masks, bits
+    numbered by position in ``names``."""
+    index = {p: i for i, p in enumerate(names)}
+    tables = {}
+    for a, by_state in answers.items():
+        ans, pre = [0] * len(names), [0] * len(names)
+        for p, targets in by_state.items():
+            for p2 in targets:
+                ans[index[p]] |= 1 << index[p2]
+                pre[index[p2]] |= 1 << index[p]
+        tables[a] = ans, pre, sum(1 << i for i, row in enumerate(ans) if row)
+    return tables
+
+
+def test_answer_tables_match_the_dict_answers():
+    for m, n in sweep_instances(500):
+        names, plain = simulation._answer_tables(n, None)
+        assert names == sorted(n.reachable())
+        assert plain == as_masks(names, _step_answers(m, n))
+        delay = as_masks(names, _delay_answers(m, n, TAU))
+        assert simulation._answer_tables(n, TAU) == (names, delay)
+
+
+def sweep_engine(m: Lts, n: Lts, tau=None, from_initial=False):
+    """The sweep oracle in the engine's place, fed the dict answers; it
+    always returns the relation over the whole product."""
+    answers = _step_answers(m, n) if tau is None else _delay_answers(m, n, tau)
+    return sweep_greatest_simulation(m, n, answers)
+
+
 def test_engine_matches_the_sweep_oracle(monkeypatch):
     pairs = list(sweep_instances(3000))
     engine = [(find_simulation(m, n), find_delay_simulation(m, n, TAU)) for m, n in pairs]
     from_initial = [
         (simulation._simulates(m, n), simulation._delay_simulates(m, n, TAU)) for m, n in pairs
     ]
-    monkeypatch.setattr(simulation, "_greatest_simulation", sweep_greatest_simulation)
+    monkeypatch.setattr(simulation, "_greatest_simulation", sweep_engine)
     oracle = [(find_simulation(m, n), find_delay_simulation(m, n, TAU)) for m, n in pairs]
     assert engine == oracle
     assert from_initial == [(plain is not None, delay is not None) for plain, delay in oracle]
@@ -425,11 +458,11 @@ def agrees_with_the_oracle(m: Lts, n: Lts) -> bool:
     relations of both deciders (delay simulation when both alphabets have
     τ) and the verdicts from the initial pair.  Returns the simulation
     verdict."""
-    expected = sweep_greatest_simulation(m, n, simulation._step_answers(m, n))
+    expected = sweep_greatest_simulation(m, n, _step_answers(m, n))
     assert find_simulation(m, n) == expected
     assert simulation._simulates(m, n) == (expected is not None)
     if TAU in m.alphabet and TAU in n.alphabet:
-        delay = sweep_greatest_simulation(m, n, simulation._delay_answers(m, n, TAU))
+        delay = sweep_greatest_simulation(m, n, _delay_answers(m, n, TAU))
         assert find_delay_simulation(m, n, TAU) == delay
         assert simulation._delay_simulates(m, n, TAU) == (delay is not None)
     return expected is not None
@@ -505,6 +538,48 @@ class TestMaskEdges:
             assert all(q in m.reachable() and p != "junk" for q, p in relation)
             agrees_with_the_oracle(right, left)
 
+    @staticmethod
+    def lts(*edges: str, alphabet="a b τ") -> Lts:
+        """A system from ``"source label target"`` edges, rooted at the first
+        source; its states are the endpoints."""
+        triples = [tuple(e.split()) for e in edges]
+        states = sorted({t[0] for t in triples} | {t[2] for t in triples})
+        return Lts(states, triples[0][0], [(q, Label(a), r) for q, a, r in triples],
+                   [Label(a) for a in alphabet.split()])
+
+    def test_tau_cycle_with_a_visible_edge_off_it(self):
+        n = self.lts("q0 τ q1", "q1 τ q2", "q2 τ q0", "q2 a q3", "q3 b q3")
+        assert not agrees_with_the_oracle(self.lts("p0 a p1", "p1 b p1"), n)
+        assert simulation._delay_simulates(self.lts("p0 a p1", "p1 b p1"), n, TAU)
+        assert not simulation._delay_simulates(self.lts("p0 a p1", "p1 a p1"), n, TAU)
+        agrees_with_the_oracle(self.lts("p0 τ p0", "p0 a p1", "p1 b p1"), n)
+        agrees_with_the_oracle(n, self.lts("p0 a p1", "p0 τ p1", "p1 b p1", "p1 τ p0"))
+
+    def test_tau_self_loop(self):
+        n = self.lts("q0 τ q0", "q0 a q1")
+        m = self.lts("p0 τ p0", "p0 a p1")
+        assert agrees_with_the_oracle(m, n) and agrees_with_the_oracle(n, m)
+        assert not agrees_with_the_oracle(self.lts("p0 τ p0", "p0 b p1"), n)
+
+    def test_hidden_label_on_no_right_edge(self):
+        n = a_chain(3, "q", extra=[TAU])
+        m = self.lts("p0 τ p1", "p1 a p2", "p2 τ p2", "p2 a p3")
+        assert not agrees_with_the_oracle(m, n)  # τ has no step answer
+        assert simulation._delay_simulates(m, n, TAU)  # but the empty hidden run
+
+    def test_visible_answer_after_two_hidden_steps(self):
+        n = self.lts("q0 τ q1", "q1 τ q2", "q2 a q3")
+        m = self.lts("p0 a p1")
+        assert not agrees_with_the_oracle(m, n)
+        assert find_delay_simulation(m, n, TAU) >= {("p0", "q0"), ("p1", "q3")}
+        assert not simulation._delay_simulates(self.lts("p0 a p1", "p1 a p2"), n, TAU)
+
+    def test_hidden_edges_out_of_unreachable_states(self):
+        n = self.lts("q0 a q1", "q1 b q0", "junk τ q0", "junk τ junk", "junk b q1", "q1 τ x")
+        m = self.lts("p0 a p1", "p1 b p0", "p1 τ p2", "dead τ p1", "dead a dead")
+        assert agrees_with_the_oracle(m, n)
+        agrees_with_the_oracle(n, m)
+
 
 class TestNoCliff:
     """Long chains.  The sweep that preceded the worklist took 75-92 s per
@@ -536,6 +611,17 @@ class TestNoCliff:
         assert witness is not None and is_delay_simulation(padded, same, TAU, witness)
         shorter = a_chain(self.N - 1, "q", extra=[TAU])
         assert self.decide(find_delay_simulation, padded, shorter, TAU) is None
+
+    def test_tau_ring(self):
+        # Every hidden closure is the whole ring, so every answer mask is full.
+        def ring(prefix):
+            ids = [f"{prefix}{k}" for k in range(self.N)]
+            edges = [(s, TAU, d) for s, d in zip(ids, ids[1:] + ids[:1])]
+            return Lts(ids, ids[0], edges + [(s, Label("a"), s) for s in ids], [Label("a"), TAU])
+
+        m, n = ring("p"), ring("q")
+        witness = self.decide(find_delay_simulation, m, n, TAU)
+        assert len(witness) == self.N ** 2 and is_delay_simulation(m, n, TAU, witness)
 
 
 class TestVerdictPathNoCliff:
