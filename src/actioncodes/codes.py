@@ -23,13 +23,13 @@ class CodeMap(_Value):
     the abstract alphabet the keys are drawn from; ``target`` may strictly
     contain the domain.  Construction checks that the words are non-empty
     and prefix-free, sorts the entries by label and builds the prefix tree
-    that ``to_tree`` and the operators read: each proper prefix of a code
-    word maps its next letters, in rendered order, to the longer prefixes
-    and has the set of labels whose words it begins; each complete word maps
-    to its label.
+    that ``to_tree`` and the operators read.  Its node ``i`` (the root is 0)
+    keeps ``_kids[i]`` (letter -> child, in rendered order), ``_leaf[i]`` (a
+    complete word's label, or None), ``_below[i]`` (the labels whose words
+    pass through) and ``_text[i]`` (the rendered word, ``""`` at the root).
     """
 
-    __slots__ = ("source", "target", "entries", "_map", "_children", "_below", "_leaves")
+    __slots__ = ("source", "target", "entries", "_map", "_kids", "_leaf", "_below", "_text")
 
     def __init__(self, source, target, entries):
         self.source = frozenset(source)
@@ -51,21 +51,26 @@ class CodeMap(_Value):
                     raise AlphabetMismatch(f"letter {a} of the word for {b} is not in the source alphabet")
         # In rendered-word order a word follows every word that is its prefix,
         # and the first clash met is between neighbours in that order.
-        children: dict[Word, dict[Label, Word]] = {}
-        below: dict[Word, set[Label]] = {}
-        leaves: dict[Word, Label] = {}
+        kids, leaf, below, text = [{}], [None], [set()], [""]  # node 0 is the root
         for b, word in sorted(self.entries, key=lambda e: tuple(str(a) for a in e[1])):
-            for i, a in enumerate(word):
-                prefix = word[:i]
-                if prefix in leaves:
-                    raise PrefixClash(leaves[prefix], b)
-                children.setdefault(prefix, {})[a] = word[: i + 1]
-                below.setdefault(prefix, set()).add(b)
-            if word in leaves:
-                raise PrefixClash(leaves[word], b)
-            leaves[word] = b
+            i = 0
+            for a in word:
+                if leaf[i] is not None:
+                    raise PrefixClash(leaf[i], b)
+                below[i].add(b)
+                j = kids[i].get(a)
+                if j is None:
+                    j = kids[i][a] = len(kids)
+                    kids.append({})
+                    leaf.append(None)
+                    below.append(set())
+                    text.append(f"{text[i]}.{a}" if i else str(a))
+                i = j
+            if leaf[i] is not None:
+                raise PrefixClash(leaf[i], b)
+            leaf[i] = b
         self._map = dict(self.entries)
-        self._children, self._below, self._leaves = children, below, leaves
+        self._kids, self._leaf, self._below, self._text = kids, leaf, below, text
 
     def _key(self):
         return self.source, self.target, self.entries
@@ -165,8 +170,9 @@ def to_tree(code: CodeMap) -> CodeTree:
     edges extend a prefix by one letter, and the node of a complete code
     word becomes a leaf labeled with its abstract label.
     """
-    tree = explore([()], lambda w: code._children.get(w, {}).items(), render_word, code.source)
-    leaf_labels = [(render_word(w), b) for b, w in code.entries]
+    kids, text = code._kids, code._text
+    tree = explore([0], lambda i: kids[i].items(), lambda i: text[i] or "ε", code.source)
+    leaf_labels = [(text[i], b) for i, b in enumerate(code._leaf) if b is not None]
     return CodeTree(tree, leaf_labels, code.target)
 
 

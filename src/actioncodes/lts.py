@@ -119,7 +119,8 @@ class Lts(_Value):
     The alphabet may strictly contain the labels used on transitions:
     concretization and the completeness check quantify over labels that no
     transition carries.  States are held sorted, so equality ignores the
-    order they came in; the sorted, duplicate-free out-lists store the edges.
+    order they came in; the sorted, duplicate-free out-lists of ``(label,
+    target)`` pairs store the edges, one pair per edge.
     """
 
     __slots__ = ("states", "initial", "alphabet", "_out", "_reach")
@@ -134,21 +135,22 @@ class Lts(_Value):
             raise ValueError(f"initial state {initial!r} is not a state")
         if len({a.is_mealy for a in self.alphabet}) > 1:
             raise ValueError("alphabet mixes atomic and Mealy labels")
-        # Each label is rendered once.  Rendering is injective, so sorting
-        # (rendered, target, label) never compares two labels.
-        names = {a: str(a) for a in self.alphabet}
         out: dict[str, list | tuple] = {q: [] for q in self.states}
         for src, label, dst in dict.fromkeys(transitions):  # duplicates collapse
             edges = out.get(src)
             if edges is None or dst not in out:
                 raise ValueError(f"transition {src}-{label}->{dst} leaves the state set")
-            name = names.get(label)
-            if name is None:
+            if label not in self.alphabet:
                 raise ValueError(f"transition label {label} is not in the alphabet")
-            edges.append((name, dst, label))
+            edges.append((label, dst))
+        # The pairs sort as they are where the labels' tuple order is their
+        # rendered order: always for atomic labels, and for Mealy labels
+        # unless an input such as a-x extends another such as a.
+        ranked = sorted(self.alphabet, key=str)
+        key = None if ranked == sorted(ranked) else lambda e: (str(e[0]), e[1])
         for q, edges in out.items():
-            edges.sort()
-            out[q] = tuple([(label, dst) for _, dst, label in edges])  # out() hands it out without a copy
+            edges.sort(key=key)
+            out[q] = tuple(edges)  # out() hands it out without a copy
         self._out = out
 
     def _key(self):
@@ -208,34 +210,36 @@ def explore(roots, successors, name, alphabet) -> Lts:
 
     States are hashable keys, explored breadth first; every root is a state
     and the first one is initial.  ``successors(key)`` yields ``(label,
-    key)`` edges and ``name(key)`` renders a key once, when it is first
-    reached.  Two keys rendering the same name raise ``ValueError``: names
-    are built by joining symbols, and symbols may contain the separators.
+    key)`` edges; a target not met before is named by ``name(key)`` and
+    queued.  Two keys rendering the same name raise ``ValueError``: names are
+    built by joining symbols, and symbols may contain the separators.
     """
     names: dict = {}
     taken: set[str] = set()
     order: list = []
 
-    def visit(key) -> str:
-        text = names.get(key)
-        if text is None:
-            text = name(key)
-            if text in taken:
-                raise ValueError(
-                    f"state name {text!r} is ambiguous: two different states render to it"
-                )
-            taken.add(text)
-            names[key] = text
-            order.append(key)
+    def visit(key) -> str:  # the first time a key is reached
+        text = name(key)
+        if text in taken:
+            raise ValueError(
+                f"state name {text!r} is ambiguous: two different states render to it"
+            )
+        taken.add(text)
+        names[key] = text
+        order.append(key)
         return text
 
     for key in roots:
-        visit(key)
+        if key not in names:
+            visit(key)
     transitions: list[Transition] = []
     for key in order:  # the list grows while it is read: breadth first
         src = names[key]
         for label, dst in successors(key):
-            transitions.append((src, label, visit(dst)))
+            text = names.get(dst)
+            if text is None:  # not falsy: "" is a state name
+                text = visit(dst)
+            transitions.append((src, label, text))
     return Lts(names.values(), names[roots[0]], transitions, alphabet)
 
 

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .codes import CodeMap
 from .errors import AlphabetMismatch
-from .lts import CompatRel, Label, Lts, Word, explore, render_word
+from .lts import CompatRel, Label, Lts, Word, explore
 
 __all__ = [
     "CHAOS",
@@ -35,9 +35,11 @@ def composite_name(state: str, word: Word) -> str:
     return f"{state}⟨{inner}⟩"
 
 
-def _pending_name(key) -> str:
-    """Name of a (state, pending word) key, or of the chaos state."""
-    return CHAOS if key == CHAOS else composite_name(*key)
+def _pending_name(code: CodeMap):
+    """The namer of (state, node number) keys: ``composite_name`` of the
+    state and the node's word, or the chaos state's name."""
+    text = code._text
+    return lambda key: CHAOS if key == CHAOS else f"{key[0]}⟨{text[key[1]]}⟩"
 
 
 def contract(code: CodeMap, m: Lts) -> Lts:
@@ -52,19 +54,19 @@ def contract(code: CodeMap, m: Lts) -> Lts:
     """
     if not m.alphabet <= code.source:
         raise AlphabetMismatch("machine alphabet must lie within the code's source alphabet")
-    children, leaves, out = code._children, code._leaves, m.out
+    kids, leaf, out = code._kids, code._leaf, m.out
 
     def successors(q: str):
-        todo = [((), {q})]
-        for w, current in todo:  # the list grows while it is read
-            node, pending = children.get(w, {}), {}
+        todo = [(0, {q})]
+        for i, current in todo:  # the list grows while it is read
+            node, pending = kids[i], {}
             for p in current:
                 for a, dst in out(p):
-                    wa = node.get(a)
-                    if wa in leaves:
-                        yield leaves[wa], dst
-                    elif wa is not None:
-                        pending.setdefault(wa, set()).add(dst)
+                    j = node.get(a, 0)  # the root 0 is no child and no leaf
+                    if leaf[j] is not None:
+                        yield leaf[j], dst
+                    elif j:
+                        pending.setdefault(j, set()).add(dst)
             todo += pending.items()
 
     return explore([m.initial], successors, str, code.target)
@@ -73,68 +75,70 @@ def contract(code: CodeMap, m: Lts) -> Lts:
 def refine(code: CodeMap, n: Lts) -> Lts:
     """Expand each abstract transition of ``n`` into its code-word path.
 
-    A state pairs an abstract state q with a node w of the code's prefix
-    tree: a pending proper prefix of the word of some label enabled at q.
+    A state pairs an abstract state q with a node of the code's prefix
+    tree: a pending proper prefix w of the word of some label enabled at q,
+    named ``composite_name(q, w)``.  The keys are (q, node number) pairs.
     Paths for different labels share their common prefixes.  Abstract
     transitions whose label is outside the code's domain contribute
     nothing.  Only the reachable part is built.
     """
     if not n.alphabet <= code.target:
         raise AlphabetMismatch("machine alphabet must lie within the code's target alphabet")
-    children, below, leaves = code._children, code._below, code._leaves
+    kids, below, leaf = code._kids, code._below, code._leaf
 
-    def successors(key: tuple[str, Word]):
-        q, w = key
+    def successors(key: tuple[str, int]):
+        q, i = key
         edges = n.out(q)
-        for a, wa in children.get(w, {}).items():
-            b = leaves.get(wa)
+        for a, j in kids[i].items():
+            b = leaf[j]
             if b is not None:
                 for b2, q2 in edges:  # the letter completes b's word
                     if b2 == b:
-                        yield a, (q2, ())
-            elif not below[wa].isdisjoint([b2 for b2, _ in edges]):
-                yield a, (q, wa)
+                        yield a, (q2, 0)
+            elif not below[j].isdisjoint([b2 for b2, _ in edges]):
+                yield a, (q, j)
 
-    return explore([(n.initial, ())], successors, _pending_name, code.source)
+    return explore([(n.initial, 0)], successors, _pending_name(code), code.source)
 
 
 def concretize(code: CodeMap, rel: CompatRel, m: Lts) -> Lts:
     """Like refinement, but complete every run outside the code demonically.
 
     States pair an abstract state with a pending proper prefix of a code
-    word, a node of the code's prefix tree.  A letter jumps to the chaos
-    state when no letter related to it, itself included, is a child of the
-    node; chaos enables every concrete label forever.  A single chaos state
-    is emitted, and only if it is reachable.
+    word, a node of the code's prefix tree, keyed and named as in
+    ``refine``.  A letter jumps to the chaos state when no letter related to
+    it, itself included, is a child of the node; chaos enables every
+    concrete label forever.  A single chaos state is emitted, and only if it
+    is reachable.
     """
     if not m.alphabet <= code.target:
         raise AlphabetMismatch("machine alphabet must lie within the code's target alphabet")
     if rel.carrier != code.source:
         raise AlphabetMismatch("relation carrier must be the code's source alphabet")
     source = sorted(code.source, key=str)
-    children, leaves = code._children, code._leaves
+    kids, leaf = code._kids, code._leaf
 
     def successors(key):
         if key == CHAOS:
             for a in source:
                 yield a, CHAOS
             return
-        q, w = key
-        edges = children.get(w, {})
+        q, i = key
+        edges = kids[i]
         for a in source:
-            wa = edges.get(a)
-            if wa is not None:
-                b = leaves.get(wa)
+            j = edges.get(a)
+            if j is not None:
+                b = leaf[j]
                 if b is None:
-                    yield a, (q, wa)
+                    yield a, (q, j)
                 else:
                     for b2, q2 in m.out(q):
                         if b2 == b:
-                            yield a, (q2, ())
+                            yield a, (q2, 0)
             if all(a2 not in edges for a2 in rel.related(a)):
                 yield a, CHAOS
 
-    return explore([(m.initial, ())], successors, _pending_name, code.source)
+    return explore([(m.initial, 0)], successors, _pending_name(code), code.source)
 
 
 class IncompletenessWitness(NamedTuple):
@@ -164,23 +168,23 @@ def is_icomplete(
         raise AlphabetMismatch("machine alphabet must lie within the code's source alphabet")
     if rel.carrier != code.source:
         raise AlphabetMismatch("relation carrier must be the code's source alphabet")
-    children, leaves = code._children, code._leaves
-    start = (m.initial, ())
+    kids, leaf, text = code._kids, code._leaf, code._text
+    start = (m.initial, 0)
     seen = {start}
     todo = deque([start])
     while todo:
-        q, w = todo.popleft()
-        edges = children.get(w, {})
+        q, i = todo.popleft()
+        edges = kids[i]
         for a in edges:
             for a2 in rel.related(a):
                 if a2 not in edges and m.enables(q, a2):
-                    return False, IncompletenessWitness(q, render_word(w), a, a2)
+                    return False, IncompletenessWitness(q, text[i] or "ε", a, a2)
         # Out-lists and node letters share one order, so pairs are met
         # letter by letter, each letter's targets in order.
         for a, q2 in m.out(q):
-            nxt = edges.get(a)
-            if nxt is not None:
-                pair = (q2, () if nxt in leaves else nxt)
+            j = edges.get(a)
+            if j is not None:
+                pair = (q2, 0 if leaf[j] is not None else j)
                 if pair not in seen:
                     seen.add(pair)
                     todo.append(pair)

@@ -12,7 +12,7 @@ import pytest
 
 from actioncodes.codes import CodeMap, CodeTree, to_tree
 from actioncodes.documents import code_from_document, loads, lts_from_document
-from actioncodes.errors import AlphabetMismatch
+from actioncodes.errors import AlphabetMismatch, PrefixClash
 from actioncodes.lts import CompatRel, Label, Lts, Word, explore, is_deterministic
 from actioncodes.operators import CHAOS, IncompletenessWitness, composite_name
 from actioncodes.simulation import _require_same_variant, _tau_closure, find_simulation
@@ -412,7 +412,30 @@ def scan_is_icomplete(code: CodeMap, rel: CompatRel, m: Lts):
     return True, None
 
 
-# -- prefix-freeness -----------------------------------------------------------
+# -- prefix-freeness and the prefix tree -----------------------------------------
+
+
+def word_prefix_tree(entries):
+    """The prefix tree ``CodeMap`` kept before it numbered its nodes, keyed
+    by words: each proper prefix of a code word maps its next letters, in
+    rendered order, to the longer prefixes and has the set of labels whose
+    words it begins; each complete word maps to its label.  Returns
+    ``(children, below, leaves)``; the oracle of the numbered tables."""
+    children: dict[Word, dict[Label, Word]] = {}
+    below: dict[Word, set[Label]] = {}
+    leaves: dict[Word, Label] = {}
+    for b, word in sorted(entries, key=lambda e: tuple(str(a) for a in e[1])):
+        for i, a in enumerate(word):
+            prefix = word[:i]
+            if prefix in leaves:
+                raise PrefixClash(leaves[prefix], b)
+            children.setdefault(prefix, {})[a] = word[: i + 1]
+            below.setdefault(prefix, set()).add(b)
+        if word in leaves:
+            raise PrefixClash(leaves[word], b)
+        leaves[word] = b
+    return children, below, leaves
+
 
 
 def sort_prefix_clash(entries) -> tuple[Label, Label] | None:
@@ -438,6 +461,14 @@ def atoms(*texts: str) -> list[Label]:
 def entry(b: str, word: str) -> tuple[Label, tuple[Label, ...]]:
     """A code entry: abstract label ``b`` and its space-separated word."""
     return (Label.parse(b), tuple(Label.parse(t) for t in word.split()))
+
+
+# "a.b" is one symbol, so the tree nodes (a.b,) and (a, b) both render as a.b.
+DOTTED = CodeMap(
+    atoms("a.b", "a", "b", "c"),
+    atoms("X", "Y"),
+    [entry("X", "a.b c"), entry("Y", "a b c")],
+)
 
 
 def all_small_machines(states: int, labels: int) -> list[Lts]:

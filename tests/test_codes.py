@@ -16,10 +16,19 @@ from actioncodes.errors import (
     PrefixClash,
 )
 from actioncodes.generate import gen_code
-from actioncodes.lts import Label, Lts, is_deterministic, structural_predicates
+from actioncodes.lts import Label, Lts, is_deterministic, render_word, structural_predicates
 from actioncodes.simulation import find_isomorphism_reachable
 
-from conftest import all_small_machines, atoms, entry, load_fixture, sort_prefix_clash
+from conftest import (
+    DOTTED,
+    FIXTURES,
+    all_small_machines,
+    atoms,
+    entry,
+    load_fixture,
+    sort_prefix_clash,
+    word_prefix_tree,
+)
 
 
 class TestValidation:
@@ -117,6 +126,42 @@ class TestValidation:
         with pytest.raises(PrefixClash) as err:
             CodeMap(letters, target, mixed)
         assert (err.value.first, err.value.second) == sort_prefix_clash(mixed) == tuple(atoms("C", "D"))
+
+
+def _tree_codes():
+    """Every fixture code, DOTTED, codes over Mealy letters whose tuple and
+    rendered orders cross (a/0 and a-x/0), and 300 seeded codes."""
+    for path in sorted(FIXTURES.glob("*.code.json")):
+        yield load_fixture(path.name)
+    yield DOTTED
+    crossed = atoms("a/0", "a-x/0", "a/1", "a-x/1")
+    for seed in range(40):
+        yield gen_code(seed, source=crossed, target=6, entries=6, maxlen=3)
+    for seed in range(300):
+        yield gen_code(seed, source=3, target=8, entries=1 + seed % 8, maxlen=2 + seed % 4)
+
+
+class TestPrefixTree:
+    def test_numbered_tables_match_the_word_keyed_tree(self):
+        shapes, crossing = set(), 0  # crossing: codes with a node whose letters cross
+        for code in _tree_codes():
+            children, below, leaves = word_prefix_tree(code.entries)
+            seen = []
+            todo = [(0, ())]
+            for i, word in todo:  # the list grows while it is read
+                seen.append(word)
+                kids = code._kids[i]
+                assert list(kids) == list(children.get(word, {}))
+                todo += [(j, word + (a,)) for a, j in kids.items()]
+                assert code._leaf[i] == leaves.get(word)
+                assert code._below[i] == below.get(word, set())
+                assert code._text[i] == (render_word(word) if word else "")
+            assert len(seen) == len(set(seen)) == len(code._kids)
+            assert set(seen) == {()} | set(children) | set(leaves)
+            shapes.add((len(code), len(code._kids)))
+            crossing += any(list(k) != sorted(k) for k in code._kids)
+        assert crossing >= 10
+        assert len(shapes) >= 40, shapes  # (entries, nodes)
 
 
 class TestTreeForm:

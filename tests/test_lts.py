@@ -91,8 +91,17 @@ class TestLtsConstruction:
             Lts(["p"], "q", [], [Label("a")])
 
     def test_rejects_label_outside_alphabet(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^transition label b is not in the alphabet$"):
             Lts(["p"], "p", [("p", Label("b"), "p")], [Label("a")])
+
+    @pytest.mark.parametrize("src,dst", [("p", "r"), ("r", "p")])
+    def test_rejects_transition_leaving_the_states(self, src, dst):
+        text = f"^transition {src}-a->{dst} leaves the state set$"
+        with pytest.raises(ValueError, match=text):
+            Lts(["p"], "p", [("p", Label("a"), "p"), (src, Label("a"), dst)], [Label("a")])
+        # With a foreign label as well, the state fault is the one reported.
+        with pytest.raises(ValueError, match=text.replace("-a->", "-b->")):
+            Lts(["p"], "p", [(src, Label("b"), dst)], [Label("a")])
 
     def test_rejects_mixed_variants(self):
         with pytest.raises(ValueError):
@@ -101,7 +110,11 @@ class TestLtsConstruction:
     def test_out_is_sorted_by_rendered_label_then_target(self):
         # Tuple order puts a/0 before a-x/0; the rendered order is the reverse.
         crossed = [Label(i, o) for i in ("a", "a-x") for o in "01"]
+        assert sorted(crossed) != sorted(crossed, key=str)
+        # Atomic labels that share the prefix a: tuple order is rendered order.
+        atomic = [Label(s) for s in ("a", "a-x", "a.b")]
         systems = [gen_lts(seed, states=4, labels=crossed) for seed in range(20)]
+        systems += [gen_lts(seed, states=4, labels=atomic) for seed in range(20)]
         systems += [gen_lts(seed, states=5, labels=3) for seed in range(20)]
         systems += [gen_mealy(seed, states=5, inputs=3, outputs=2) for seed in range(20)]
         assert any(len({a for a, _ in m.out(q)}) > 1 for m in systems[:20] for q in m.states)

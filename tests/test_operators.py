@@ -32,6 +32,7 @@ from actioncodes.simulation import (
 )
 
 from conftest import (
+    DOTTED,
     atoms,
     entry,
     has_trace,
@@ -160,6 +161,26 @@ class TestAgainstScanOracles:
                 assert found == scan_is_icomplete(code, rel, machine)
                 verdicts.add(found[0])
         assert verdicts == {True, False}
+
+
+def test_a_state_named_by_the_empty_string_is_explored_once():
+    # contract names its states as they are, so "" is a state name there;
+    # the operators must tell a named "" from a key not met yet.
+    code = CodeMap(atoms("a", "b"), atoms("X", "Y"), [entry("X", "a b"), entry("Y", "b")])
+    m = Lts(["", "p"], "", [("", Label("a"), "p"), ("p", Label("b"), ""), ("", Label("b"), "")],
+            code.source)
+    n = Lts(["", "q"], "", [("", Label("X"), "q"), ("q", Label("Y"), ""), ("q", Label("X"), "q")],
+            code.target)
+    rel = CompatRel.identity(code.source)
+    abstract = contract(code, m)
+    assert abstract.states == ("",)
+    assert abstract.out("") == ((Label("X"), ""), (Label("Y"), ""))
+    assert _system(abstract) == _system(scan_contract(code, m))
+    assert _system(refine(code, n)) == _system(scan_refine(code, n))
+    gamma = concretize(code, rel, n)
+    assert _system(gamma) == _system(scan_concretize(code, rel, n))
+    assert _system(contract(code, gamma)) == _system(scan_contract(code, gamma))
+    assert gamma.initial == "⟨⟩"
 
 
 class TestRefine:
@@ -411,6 +432,20 @@ class TestICompleteness:
         assert str(witness.enabled) == "a/0"
         assert str(witness.missing) == "a/1"
 
+    def test_missing_output_found_below_the_root(self):
+        code = CodeMap(atoms("a/0", "b/0", "c/0", "c/1"), atoms("X/0"),
+                       [entry("X/0", "a/0 b/0 c/0")])
+        m = Lts(
+            ["q0", "q1", "q2", "q3"],
+            "q0",
+            [(f"q{k}", Label.parse(a), f"q{k + 1}") for k, a in enumerate(["a/0", "b/0", "c/1"])],
+            code.source,
+        )
+        ok, witness = is_icomplete(code, CompatRel.same_input(code.source), m)
+        assert not ok
+        assert witness == ("q2", "a/0.b/0", Label("c", "0"), Label("c", "1"))
+        assert scan_is_icomplete(code, CompatRel.same_input(code.source), m) == (ok, witness)
+
 
 def _definition_violation(code, rel, m, prefix_labels):
     """Search a completeness violation reachable after one given abstract word.
@@ -580,13 +615,8 @@ class TestComposition:
         assert len(stacked.reachable()) == 4
 
 
-# "a.b" is one symbol, so the pending words (a.b,) and (a, b) both render as
-# q0⟨a.b⟩; a Mealy state named "q?a" clashes with the split view's q-then-a.
-DOTTED = CodeMap(
-    atoms("a.b", "a", "b", "c"),
-    atoms("X", "Y"),
-    [entry("X", "a.b c"), entry("Y", "a b c")],
-)
+# The pending words (a.b,) and (a, b) of DOTTED both render as q0⟨a.b⟩; a
+# Mealy state named "q?a" clashes with the split view's q-then-a.
 XY_LOOPS = Lts(["q0"], "q0", [("q0", Label("X"), "q0"), ("q0", Label("Y"), "q0")],
                atoms("X", "Y"))
 QUESTION_MEALY = Lts(["q", "q?a"], "q", [("q", Label("a", "0"), "q?a")], atoms("a/0"))
