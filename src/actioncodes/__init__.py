@@ -27,7 +27,6 @@ from .lts import (
     Lts,
     Word,
     is_deterministic,
-    structural_predicates,
 )
 from .operators import CHAOS, concretize, contract, is_icomplete, refine
 from .adaptor import (
@@ -40,7 +39,6 @@ from .adaptor import (
     is_determinate,
     is_input_enabled,
     is_output_deterministic,
-    run_adaptor,
     solve_winning,
     split_io,
 )

@@ -39,8 +39,6 @@ __all__ = [
     "InProcessSut",
     "ExternalSut",
     "AdaptorSession",
-    "AdaptorRun",
-    "run_adaptor",
     "format_transcript",
     "split_io",
     "adaptor_composition",
@@ -313,7 +311,10 @@ class ExternalSut:
             self._buffer += self._read_some(wait)
             wait = deadline - time.monotonic()
         line, _, self._buffer = self._buffer.partition(b"\n")
-        symbol = line.decode("utf-8").strip()
+        try:
+            symbol = line.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            symbol = ""  # not UTF-8: refused below as malformed
         if not symbol or any(ch.isspace() for ch in symbol) or "/" in symbol:
             raise SutProtocolError(f"malformed output symbol {line!r} from the SUT")
         return symbol
@@ -332,11 +333,6 @@ class ExternalSut:
 
 
 # -- the adaptor runtime ----------------------------------------------------
-
-
-class AdaptorRun(NamedTuple):
-    outputs: tuple[str, ...]
-    transcript: tuple[tuple, ...]
 
 
 def format_transcript(events: Iterable[tuple]) -> list[str]:
@@ -385,13 +381,6 @@ class AdaptorSession:
         assert leaf_label.symbol == abstract_input
         self.transcript.append(("OUT", leaf_label.output))
         return leaf_label.output
-
-
-def run_adaptor(tree: CodeTree, sut, abstract_inputs: Iterable[str]) -> AdaptorRun:
-    """Run a whole session and collect outputs plus the full transcript."""
-    session = AdaptorSession(tree, sut)
-    outputs = [session.apply(x) for x in abstract_inputs]
-    return AdaptorRun(tuple(outputs), tuple(session.transcript))
 
 
 # -- explicit process composition -------------------------------------------

@@ -56,7 +56,7 @@ EXIT_CODE_INCOMPLETE = 4
 def _read(path: str) -> dict:
     try:
         return loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
 
 

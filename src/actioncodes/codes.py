@@ -148,10 +148,6 @@ class CodeTree(_Value):
     def root(self) -> str:
         return self.tree.initial
 
-    @property
-    def leaves(self) -> frozenset[str]:
-        return frozenset(q for q, _ in self.leaf_labels)
-
     def label_of(self, leaf: str) -> Label:
         return self._labels[leaf]
 

@@ -1,4 +1,4 @@
-"""Core model: labels, finite labeled transition systems, structural checks.
+"""Core model: labels, finite labeled transition systems, compatibility relations.
 
 A labeled transition system (LTS) is a rooted directed graph whose edges
 carry action labels; a Mealy machine is the special case where every label
@@ -9,7 +9,7 @@ and safe to share between threads.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import AlphabetMismatch
 
@@ -18,9 +18,7 @@ __all__ = [
     "Word",
     "Lts",
     "CompatRel",
-    "StructuralReport",
     "is_deterministic",
-    "structural_predicates",
     "render_word",
 ]
 
@@ -53,9 +51,8 @@ class Label(tuple):
         # copy and pickle rebuild a label through __new__, so they validate too.
         return tuple(self)
 
-    symbol = property(itemgetter(0))
     #: First component; for a Mealy label this is the input symbol.
-    input = symbol
+    symbol = property(itemgetter(0))
     output = property(itemgetter(1))
 
     @property
@@ -247,10 +244,11 @@ class CompatRel:
     """A reflexive compatibility relation over an alphabet.
 
     ``identity`` relates every label to itself only; ``same_input`` relates
-    Mealy labels with equal input symbol; ``explicit`` takes a caller-supplied
-    set of pairs (closed reflexively).  The relation parameterizes both
-    determinism checks and the concretization operator.  It is stored as one
-    table from each label of the carrier to the labels related to it.
+    Mealy labels with equal input symbol; the constructor takes a
+    caller-supplied set of pairs (closed reflexively).  The relation
+    parameterizes both determinism checks and the concretization operator.
+    It is stored as one table from each label of the carrier to the labels
+    related to it.
     """
 
     __slots__ = ("carrier", "_related")
@@ -279,12 +277,6 @@ class CompatRel:
         return cls(carrier, [(a, b) for a in carrier for b in carrier if a.symbol == b.symbol])
 
     @classmethod
-    def explicit(
-        cls, alphabet: Iterable[Label], pairs: Iterable[tuple[Label, Label]]
-    ) -> "CompatRel":
-        return cls(alphabet, pairs)
-
-    @classmethod
     def by_name(cls, name: str, alphabet: Iterable[Label]) -> "CompatRel":
         if name not in cls.NAMED:
             raise ValueError(f"unknown relation name {name!r}")
@@ -297,12 +289,6 @@ class CompatRel:
         """All labels b of the carrier with (a, b) in the relation, sorted by
         rendering."""
         return self._related.get(a, ())
-
-
-class StructuralReport(NamedTuple):
-    tree_shaped: bool
-    grounded: bool
-    leaves: frozenset[str]
 
 
 def is_deterministic(m: Lts, rel: CompatRel | None = None) -> bool:
@@ -323,34 +309,3 @@ def is_deterministic(m: Lts, rel: CompatRel | None = None) -> bool:
                 if rel.holds(a, b) and not (a == b and p == r):
                     return False
     return True
-
-
-def structural_predicates(m: Lts) -> StructuralReport:
-    """Tree shape, groundedness, and the leaf set of the reachable part.
-
-    The reachable part is a tree when every reachable state is reached by
-    exactly one transition sequence; it is grounded when every reachable
-    state has a path to some leaf (a state without outgoing transitions).
-    """
-    reach = m.reachable()
-    in_degree = {q: 0 for q in reach}
-    preds: dict[str, set[str]] = {q: set() for q in reach}
-    for src in reach:
-        for _, dst in m.out(src):
-            in_degree[dst] += 1
-            preds[dst].add(src)
-    tree_shaped = in_degree[m.initial] == 0 and all(
-        d == 1 for q, d in in_degree.items() if q != m.initial
-    )
-    leaves = frozenset(q for q in reach if not m.out(q))
-    # Backward closure from the leaves decides groundedness.
-    can_ground = set(leaves)
-    todo = list(leaves)
-    while todo:
-        q = todo.pop()
-        for p in preds[q]:
-            if p not in can_ground:
-                can_ground.add(p)
-                todo.append(p)
-    grounded = can_ground == set(reach)
-    return StructuralReport(tree_shaped, grounded, leaves)

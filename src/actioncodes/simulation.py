@@ -6,9 +6,9 @@ out-lists, that deletes pairs by pre-image; they differ only in the answers
 to a move.  It runs over the whole product of the reachable parts for
 ``find_simulation`` and ``find_delay_simulation``, which return the greatest
 relation, and over the pairs that the game reaches from the initial pair for
-callers that want a verdict alone.  The isomorphism decider matches states
-breadth first among the successors of their parent's image, backtracking on
-an explicit stack.
+callers that want a verdict alone, which build no relation.  The isomorphism
+decider matches states breadth first among the successors of their parent's
+image, backtracking on an explicit stack.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def _answer_tables(n: Lts, tau: Label | None) -> tuple[list[str], dict[Label, tu
 
 def _greatest_simulation(
     m: Lts, n: Lts, tau: Label | None = None, from_initial: bool = False
-) -> Pairs | None:
+) -> tuple[list[str], dict[str, int]] | None:
     """The one greatest-fixpoint engine behind both deciders: simulation, or
     with ``tau`` delay simulation, after checking that the labels are of one
     kind and ``tau`` in both alphabets.  ``alive[q]`` is the mask of the
@@ -120,7 +120,7 @@ def _greatest_simulation(
     with an ``a`` answer into the relation (Henzinger, Henzinger & Kopke,
     FOCS 1995).  Each ``q -a-> q2`` cuts ``alive[q]`` down to ``keep``, and a
     ``q`` that lost pairs is pending again.  ``None`` once the initial pair
-    dies.
+    dies, else ``names`` and ``alive``.
     """
     _require_same_variant(m, n)
     if tau is not None and (tau not in m.alphabet or tau not in n.alphabet):
@@ -169,6 +169,15 @@ def _greatest_simulation(
                     pending[q] = None
     if not alive[m.initial] & start:
         return None
+    return names, alive
+
+
+def _pairs(masks: tuple[list[str], dict[str, int]] | None) -> Pairs | None:
+    """The relation that :func:`_greatest_simulation` returns as masks, as a
+    set of name pairs."""
+    if masks is None:
+        return None
+    names, alive = masks
     pairs = []
     for q, mask in alive.items():
         while mask:
@@ -207,7 +216,7 @@ def find_simulation(m: Lts, n: Lts) -> Pairs | None:
     of the right state into a surviving pair.  Returns ``None`` when the
     initial pair does not survive.
     """
-    return _greatest_simulation(m, n)
+    return _pairs(_greatest_simulation(m, n))
 
 
 def _simulates(m: Lts, n: Lts) -> bool:
@@ -224,9 +233,7 @@ def is_simulation(m: Lts, n: Lts, relation: Pairs) -> bool:
 # -- isomorphism of reachable parts ---------------------------------------
 
 
-def find_isomorphism_reachable(
-    m: Lts, n: Lts, budget: int = ISO_BUDGET
-) -> dict[str, str] | None:
+def find_isomorphism_reachable(m: Lts, n: Lts) -> dict[str, str] | None:
     """A bijection between reachable parts preserving the initial state and
     all transitions in both directions, or ``None`` when there is none.
 
@@ -236,7 +243,7 @@ def find_isomorphism_reachable(
     edges to the states already matched.  Equal edge counts then make the
     map an isomorphism.  Deterministic systems never branch; otherwise the
     search backtracks, and a pick made while another candidate remains
-    counts against ``budget``: past it, ``IsomorphismInconclusive``.
+    counts against ``ISO_BUDGET``: past it, ``IsomorphismInconclusive``.
     """
     _require_same_variant(m, n)
     reach_n = n.reachable()
@@ -299,9 +306,9 @@ def find_isomorphism_reachable(
             used.discard(mapping.pop(order[len(mapping) - 1]))
         if depths and depths[-1] == depth:
             nodes += 1
-            if nodes > budget:
+            if nodes > ISO_BUDGET:
                 raise IsomorphismInconclusive(
-                    f"isomorphism search exceeded {budget} nodes"
+                    f"isomorphism search exceeded {ISO_BUDGET} nodes"
                 )
         mapping[order[depth]] = p
         used.add(p)
@@ -336,7 +343,7 @@ def find_delay_simulation(m: Lts, n: Lts, tau: Label) -> Pairs | None:
     moves on the right, including none; a visible move must be matched after
     a hidden run, with no trailing hidden closure.
     """
-    return _greatest_simulation(m, n, tau)
+    return _pairs(_greatest_simulation(m, n, tau))
 
 
 def _delay_simulates(m: Lts, n: Lts, tau: Label) -> bool:

@@ -320,6 +320,17 @@ def brute_force_conflicts(tree: CodeTree) -> list[tuple[str, str, str, str]]:
     return sorted(conflicts, key=lambda c: (c[0], c[2], c[3], c[1]))
 
 
+def is_tree_shaped(m: Lts) -> bool:
+    """Whether the reachable part is a tree: no edge enters the initial
+    state and every other reachable state is entered by exactly one edge."""
+    reach = m.reachable()
+    in_degree = dict.fromkeys(reach, 0)
+    for q in reach:
+        for _, dst in m.out(q):
+            in_degree[dst] += 1
+    return in_degree.pop(m.initial) == 0 and all(d == 1 for d in in_degree.values())
+
+
 # -- scan-based operators ------------------------------------------------------
 # The operators as they were before they walked the code's prefix tree: every
 # code word is matched against the system one entry at a time, through

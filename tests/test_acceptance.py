@@ -14,11 +14,11 @@ import time
 from contextlib import contextmanager
 
 from actioncodes.adaptor import (
+    AdaptorSession,
     InProcessSut,
     check_adaptor_theorem,
     is_determinate,
     is_output_deterministic,
-    run_adaptor,
     solve_winning,
 )
 from actioncodes.cli import main as cli_main
@@ -308,13 +308,12 @@ def test_08_winning_and_determinacy():
 
 def test_09_adaptor_runtime():
     with criterion("adaptor-runtime"):
-        run = run_adaptor(
+        session = AdaptorSession(
             to_tree(load_fixture("double-press.code.json")),
             InProcessSut(load_fixture("square.mealy.json")),
-            ["A", "B", "A"],
         )
-        assert run.outputs == ("0", "0", "0")
-        concrete = [(e[1], e[2]) for e in run.transcript if e[0] == "SUT"]
+        assert [session.apply(x) for x in ["A", "B", "A"]] == ["0", "0", "0"]
+        concrete = [(e[1], e[2]) for e in session.transcript if e[0] == "SUT"]
         assert concrete == [
             ("a", "0"), ("a", "0"), ("b", "0"), ("b", "0"), ("a", "0"), ("a", "0"),
         ]
@@ -327,8 +326,8 @@ def test_09_adaptor_runtime():
             xs = sorted({lab.symbol for _, lab in tree.leaf_labels})
             rng = random.Random(seed)
             inputs = [rng.choice(xs) for _ in range(3)]
-            session = run_adaptor(tree, InProcessSut(m, seed=seed), inputs)
-            word = tuple(Label(x, y) for x, y in zip(inputs, session.outputs))
+            session = AdaptorSession(tree, InProcessSut(m, seed=seed))
+            word = tuple(Label(x, session.apply(x)) for x in inputs)
             assert has_trace(abstract, word)
 
 

@@ -21,7 +21,6 @@ from actioncodes.adaptor import (
     format_transcript,
     is_determinate,
     is_output_deterministic,
-    run_adaptor,
     solve_winning,
     split_io,
 )
@@ -222,10 +221,9 @@ def square_sut() -> InProcessSut:
 
 class TestRunAdaptor:
     def test_double_press_session(self):
-        run = run_adaptor(to_tree(load_fixture("double-press.code.json")), square_sut(),
-                          ["A", "B", "A"])
-        assert run.outputs == ("0", "0", "0")
-        concrete = [e for e in run.transcript if e[0] == "SUT"]
+        session = AdaptorSession(to_tree(load_fixture("double-press.code.json")), square_sut())
+        assert [session.apply(x) for x in ["A", "B", "A"]] == ["0", "0", "0"]
+        concrete = [e for e in session.transcript if e[0] == "SUT"]
         assert [(i, o) for _, i, o in concrete] == [
             ("a", "0"), ("a", "0"),
             ("b", "0"), ("b", "0"),
@@ -233,14 +231,13 @@ class TestRunAdaptor:
         ]
 
     def test_empty_input_stream(self):
-        run = run_adaptor(to_tree(load_fixture("double-press.code.json")), square_sut(), [])
-        assert run.outputs == ()
-        assert run.transcript == ()
+        session = AdaptorSession(to_tree(load_fixture("double-press.code.json")), square_sut())
+        assert session.transcript == []
 
     def test_split_press_reads_remembered_output(self):
-        run = run_adaptor(to_tree(load_fixture("split-press.code.json")), square_sut(), ["C"])
-        assert run.outputs == ("1",)
-        assert format_transcript(run.transcript) == [
+        session = AdaptorSession(to_tree(load_fixture("split-press.code.json")), square_sut())
+        assert session.apply("C") == "1"
+        assert format_transcript(session.transcript) == [
             "IN C", "SUT a/0", "SUT b/1", "OUT 1",
         ]
 
@@ -264,7 +261,7 @@ class TestRunAdaptor:
         )
         sut = InProcessSut(m, script=["1"])
         with pytest.raises(CodeIncomplete) as err:
-            run_adaptor(to_tree(code), sut, ["B"])
+            AdaptorSession(to_tree(code), sut).apply("B")
         assert err.value.node == "ε"
         assert err.value.concrete_input == "b"
         assert err.value.observed_output == "1"
@@ -277,10 +274,12 @@ class TestRunAdaptor:
             xs = sorted({lab.symbol for _, lab in tree.leaf_labels})
             rng = random.Random(seed)
             inputs = [rng.choice(xs) for _ in range(4)]
-            run = run_adaptor(tree, InProcessSut(m, seed=seed), inputs)
+            session = AdaptorSession(tree, InProcessSut(m, seed=seed))
+            for x in inputs:
+                session.apply(x)
             # Cut the transcript into one segment per abstract exchange.
             segments = []
-            for event in run.transcript:
+            for event in session.transcript:
                 if event[0] == "IN":
                     segments.append({"x": event[1], "word": []})
                 elif event[0] == "SUT":
@@ -301,10 +300,8 @@ class TestRunAdaptor:
             xs = sorted({lab.symbol for _, lab in tree.leaf_labels})
             rng = random.Random(seed + 1)
             inputs = [rng.choice(xs) for _ in range(3)]
-            run = run_adaptor(tree, InProcessSut(m, seed=seed), inputs)
-            word = tuple(
-                Label(x, y) for x, y in zip(inputs, run.outputs)
-            )
+            session = AdaptorSession(tree, InProcessSut(m, seed=seed))
+            word = tuple(Label(x, session.apply(x)) for x in inputs)
             assert has_trace(abstract, word)
 
     def test_every_short_abstract_trace_is_realizable(self):
@@ -319,8 +316,8 @@ class TestRunAdaptor:
                 script = _find_script(tree, table, m, pairs)
                 assert script is not None, (code, trace)
                 sut = InProcessSut(m, script=script)
-                run = run_adaptor(tree, sut, [x for x, _ in pairs])
-                assert run.outputs == tuple(y for _, y in pairs)
+                session = AdaptorSession(tree, sut)
+                assert [session.apply(x) for x, _ in pairs] == [y for _, y in pairs]
 
 
 def _seeded_trees():
@@ -408,8 +405,9 @@ class TestExternalSut:
         script.write_text(SQUARE_SUT_SCRIPT, encoding="utf-8")
         with ExternalSut.spawn([sys.executable, str(script)], timeout=10.0) as sut:
             sut.reset()
-            run = run_adaptor(to_tree(load_fixture("double-press.code.json")), sut, ["A", "B", "A"])
-        assert run.outputs == ("0", "0", "0")
+            session = AdaptorSession(to_tree(load_fixture("double-press.code.json")), sut)
+            outputs = [session.apply(x) for x in ["A", "B", "A"]]
+        assert outputs == ["0", "0", "0"]
 
     def test_timeout_raises(self, tmp_path):
         script = tmp_path / "sleepy.py"
@@ -435,6 +433,11 @@ class TestExternalSut:
             sut.receive()
         assert time.monotonic() - start < 0.3
         assert all(later < earlier for earlier, later in zip(waits, waits[1:]))
+
+    def test_non_utf8_line_is_malformed(self):
+        sut = ExternalSut(lambda data: None, lambda timeout: b"\xff\n", lambda: None)
+        with pytest.raises(SutProtocolError, match=r"malformed output symbol b'\\xff'"):
+            sut.receive()
 
     def test_malformed_symbol_raises(self, tmp_path):
         script = tmp_path / "chatty.py"

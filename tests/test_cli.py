@@ -504,7 +504,7 @@ class TestAdaptorVerb:
         assert "NotWinning espresso" in err
 
     def test_non_determinate_code_is_refused_before_inputs(self, capsys, tmp_path):
-        # The code is checked as a whole first, as run_adaptor does, so an
+        # The code is checked as a whole first, as AdaptorSession does, so an
         # input that is not winning does not hide a code that is unusable.
         status, out, err = run(
             capsys, "adaptor", "--code", fixture("shared-input.code.json"),
@@ -724,6 +724,15 @@ def test_deeply_nested_json_exits_2(capsys, tmp_path):
     status, out, err = run(capsys, "check", "simulation", str(path), str(path))
     assert (status, out) == (2, "")
     assert err.startswith("ERROR DocumentError not valid JSON: ") and "recursion" in err
+    assert err.count("\n") == 1
+
+
+def test_non_utf8_document_exits_2(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"kind": "lts", "states": ["\xe9"]}')
+    status, out, err = run(capsys, "check", "simulation", str(path), str(path))
+    assert (status, out) == (2, "")
+    assert err.startswith(f"ERROR DocumentError cannot read {path}: 'utf-8' codec can't decode")
     assert err.count("\n") == 1
 
 

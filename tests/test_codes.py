@@ -16,7 +16,7 @@ from actioncodes.errors import (
     PrefixClash,
 )
 from actioncodes.generate import gen_code
-from actioncodes.lts import Label, Lts, is_deterministic, render_word, structural_predicates
+from actioncodes.lts import Label, Lts, is_deterministic, render_word
 from actioncodes.simulation import find_isomorphism_reachable
 
 from conftest import (
@@ -25,6 +25,7 @@ from conftest import (
     all_small_machines,
     atoms,
     entry,
+    is_tree_shaped,
     load_fixture,
     sort_prefix_clash,
     word_prefix_tree,
@@ -168,9 +169,9 @@ class TestTreeForm:
     def test_ascii_tree_shape(self):
         tree = to_tree(load_fixture("ascii-fragment.code.json"))
         assert len(tree.tree.states) == 11
-        assert len(tree.leaves) == 5
-        report = structural_predicates(tree.tree)
-        assert report.tree_shaped and report.grounded
+        assert len(tree.leaf_labels) == 5
+        leaves = {q for q in tree.tree.states if tree.is_leaf(q)}
+        assert leaves == {q for q, _ in tree.leaf_labels}
 
     def test_empty_code_tree(self):
         tree = to_tree(CodeMap(atoms("a"), atoms("B"), []))
@@ -185,7 +186,11 @@ class TestTreeForm:
     def test_trees_are_always_grounded(self):
         for seed in range(40):
             tree = to_tree(gen_code(seed, entries=4, maxlen=3))
-            assert structural_predicates(tree.tree).grounded
+            # Every node lies on the access word of some labeled leaf.
+            words = [tree._words[q] for q, _ in tree.leaf_labels]
+            assert words
+            for w in tree._words.values():
+                assert any(v[: len(w)] == w for v in words)
 
     def test_invalid_trees_are_rejected(self):
         a = Label("a")
@@ -231,7 +236,7 @@ class TestTreeForm:
             abstract = [lab for _, lab in leaf_labels]
             if not is_deterministic(m):
                 expected = "carrier is not deterministic"
-            elif not structural_predicates(m).tree_shaped:
+            elif not is_tree_shaped(m):
                 expected = "carrier is not tree-shaped"
             elif set(m.states) != m.reachable():
                 expected = "carrier has unreachable states"

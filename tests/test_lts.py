@@ -1,4 +1,4 @@
-"""Core model tests: labels, machines, traces, and structural checks."""
+"""Core model tests: labels, machines, relations, and traces."""
 
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from actioncodes.lts import (
     Label,
     Lts,
     is_deterministic,
-    structural_predicates,
 )
 
 from conftest import FIXTURES, add_noise, has_trace, load_fixture, traces_up_to
@@ -54,7 +53,7 @@ class TestLabel:
 
     def test_mealy_components(self):
         lab = Label("coin", "thanks")
-        assert lab.input == "coin"
+        assert lab.symbol == "coin"
         assert lab.output == "thanks"
 
     def test_is_its_validated_pair(self):
@@ -77,7 +76,7 @@ class TestLabel:
         labels = [Label("a", "0"), Label("a-x", "0")]
         assert sorted(labels) == labels
         assert [str(a) for a in sorted(labels, key=str)] == ["a-x/0", "a/0"]
-        rel = CompatRel.explicit(labels, [(labels[0], labels[1])])
+        rel = CompatRel(labels, [(labels[0], labels[1])])
         assert rel.related(labels[0]) == (labels[1], labels[0])
 
 
@@ -228,7 +227,7 @@ class TestDeterminism:
             CompatRel.same_input([Label("a")])
 
     def test_explicit_relation_closed_reflexively(self):
-        rel = CompatRel.explicit([Label("a"), Label("b")], [(Label("a"), Label("b"))])
+        rel = CompatRel([Label("a"), Label("b")], [(Label("a"), Label("b"))])
         assert rel.holds(Label("a"), Label("a"))
         assert rel.holds(Label("a"), Label("b"))
         assert not rel.holds(Label("b"), Label("a"))
@@ -248,17 +247,17 @@ class TestDeterminism:
         for _ in range(30):
             full = mealy_alphabet(rng.randint(1, 5), rng.randint(1, 4))
             alphabet = rng.sample(full, k=rng.randint(1, len(full)))
-            pairs = [(a, b) for a in alphabet for b in alphabet if a.input == b.input]
+            pairs = [(a, b) for a in alphabet for b in alphabet if a.symbol == b.symbol]
             rng.shuffle(pairs)
-            explicit = CompatRel.explicit(alphabet, pairs)
+            explicit = CompatRel(alphabet, pairs)
             same_input = CompatRel.same_input(alphabet)
             for a in alphabet:
                 assert explicit.related(a) == same_input.related(a)
                 assert [str(b) for b in explicit.related(a)] == sorted(
-                    str(b) for b in alphabet if b.input == a.input
+                    str(b) for b in alphabet if b.symbol == a.symbol
                 )
                 for b in alphabet:
-                    assert explicit.holds(a, b) == same_input.holds(a, b) == (a.input == b.input)
+                    assert explicit.holds(a, b) == same_input.holds(a, b) == (a.symbol == b.symbol)
 
 
 class TestTraces:
@@ -302,45 +301,6 @@ class TestTraces:
             assert has_trace(m, (Label("a"), Label("a"), Label("a"))) == (
                 (Label("a"),) * 3 in traces
             )
-
-
-class TestStructure:
-    def test_ascii_tree(self):
-        tree = to_tree(load_fixture("ascii-fragment.code.json"))
-        report = structural_predicates(tree.tree)
-        assert report.tree_shaped
-        assert report.grounded
-        assert len(report.leaves) == 5
-
-    def test_square_machine_is_cyclic(self):
-        report = structural_predicates(load_fixture("square.mealy.json"))
-        assert not report.tree_shaped
-        assert not report.grounded
-        assert report.leaves == frozenset()
-
-    def test_single_state(self):
-        m = Lts(["q0"], "q0", [], [Label("a")])
-        report = structural_predicates(m)
-        assert report.tree_shaped
-        assert report.grounded
-        assert report.leaves == {"q0"}
-
-    def test_grounded_iff_leaf_descendant(self):
-        # Brute-force cross-check on small random instances.
-        for seed in range(40):
-            m = gen_lts(seed, states=4, labels=2)
-            report = structural_predicates(m)
-            reach = m.reachable()
-
-            def reaches_leaf(q, seen=None):
-                seen = seen or set()
-                if q in seen:
-                    return False
-                if not m.out(q):
-                    return True
-                return any(reaches_leaf(dst, seen | {q}) for _, dst in m.out(q))
-
-            assert report.grounded == all(reaches_leaf(q) for q in reach)
 
 
 @settings(max_examples=60, deadline=None)

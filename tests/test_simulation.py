@@ -246,10 +246,11 @@ class TestIsomorphism:
             assert find_simulation(m, n) is not None
             assert find_simulation(n, m) is not None
 
-    def test_budget_exhaustion_raises(self):
+    def test_budget_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(simulation, "ISO_BUDGET", 0)
         m = load_fixture("octal-choice-nondet.lts.json")
         with pytest.raises(IsomorphismInconclusive):
-            find_isomorphism_reachable(m, relabel(m), budget=0)
+            find_isomorphism_reachable(m, relabel(m))
 
     def test_respects_labels(self):
         m = Lts(["p", "q"], "p", [("p", Label("a"), "q")], [Label("a"), Label("b")])
@@ -274,11 +275,12 @@ class TestIsomorphism:
             hits += got is not None
         assert hits >= 100
 
-    def test_deterministic_pairs_never_spend_budget(self):
+    def test_deterministic_pairs_never_spend_budget(self, monkeypatch):
+        monkeypatch.setattr(simulation, "ISO_BUDGET", 0)
         for seed in range(40):
             m = gen_lts(seed, states=6, labels=3, deterministic=True)
             n = relabel(m)
-            mapping = find_isomorphism_reachable(m, n, budget=0)
+            mapping = find_isomorphism_reachable(m, n)
             assert mapping is not None and is_reachable_isomorphism(m, n, mapping)
 
     def test_deep_nondeterministic_chain(self):
@@ -382,6 +384,14 @@ def tau_padded(m: Lts) -> Lts:
     return Lts(states, m.initial, edges, [*m.alphabet, TAU])
 
 
+def tau_ring(states: int, prefix: str) -> Lts:
+    """``states`` states in a ring of τ edges, each with an ``a`` self-loop:
+    every hidden closure is the whole ring."""
+    ids = [f"{prefix}{k}" for k in range(states)]
+    edges = [(s, TAU, d) for s, d in zip(ids, ids[1:] + ids[:1])]
+    return Lts(ids, ids[0], edges + [(s, Label("a"), s) for s in ids], [Label("a"), TAU])
+
+
 def sweep_instances(count: int):
     """Seeded pairs of 1-9 states: ``(m, m)``, a noisy renamed copy (which
     simulates ``m``), a sub-machine, and an unrelated system; deterministic
@@ -430,9 +440,17 @@ def test_answer_tables_match_the_dict_answers():
 
 def sweep_engine(m: Lts, n: Lts, tau=None, from_initial=False):
     """The sweep oracle in the engine's place, fed the dict answers; it
-    always returns the relation over the whole product."""
+    always returns the relation over the whole product, as the engine's
+    masks."""
     answers = _step_answers(m, n) if tau is None else _delay_answers(m, n, tau)
-    return sweep_greatest_simulation(m, n, answers)
+    relation = sweep_greatest_simulation(m, n, answers)
+    if relation is None:
+        return None
+    names = sorted(n.reachable())
+    alive = dict.fromkeys(sorted(m.reachable()), 0)
+    for q, p in relation:
+        alive[q] |= 1 << names.index(p)
+    return names, alive
 
 
 def test_engine_matches_the_sweep_oracle(monkeypatch):
@@ -441,6 +459,21 @@ def test_engine_matches_the_sweep_oracle(monkeypatch):
     from_initial = [
         (simulation._simulates(m, n), simulation._delay_simulates(m, n, TAU)) for m, n in pairs
     ]
+    # The long families of TestNoCliff, too large for the oracle: from the
+    # initial pair the verdicts are those of the whole product.
+    size = TestNoCliff.N
+    padded = tau_padded(a_chain(size, "p"))
+    for m, n in [
+        (a_chain(size + 1, "p", extra=[TAU]), a_chain(size, "q", extra=[TAU])),
+        (a_chain(size, "p", extra=[TAU]), a_chain(size + 1, "q", extra=[TAU])),
+        (padded, a_chain(size, "q", extra=[TAU])),
+        (padded, a_chain(size - 1, "q", extra=[TAU])),
+        (tau_ring(size, "p"), tau_ring(size, "q")),
+    ]:
+        assert simulation._simulates(m, n) == (find_simulation(m, n) is not None)
+        assert simulation._delay_simulates(m, n, TAU) == (
+            find_delay_simulation(m, n, TAU) is not None
+        )
     monkeypatch.setattr(simulation, "_greatest_simulation", sweep_engine)
     oracle = [(find_simulation(m, n), find_delay_simulation(m, n, TAU)) for m, n in pairs]
     assert engine == oracle
@@ -614,12 +647,7 @@ class TestNoCliff:
 
     def test_tau_ring(self):
         # Every hidden closure is the whole ring, so every answer mask is full.
-        def ring(prefix):
-            ids = [f"{prefix}{k}" for k in range(self.N)]
-            edges = [(s, TAU, d) for s, d in zip(ids, ids[1:] + ids[:1])]
-            return Lts(ids, ids[0], edges + [(s, Label("a"), s) for s in ids], [Label("a"), TAU])
-
-        m, n = ring("p"), ring("q")
+        m, n = tau_ring(self.N, "p"), tau_ring(self.N, "q")
         witness = self.decide(find_delay_simulation, m, n, TAU)
         assert len(witness) == self.N ** 2 and is_delay_simulation(m, n, TAU, witness)
 
