@@ -53,16 +53,17 @@ EXIT_NOT_WINNING = 3
 EXIT_CODE_INCOMPLETE = 4
 
 
-def _read(path: str) -> dict:
+def _text(path: str) -> str:
+    """The UTF-8 text of an input file; any failure to read it names the path."""
     try:
-        return loads(Path(path).read_text(encoding="utf-8"))
+        return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
 
 
 def _load(argument: str, path: str):
     """Load the document named by a verb argument; the name picks the loader."""
-    doc = _read(path)
+    doc = loads(_text(path))
     if argument in ("code", "inner", "outer"):
         return code_from_document(doc)
     if argument == "tree":
@@ -245,7 +246,7 @@ def _gamma_noncompose(args, inner, outer, machine):
 
 def _symbols(path: str | None) -> list[str]:
     """The stripped non-blank lines of a file, or of stdin without a path."""
-    text = Path(path).read_text(encoding="utf-8") if path else sys.stdin.read()
+    text = _text(path) if path else sys.stdin.read()
     return [line.strip() for line in text.splitlines() if line.strip()]
 
 

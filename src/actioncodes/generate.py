@@ -7,8 +7,10 @@ randomly grown tree, and a leaf set is never prefix-comparable.
 
 from __future__ import annotations
 
+import bisect
 import random
 import string
+from operator import itemgetter
 from typing import Sequence
 
 from .codes import CodeMap
@@ -108,18 +110,28 @@ def gen_mealy(
 def _grow_tree_words(
     rng: random.Random, alphabet: Sequence[Label], entries: int, maxlen: int
 ) -> list[tuple[Label, ...]]:
-    """Leaves of a randomly grown prefix tree: prefix-free by construction."""
+    """Leaves of a randomly grown prefix tree: prefix-free by construction.
+
+    Each draw picks among the nodes in rendered-word order and among a node's
+    unused letters in rendered order.  The nodes are kept in that order as
+    they are added, a child's key being its parent's key plus one rendered
+    letter, so no step re-sorts.
+    """
+    ranked = sorted(alphabet, key=str)
     children: dict[tuple[Label, ...], list[Label]] = {(): []}
+    order: list[tuple[tuple[str, ...], tuple[Label, ...]]] = [((), ())]
     for _ in range(max(entries * (maxlen + 1), 8)):
-        node = rng.choice(sorted(children, key=lambda w: tuple(str(a) for a in w)))
+        key, node = rng.choice(order)
         if len(node) >= maxlen:
             continue
-        unused = [a for a in alphabet if a not in children[node]]
+        unused = [a for a in ranked if a not in children[node]]
         if not unused:
             continue
-        a = rng.choice(sorted(unused, key=str))
+        a = rng.choice(unused)
         children[node].append(a)
-        children[node + (a,)] = []
+        child = node + (a,)
+        children[child] = []
+        bisect.insort(order, (key + (str(a),), child), key=itemgetter(0))
     leaves = [w for w, kids in children.items() if not kids and w]
     rng.shuffle(leaves)
     return leaves[:entries]

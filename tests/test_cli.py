@@ -678,11 +678,11 @@ class TestOsErrors:
             (lambda tmp: ["adaptor", "--code", fixture("double-press.code.json"),
                           "--sut-file", fixture("square.mealy.json"),
                           "--inputs", str(tmp / "missing.txt")],
-             "FileNotFoundError"),
+             "DocumentError"),
             (lambda tmp: ["adaptor", "--code", fixture("double-press.code.json"),
                           "--sut-file", fixture("square.mealy.json"),
                           "--script", str(tmp / "missing.txt"), "--inputs", _inputs(tmp)],
-             "FileNotFoundError"),
+             "DocumentError"),
             (lambda tmp: ["adaptor", "--code", fixture("double-press.code.json"),
                           "--sut-exec", str(tmp / "no-such-sut"), "--inputs", _inputs(tmp)],
              "FileNotFoundError"),
@@ -733,6 +733,25 @@ def test_non_utf8_document_exits_2(capsys, tmp_path):
     status, out, err = run(capsys, "check", "simulation", str(path), str(path))
     assert (status, out) == (2, "")
     assert err.startswith(f"ERROR DocumentError cannot read {path}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("option", ["--inputs", "--script"])
+@pytest.mark.parametrize("content", [None, b"A\n\xff\n", "directory"],
+                         ids=["missing", "non-utf8", "directory"])
+def test_unreadable_symbol_file_exits_2(capsys, tmp_path, option, content):
+    # Any failure to read a symbol file names the path, as for documents; a
+    # file that is not UTF-8 must not end as a bare UnicodeDecodeError.
+    path = tmp_path / "symbols.txt"
+    if content == "directory":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    argv = ["adaptor", "--code", fixture("double-press.code.json"),
+            "--sut-file", fixture("square.mealy.json"), "--inputs", _inputs(tmp_path)]
+    status, out, err = run(capsys, *argv, option, str(path))  # a repeated option wins
+    assert (status, out) == (2, "")
+    assert err.startswith(f"ERROR DocumentError cannot read {path}: ")
     assert err.count("\n") == 1
 
 
