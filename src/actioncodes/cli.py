@@ -53,12 +53,19 @@ EXIT_NOT_WINNING = 3
 EXIT_CODE_INCOMPLETE = 4
 
 
-def _text(path: str) -> str:
-    """The UTF-8 text of an input file; any failure to read it names the path."""
+def _text(path: str | None) -> str:
+    """The UTF-8 text of an input file, or of stdin without a path; any
+    failure to read it names the path."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        if path is not None:
+            return Path(path).read_text(encoding="utf-8")
+        # Stdin's bytes are decoded here: the locale's decoding may turn a
+        # byte that is not UTF-8 into a surrogate.  A text stand-in without
+        # bytes underneath (io.StringIO) holds decoded text already.
+        stdin = sys.stdin
+        return stdin.buffer.read().decode("utf-8") if hasattr(stdin, "buffer") else stdin.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise DocumentError(f"cannot read {path}: {exc}") from exc
+        raise DocumentError(f"cannot read {path or '<stdin>'}: {exc}") from exc
 
 
 def _load(argument: str, path: str):
@@ -246,7 +253,7 @@ def _gamma_noncompose(args, inner, outer, machine):
 
 def _symbols(path: str | None) -> list[str]:
     """The stripped non-blank lines of a file, or of stdin without a path."""
-    text = _text(path) if path else sys.stdin.read()
+    text = _text(path or None)
     return [line.strip() for line in text.splitlines() if line.strip()]
 
 

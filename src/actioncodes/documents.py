@@ -10,7 +10,8 @@ serializing a parsed document is idempotent.
 from __future__ import annotations
 
 import json
-from itertools import repeat
+import re
+from itertools import chain, repeat
 from typing import Any
 
 from .codes import CodeMap, CodeTree
@@ -53,9 +54,9 @@ def lts_to_document(m: Lts) -> dict[str, Any]:
         "alphabet": sorted(names.values()),
         "states": list(m.states),
         "initial": m.initial,
-        # States are held sorted and out() is sorted by rendered label, then
-        # target: the rows come out sorted.
-        "transitions": [[q, names[a], dst] for q in m.states for a, dst in m.out(q)],
+        # States are held sorted and each out-list is sorted by rendered
+        # label, then target: the rows come out sorted.
+        "transitions": [[q, names[a], dst] for q, edges in m._out.items() for a, dst in edges],
     }
 
 
@@ -177,15 +178,24 @@ _KEY_ORDER = {
 
 
 _encode = json.encoder.encode_basestring  # what json.dumps escapes with, given ensure_ascii=False
+_ESCAPED = re.compile(r'[\x00-\x1f"\\]')  # the characters _encode does not copy as they are
+
+
+def _plain(strings) -> bool:
+    """Whether no string needs escaping: one search over the distinct ones.
+    Raises TypeError on an item that is not a string."""
+    return not _ESCAPED.search("".join(set(strings)))
 
 
 def _write(value, level: int) -> str:
     """``value`` exactly as ``json.dumps(value, indent=2, ensure_ascii=False)``
     writes it ``level`` containers deep.
 
-    Strings, lists and string-keyed dicts are written here; lists of strings
-    and rows of strings (the bulk of a document) take one join each, with no
-    Python call per item.  Anything else is left to ``json.dumps``.
+    Strings, lists and string-keyed dicts are written here.  A list of
+    strings and a list of non-empty rows of strings (the bulk of a document)
+    take one join each, with no Python call per item; when no string needs
+    escaping, the quotes go into the separators and no string is encoded.
+    Anything else is left to ``json.dumps``.
     """
     if type(value) is str:
         return _encode(value)
@@ -195,10 +205,15 @@ def _write(value, level: int) -> str:
         try:
             if set(map(type, value)) == {list} and all(value):
                 inner = pad + "  "
-                rows = map(("," + inner).join, map(map, repeat(_encode), value))
-                body = "[" + inner + (pad + "]," + pad + "[" + inner).join(rows) + pad + "]"
+                if _plain(chain.from_iterable(value)):
+                    q, rows = '"', value
+                else:
+                    q, rows = "", map(map, repeat(_encode), value)
+                rows = map((q + "," + inner + q).join, rows)
+                body = "[" + inner + q + (q + pad + "]," + pad + "[" + inner + q).join(rows) + q + pad + "]"
             else:
-                body = ("," + pad).join(map(_encode, value))
+                q, items = ('"', value) if _plain(value) else ("", map(_encode, value))
+                body = q + (q + "," + pad + q).join(items) + q
         except TypeError:  # an item that is not a string: one item at a time
             body = ("," + pad).join([_write(x, level + 1) for x in value])
         return "[" + pad + body + outer + "]"

@@ -202,6 +202,10 @@ class Lts(_Value):
         )
 
 
+def _ambiguous(text: str) -> ValueError:
+    return ValueError(f"state name {text!r} is ambiguous: two different states render to it")
+
+
 def explore(roots, successors, name, alphabet) -> Lts:
     """Build the part of an implicit system reachable from ``roots``.
 
@@ -213,29 +217,25 @@ def explore(roots, successors, name, alphabet) -> Lts:
     """
     names: dict = {}
     taken: set[str] = set()
-    order: list = []
-
-    def visit(key) -> str:  # the first time a key is reached
-        text = name(key)
-        if text in taken:
-            raise ValueError(
-                f"state name {text!r} is ambiguous: two different states render to it"
-            )
-        taken.add(text)
-        names[key] = text
-        order.append(key)
-        return text
-
     for key in roots:
         if key not in names:
-            visit(key)
+            names[key] = text = name(key)
+            if text in taken:
+                raise _ambiguous(text)
+            taken.add(text)
+    order = list(names)
     transitions: list[Transition] = []
     for key in order:  # the list grows while it is read: breadth first
         src = names[key]
         for label, dst in successors(key):
             text = names.get(dst)
-            if text is None:  # not falsy: "" is a state name
-                text = visit(dst)
+            if text is None:  # a key not met before; not falsy: "" is a state name
+                text = name(dst)
+                if text in taken:
+                    raise _ambiguous(text)
+                taken.add(text)
+                names[dst] = text
+                order.append(dst)
             transitions.append((src, label, text))
     return Lts(names.values(), names[roots[0]], transitions, alphabet)
 

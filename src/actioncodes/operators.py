@@ -116,7 +116,17 @@ def concretize(code: CodeMap, rel: CompatRel, m: Lts) -> Lts:
     if rel.carrier != code.source:
         raise AlphabetMismatch("relation carrier must be the code's source alphabet")
     source = sorted(code.source, key=str)
-    kids, leaf = code._kids, code._leaf
+    leaf, out = code._leaf, m.out
+    # For each node and letter: the child or None, the child's label, and
+    # whether the letter jumps to chaos.
+    plans = [
+        [
+            (a, edges.get(a), leaf[edges[a]] if a in edges else None,
+             all(a2 not in edges for a2 in rel.related(a)))
+            for a in source
+        ]
+        for edges in code._kids
+    ]
 
     def successors(key):
         if key == CHAOS:
@@ -124,18 +134,15 @@ def concretize(code: CodeMap, rel: CompatRel, m: Lts) -> Lts:
                 yield a, CHAOS
             return
         q, i = key
-        edges = kids[i]
-        for a in source:
-            j = edges.get(a)
+        for a, j, b, chaos in plans[i]:
             if j is not None:
-                b = leaf[j]
                 if b is None:
                     yield a, (q, j)
                 else:
-                    for b2, q2 in m.out(q):
+                    for b2, q2 in out(q):
                         if b2 == b:
                             yield a, (q2, 0)
-            if all(a2 not in edges for a2 in rel.related(a)):
+            if chaos:
                 yield a, CHAOS
 
     return explore([(m.initial, 0)], successors, _pending_name(code), code.source)

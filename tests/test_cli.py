@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import os
 import socket
 import subprocess
@@ -472,8 +473,6 @@ class TestAdaptorVerb:
         ]
 
     def test_reads_abstract_inputs_from_stdin(self, capsys, monkeypatch):
-        import io
-
         monkeypatch.setattr(sys, "stdin", io.StringIO("B\n"))
         status, out, _ = run(
             capsys, "adaptor", "--code", fixture("double-press.code.json"),
@@ -753,6 +752,34 @@ def test_unreadable_symbol_file_exits_2(capsys, tmp_path, option, content):
     assert (status, out) == (2, "")
     assert err.startswith(f"ERROR DocumentError cannot read {path}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("data,want", [
+    (b"B\n", (0, "IN B\nSUT b/0\nSUT b/0\nOUT 0\n", "")),
+    (b"A\n\xff\n", (2, "", "ERROR DocumentError cannot read <stdin>: 'utf-8' codec can't "
+                     "decode byte 0xff in position 2: invalid start byte\n")),
+], ids=["utf8", "non-utf8"])
+def test_stdin_symbols_are_strict_utf8(capsys, monkeypatch, data, want):
+    # Under the C and C.UTF-8 locales stdin decodes with surrogateescape, so
+    # a byte that is not UTF-8 once reached the adaptor as a lone surrogate
+    # symbol and ended as "ERROR NotWinning \udcff" with exit 3.
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    argv = ["adaptor", "--code", fixture("double-press.code.json"),
+            "--sut-file", fixture("square.mealy.json")]
+    assert run(capsys, *argv) == want
+
+
+def test_non_utf8_stdin_exits_2_under_the_c_locale():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "LC_ALL": "C.UTF-8"}
+    result = subprocess.run(
+        [sys.executable, "-m", "actioncodes.cli", "adaptor",
+         "--code", fixture("double-press.code.json"), "--sut-file", fixture("square.mealy.json")],
+        input=b"A\n\xff\n", env=env, capture_output=True, check=False,
+    )
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert result.stderr.startswith(b"ERROR DocumentError cannot read <stdin>: ")
 
 
 _TREE = {

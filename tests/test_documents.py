@@ -6,6 +6,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from actioncodes.codes import CodeMap, to_map, to_tree
 from actioncodes.errors import InvalidTree, PrefixClash
@@ -24,6 +26,7 @@ from actioncodes.documents import (
     tree_to_document,
 )
 from actioncodes.generate import gen_code, gen_lts, gen_mealy
+from actioncodes.lts import Label, Lts
 from conftest import FIXTURES, load_fixture
 
 
@@ -121,6 +124,62 @@ class TestWriter:
     )
     def test_documents_match_the_standard_encoder(self, doc):
         assert dumps(doc) == json_oracle(doc)
+
+
+#: Any string, lone surrogates included, and often one of the odd names.
+NAMES = st.text(st.characters(exclude_categories=())) | st.sampled_from(ODD + [""])
+ROWS = st.lists(st.lists(NAMES, min_size=3, max_size=3), max_size=6)
+#: Rows of any length, with items that are not strings.
+ODD_ROWS = st.lists(
+    st.lists(NAMES | st.integers() | st.none() | st.lists(NAMES, max_size=2), max_size=4),
+    max_size=6,
+)
+
+
+@st.composite
+def lts_documents(draw) -> dict:
+    return {"schema": LTS_SCHEMA, "kind": draw(st.sampled_from(["lts", "mealy"])),
+            "alphabet": draw(st.lists(NAMES, max_size=4)),
+            "states": draw(st.lists(NAMES, max_size=5)), "initial": draw(NAMES),
+            "transitions": draw(ROWS | ODD_ROWS)}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lts_documents())
+@example({"schema": LTS_SCHEMA, "kind": "lts", "alphabet": [], "states": ODD + [""],
+          "initial": "", "transitions": []})
+@example({"schema": LTS_SCHEMA, "kind": "lts", "alphabet": ["a"], "states": ODD,
+          "initial": ODD[0], "transitions": [[q, "a", r] for q in ODD for r in ODD]})
+@example({"schema": LTS_SCHEMA, "kind": "lts", "alphabet": ["a"], "states": ["", "q"],
+          "initial": "q", "transitions": [["q", "a", ""], ["", "a"], ["q", "a", "q", "q"]]})
+def test_lts_documents_match_the_standard_encoder(doc):
+    assert dumps(doc) == json_oracle(doc)
+
+
+SYMBOLS = st.text(min_size=1).filter(lambda s: "/" not in s and s.split() == [s])
+
+
+@st.composite
+def machines(draw) -> Lts:
+    """An Lts with any string as a state name, atomic or Mealy."""
+    states = draw(st.lists(NAMES, min_size=1, max_size=5, unique=True))
+    if draw(st.booleans()):
+        labels = st.builds(Label, SYMBOLS)
+    else:
+        labels = st.builds(Label, SYMBOLS, SYMBOLS)
+    alphabet = draw(st.lists(labels, max_size=4, unique=True))
+    edges = st.tuples(st.sampled_from(states), st.sampled_from(alphabet), st.sampled_from(states))
+    transitions = draw(st.lists(edges, max_size=8)) if alphabet else []
+    return Lts(states, draw(st.sampled_from(states)), transitions, alphabet)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(machines())
+def test_machines_round_trip_through_text(m):
+    doc = lts_to_document(m)
+    text = dumps(doc)
+    assert text == json_oracle(doc)
+    assert lts_from_document(loads(text)) == m
 
 
 LTS_DOC = {

@@ -106,17 +106,25 @@ class TestContract:
 def _oracle_instances():
     """Seeded codes with a concrete and an abstract system over their
     alphabets, deterministic and not.  The third code's Mealy symbols sort
-    differently as tuples than rendered (``a-x/0`` before ``a/0``).  One
+    differently as tuples than rendered (``a-x/0`` before ``a/0``).  The
+    fourth's relation is explicit and not symmetric: a letter relates to some
+    later letters, so ``related(a)`` holds letters other than ``a``.  One
     fixed case follows them."""
     crossed = [Label(i, o) for i in ("a", "a-x") for o in "01"]
     for seed in range(30):
         deterministic = seed % 3 == 0
+        rng = random.Random(seed)
+        letters = atoms("a", "b", "c", "d")
+        forward = gen_code(seed + 100, source=letters, entries=3, maxlen=3)
+        pairs = [(a, b) for i, a in enumerate(letters) for b in letters[i + 1:]
+                 if rng.random() < 0.4]
         codes = [
             (gen_code(seed, entries=3, maxlen=3), CompatRel.identity),
             (gen_adaptor_code(seed, inputs=2, outputs=2, abstract_inputs=2),
              CompatRel.same_input),
             (gen_code(seed, source=crossed, target=atoms("X-y", "X", "Z"), entries=3,
                       maxlen=3), CompatRel.same_input),
+            (forward, lambda alphabet: CompatRel(alphabet, pairs)),
         ]
         for code, rel in codes:
             m = concrete_lts(seed + 5, code, states=5, deterministic=deterministic)
@@ -633,7 +641,8 @@ QUESTION_MEALY = Lts(["q", "q?a"], "q", [("q", Label("a", "0"), "q?a")], atoms("
     ids=["refine", "concretize", "split_io"],
 )
 def test_state_name_collision_is_rejected(build, name):
-    with pytest.raises(ValueError, match=re.escape(repr(name))):
+    text = f"state name {name!r} is ambiguous: two different states render to it"
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
         build()
 
 
