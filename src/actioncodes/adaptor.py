@@ -26,7 +26,6 @@ from .errors import (
 )
 from .lts import CompatRel, Label, Lts, explore, is_deterministic
 from .operators import contract
-from .simulation import _delay_simulates
 
 __all__ = [
     "TAU",
@@ -486,6 +485,8 @@ def adaptor_composition(tree: CodeTree, m: Lts) -> Lts:
 def check_adaptor_theorem(tree: CodeTree, m: Lts) -> bool:
     """Whether the composed adaptor/SUT process and the contraction of the
     SUT model delay-simulate each other (hidden moves absorbed)."""
+    from .simulation import _delay_simulates
+
     composed = adaptor_composition(tree, m)
     learner_view = split_io(contract(to_map(tree), m))
     return _delay_simulates(composed, learner_view, TAU) and _delay_simulates(

@@ -9,20 +9,11 @@ code has no edge for.
 from __future__ import annotations
 
 import argparse
-import shlex
-import string
 import sys
 from pathlib import Path
 
-from .adaptor import (
-    AdaptorSession,
-    ExternalSut,
-    InProcessSut,
-    check_adaptor_theorem,
-    format_transcript,
-    is_determinate,
-    solve_winning,
-)
+# ``adaptor``, ``generate`` and ``simulation`` are imported by the handlers
+# that use them, so a call loads only the modules of its verb.
 from .codes import CodeMap, compose, to_map, to_tree
 from .documents import (
     DocumentError,
@@ -41,10 +32,8 @@ from .errors import (
     NotDeterminate,
     NotWinning,
 )
-from .generate import gen_code, gen_lts, gen_mealy, letters, mealy_alphabet
 from .lts import CompatRel, Label, Lts, is_deterministic
 from .operators import concretize, contract, is_icomplete, refine
-from .simulation import _simulates, find_isomorphism_reachable, find_simulation
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -65,7 +54,7 @@ def _text(path: str | None) -> str:
         stdin = sys.stdin
         return stdin.buffer.read().decode("utf-8") if hasattr(stdin, "buffer") else stdin.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise DocumentError(f"cannot read {path or '<stdin>'}: {exc}") from exc
+        raise DocumentError(f"cannot read {'<stdin>' if path is None else path}: {exc}") from exc
 
 
 def _load(argument: str, path: str):
@@ -91,6 +80,10 @@ def _rel(args, code: CodeMap) -> CompatRel:
 
 
 def _cmd_gen(args) -> int:
+    import string
+
+    from .generate import gen_code, gen_lts, gen_mealy, letters, mealy_alphabet
+
     if args.what == "lts":
         doc = lts_to_document(
             gen_lts(args.seed, args.states, args.labels, args.deterministic)
@@ -125,12 +118,16 @@ def _cmd_gen(args) -> int:
 
 
 def _isomorphism(args, m: Lts, n: Lts) -> tuple[bool, list[str]]:
+    from .simulation import find_isomorphism_reachable
+
     mapping = find_isomorphism_reachable(m, n)
     lines = [f"map {q} {p}" for q, p in sorted(mapping.items())] if mapping else []
     return mapping is not None, lines
 
 
 def _simulation(args, left, right):
+    from .simulation import find_simulation
+
     witness = find_simulation(left, right)
     lines = [f"pair {q} {p}" for q, p in sorted(witness)] if witness else []
     return witness is not None, lines
@@ -146,6 +143,8 @@ def _icomplete(args, code, machine):
 
 
 def _winning(args, code):
+    from .adaptor import solve_winning
+
     tree = to_tree(code)
     table = solve_winning(tree)
     wanted = [args.abstract_input] if args.abstract_input else sorted(
@@ -164,6 +163,8 @@ def _winning(args, code):
 
 
 def _determinate(args, code):
+    from .adaptor import is_determinate
+
     ok, witness = is_determinate(to_tree(code))
     lines = [] if witness is None else [
         f"witness node={witness.node} input={witness.abstract_input} "
@@ -174,6 +175,8 @@ def _determinate(args, code):
 
 def _galois_refinement(args, code, abstract, concrete):
     """Adjunction between refinement and contraction on one instance."""
+    from .simulation import _simulates
+
     left = _simulates(refine(code, abstract), concrete)
     right = _simulates(abstract, contract(code, concrete))
     over_domain = {a for q in abstract.states for a, _ in abstract.out(q)} <= code.domain
@@ -196,6 +199,8 @@ def _galois_refinement(args, code, abstract, concrete):
 
 def _galois_concretization(args, code, concrete, abstract):
     """Adjunction between contraction and concretization on one instance."""
+    from .simulation import _simulates
+
     complete, witness_lines = _icomplete(args, code, concrete)
     lines = [f"icomplete {complete}"]
     if not complete:
@@ -233,6 +238,8 @@ def _compose_rho(args, inner, outer, machine):
 def _gamma_noncompose(args, inner, outer, machine):
     """Concretization does not commute with composition: non-isomorphic but
     mutually similar on the given instance."""
+    from .simulation import _simulates, find_isomorphism_reachable
+
     rel_inner = CompatRel.identity(inner.source)
     rel_outer = CompatRel.identity(outer.source)
     composed = concretize(compose(inner, outer), rel_inner, machine)
@@ -248,16 +255,26 @@ def _gamma_noncompose(args, inner, outer, machine):
     return iso is None and forward and backward, lines
 
 
+def _adaptor_theorem(args, code, machine):
+    from .adaptor import check_adaptor_theorem
+
+    return check_adaptor_theorem(to_tree(code), machine), []
+
+
 # -- the adaptor verb --------------------------------------------------------
 
 
 def _symbols(path: str | None) -> list[str]:
     """The stripped non-blank lines of a file, or of stdin without a path."""
-    text = _text(path or None)
+    text = _text(path)
     return [line.strip() for line in text.splitlines() if line.strip()]
 
 
 def _cmd_adaptor(args) -> int:
+    import shlex
+
+    from .adaptor import AdaptorSession, ExternalSut, InProcessSut, format_transcript
+
     tree = to_tree(_load("code", args.code))
     requested = _symbols(args.inputs)
 
@@ -273,7 +290,7 @@ def _cmd_adaptor(args) -> int:
     try:
         if args.sut_file is not None:
             machine = _load("machine", args.sut_file)
-            script = _symbols(args.script) if args.script else None
+            script = None if args.script is None else _symbols(args.script)
             sut = InProcessSut(machine, seed=args.seed, script=script)
         elif args.sut_exec is not None:
             command = shlex.split(args.sut_exec)
@@ -363,10 +380,7 @@ _CHECKS = {
     "compose-alpha": (None, (), ("inner", "outer", "machine"), _compose_alpha),
     "compose-rho": (None, (), ("inner", "outer", "machine"), _compose_rho),
     "gamma-noncompose": (None, (), ("inner", "outer", "machine"), _gamma_noncompose),
-    "adaptor-theorem": (
-        None, (), ("--code", "machine"),
-        lambda args, code, machine: (check_adaptor_theorem(to_tree(code), machine), []),
-    ),
+    "adaptor-theorem": (None, (), ("--code", "machine"), _adaptor_theorem),
 }
 
 
@@ -413,7 +427,21 @@ def _add_verb(sub, verb: str, help_text, options, documents, handler) -> None:
     p.set_defaults(handler=handler)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_VERBS = (*_OPERATORS, "gen", "check", "adaptor")
+
+
+def _build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for ``argv``; without it, the parser of every verb.
+
+    Argparse hands every argument after the verb, and after ``check``'s
+    check, to that one subparser, so usage, help and error texts do not
+    depend on the others: when ``argv`` names a verb, and for ``check`` a
+    check, only that subparser is built.
+    """
+    verb, what = [*argv[:2], None, None][:2]
+    if verb not in _VERBS or (verb == "check" and what not in _CHECKS):
+        verb = what = None
+
     parser = argparse.ArgumentParser(
         prog="actioncodes",
         description="Action codes: contraction, refinement, concretization, "
@@ -421,9 +449,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    for verb, (help_text, options, documents, _, _) in _OPERATORS.items():
-        _add_verb(sub, verb, help_text, options, documents, _run_operator)
+    for name, (help_text, options, documents, _, _) in _OPERATORS.items():
+        if verb in (None, name):
+            _add_verb(sub, name, help_text, options, documents, _run_operator)
 
+    if verb in (None, "gen"):
+        _add_gen(sub)
+
+    if verb in (None, "check"):
+        check = sub.add_parser("check", help="decide a law on given instances")
+        checks = check.add_subparsers(dest="what", required=True)
+        for name, (help_text, options, documents, _) in _CHECKS.items():
+            if what in (None, name):
+                _add_verb(checks, name, help_text, options, documents, _run_check)
+
+    if verb in (None, "adaptor"):
+        _add_adaptor(sub)
+
+    return parser
+
+
+def _add_gen(sub) -> None:
     p = sub.add_parser("gen", help="seeded random machines and codes")
     p.add_argument("what", choices=["lts", "mealy", "code"])
     p.add_argument("--seed", type=int, required=True)
@@ -440,11 +486,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", **_OPTIONS["--out"])
     p.set_defaults(handler=_cmd_gen)
 
-    check = sub.add_parser("check", help="decide a law on given instances")
-    checks = check.add_subparsers(dest="what", required=True)
-    for verb, (help_text, options, documents, _) in _CHECKS.items():
-        _add_verb(checks, verb, help_text, options, documents, _run_check)
 
+def _add_adaptor(sub) -> None:
     p = sub.add_parser("adaptor", help="run an adaptor in front of a SUT")
     p.add_argument("--code", required=True)
     group = p.add_mutually_exclusive_group(required=True)
@@ -457,11 +500,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=5.0)
     p.set_defaults(handler=_cmd_adaptor)
 
-    return parser
-
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     try:
         return args.handler(args)
     except NotWinning as exc:

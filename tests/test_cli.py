@@ -8,17 +8,19 @@ import socket
 import subprocess
 import sys
 import threading
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from actioncodes import adaptor
-from actioncodes.cli import main
+from actioncodes.cli import _CHECKS, _VERBS, _build_parser, main
 from actioncodes.documents import dumps, loads, lts_from_document, lts_to_document
 from actioncodes.simulation import find_isomorphism_reachable, is_simulation
 
 from conftest import FIXTURES, load_fixture
 from test_adaptor import SQUARE_SUT_SCRIPT
+from test_cli_transcript import CALLS
 from test_simulation import forked_chain, is_reachable_isomorphism, numbered_copy
 
 
@@ -754,6 +756,18 @@ def test_unreadable_symbol_file_exits_2(capsys, tmp_path, option, content):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("option", ["--inputs", "--script"])
+def test_an_empty_symbol_path_is_not_absent(capsys, monkeypatch, tmp_path, option):
+    # An empty path once read stdin (--inputs) or ran with no script.
+    monkeypatch.setattr(sys, "stdin", io.StringIO("A\n"))
+    argv = ["adaptor", "--code", fixture("double-press.code.json"),
+            "--sut-file", fixture("square.mealy.json"), "--inputs", _inputs(tmp_path)]
+    status, out, err = run(capsys, *argv, option, "")  # a repeated option wins
+    assert (status, out) == (2, "")
+    assert err.startswith("ERROR DocumentError cannot read : ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("data,want", [
     (b"B\n", (0, "IN B\nSUT b/0\nSUT b/0\nOUT 0\n", "")),
     (b"A\n\xff\n", (2, "", "ERROR DocumentError cannot read <stdin>: 'utf-8' codec can't "
@@ -844,3 +858,56 @@ def test_import_leaves_the_transports_and_dataclasses_out():
         capture_output=True, text=True, check=True,
     )
     assert result.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv,absent", [
+    (["contract", "--code", fixture("double-press.code.json"), fixture("square.mealy.json")],
+     ("adaptor", "simulation", "generate")),
+    (["check", "simulation", fixture("octal-choice-nondet.lts.json"),
+      fixture("octal-choice-det.lts.json")], ("adaptor", "generate")),
+    (["check", "winning", "--code", fixture("coffee.code.json")], ("simulation", "generate")),
+], ids=["contract", "check simulation", "check winning"])
+def test_a_call_loads_only_the_modules_of_its_verb(argv, absent):
+    probe = (
+        "import contextlib, io, sys\n"
+        "from actioncodes import cli\n"
+        f"with contextlib.redirect_stdout(io.StringIO()): status = cli.main({argv!r})\n"
+        f"print(status, [m for m in {absent!r} if 'actioncodes.' + m in sys.modules])"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == "0 []\n"
+
+
+def _parsed(parser, argv):
+    """The namespace argparse gives for argv, or its exit code and output."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            return parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv for argv, _ in CALLS]
+    + [[], ["-h"], ["nosuch"], ["check"], ["check", "nosuch"]]
+    + [[verb, "-h"] for verb in _VERBS] + [["check", what, "-h"] for what in _CHECKS]
+    + [["contract"], ["check", "winning", "--code"], ["gen", "lts", "--seed", "x"]],
+    ids=" ".join,
+)
+def test_the_one_verb_parser_parses_as_the_full_parser(argv):
+    assert _parsed(_build_parser(argv), argv) == _parsed(_build_parser(), argv)
+
+
+@pytest.mark.parametrize("argv,listed", [
+    (["-h"], _VERBS), (["nosuch"], _VERBS), (["check", "-h"], _CHECKS),
+    (["check", "nosuch"], _CHECKS),
+], ids=["-h", "nosuch", "check -h", "check nosuch"])
+def test_a_vector_naming_no_verb_lists_every_verb(argv, listed):
+    _, out, err = _parsed(_build_parser(argv), argv)
+    assert "{" + ",".join(listed) + "}" in out + err

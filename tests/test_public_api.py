@@ -7,6 +7,8 @@ import importlib
 import types
 from pathlib import Path
 
+import pytest
+
 import actioncodes
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -54,3 +56,20 @@ def test_names_the_benchmark_imports_resolve():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
+
+
+def test_star_import_binds_the_public_names():
+    namespace = {}
+    exec("from actioncodes import *", namespace)
+    assert set(namespace) - {"__builtins__"} == PUBLIC
+
+
+def test_each_public_name_is_the_object_in_its_submodule():
+    for name in PUBLIC:
+        home = importlib.import_module(f"actioncodes.{actioncodes._HOME[name]}")
+        assert getattr(actioncodes, name) is getattr(home, name), name
+
+
+def test_an_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        actioncodes.no_such_name
