@@ -69,7 +69,7 @@ def _load(argument: str, path: str):
 
 def _emit(doc: dict, out: str | None) -> None:
     text = dumps(doc)
-    if out:
+    if out is not None:  # an empty path is unusable, not absent
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)

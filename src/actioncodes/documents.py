@@ -187,21 +187,23 @@ def _plain(strings) -> bool:
     return not _ESCAPED.search("".join(set(strings)))
 
 
-def _write(value, level: int) -> str:
-    """``value`` exactly as ``json.dumps(value, indent=2, ensure_ascii=False)``
-    writes it ``level`` containers deep.
+def _write(value, level: int, out: list[str]) -> None:
+    """Append to ``out`` the pieces of ``value`` exactly as ``json.dumps(value,
+    indent=2, ensure_ascii=False)`` writes it ``level`` containers deep.
 
     Strings, lists and string-keyed dicts are written here.  A list of
     strings and a list of non-empty rows of strings (the bulk of a document)
     take one join each, with no Python call per item; when no string needs
     escaping, the quotes go into the separators and no string is encoded.
-    Anything else is left to ``json.dumps``.
+    A join is appended only once it is whole, so an attempt that fails
+    leaves no piece in ``out``.  Anything else is left to ``json.dumps``.
     """
-    if type(value) is str:
-        return _encode(value)
     outer = "\n" + "  " * level
     pad = outer + "  "
-    if type(value) is list and value:
+    if type(value) is str:
+        out.append(_encode(value))
+    elif type(value) is list and value:
+        out.append("[" + pad)
         try:
             if set(map(type, value)) == {list} and all(value):
                 inner = pad + "  "
@@ -210,17 +212,26 @@ def _write(value, level: int) -> str:
                 else:
                     q, rows = "", map(map, repeat(_encode), value)
                 rows = map((q + "," + inner + q).join, rows)
-                body = "[" + inner + q + (q + pad + "]," + pad + "[" + inner + q).join(rows) + q + pad + "]"
+                body = (q + pad + "]," + pad + "[" + inner + q).join(rows)
+                out += ("[" + inner + q, body, q + pad + "]")
             else:
                 q, items = ('"', value) if _plain(value) else ("", map(_encode, value))
-                body = q + (q + "," + pad + q).join(items) + q
+                out += (q, (q + "," + pad + q).join(items), q)
         except TypeError:  # an item that is not a string: one item at a time
-            body = ("," + pad).join([_write(x, level + 1) for x in value])
-        return "[" + pad + body + outer + "]"
-    if type(value) is dict and value and set(map(type, value)) == {str}:
-        body = ("," + pad).join([_encode(k) + ": " + _write(v, level + 1) for k, v in value.items()])
-        return "{" + pad + body + outer + "}"
-    return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", outer)
+            for x in value:
+                _write(x, level + 1, out)
+                out.append("," + pad)
+            out.pop()
+        out.append(outer + "]")
+    elif type(value) is dict and value and set(map(type, value)) == {str}:
+        out.append("{" + pad)
+        for key, v in value.items():
+            out.append(_encode(key) + ": ")
+            _write(v, level + 1, out)
+            out.append("," + pad)
+        out[-1] = outer + "}"
+    else:
+        out.append(json.dumps(value, indent=2, ensure_ascii=False).replace("\n", outer))
 
 
 def dumps(doc: dict[str, Any]) -> str:
@@ -236,7 +247,10 @@ def dumps(doc: dict[str, Any]) -> str:
     extra = [k for k in doc if k not in order]
     if missing or extra:
         raise DocumentError(f"bad document shape (missing {missing}, extra {extra})")
-    return _write({k: doc[k] for k in order}, 0) + "\n"
+    out: list[str] = []
+    _write({k: doc[k] for k in order}, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def loads(text: str) -> dict[str, Any]:

@@ -7,8 +7,9 @@ to a move.  It runs over the whole product of the reachable parts for
 ``find_simulation`` and ``find_delay_simulation``, which return the greatest
 relation, and over the pairs that the game reaches from the initial pair for
 callers that want a verdict alone, which build no relation.  The isomorphism
-decider matches states breadth first among the successors of their parent's
-image, backtracking on an explicit stack.
+decider walks breadth first with every image forced while the left system
+repeats no label; at a state that does, it hands over to a search among the
+successors of the parent's image, backtracking on an explicit stack.
 """
 
 from __future__ import annotations
@@ -237,15 +238,48 @@ def find_isomorphism_reachable(m: Lts, n: Lts) -> dict[str, str] | None:
     """A bijection between reachable parts preserving the initial state and
     all transitions in both directions, or ``None`` when there is none.
 
-    States of ``m`` are matched in breadth-first order.  A state reached by
-    an ``a`` edge from its parent can only map to an unused ``a``-successor
-    of the parent's image with the same out-labels; each pick checks the
-    edges to the states already matched.  Equal edge counts then make the
-    map an isomorphism.  Deterministic systems never branch; otherwise the
-    search backtracks, and a pick made while another candidate remains
-    counts against ``ISO_BUDGET``: past it, ``IsomorphismInconclusive``.
+    A forced walk goes first: breadth first from the initial pair, it
+    compares the out-labels of each matched pair; where ``m``'s out-list
+    repeats no label, the targets pair by position, so their images are
+    forced and any conflict leaves no isomorphism.  At the first state of
+    ``m`` that repeats a label, before its targets are paired, the walk
+    hands over to the search, which starts afresh.
+
+    The search matches the states of ``m`` in breadth-first order.  A state
+    reached by an ``a`` edge from its parent can only map to an unused
+    ``a``-successor of the parent's image with the same out-labels; each
+    pick checks the edges to the states already matched.  Equal edge counts
+    then make the map an isomorphism.  The search backtracks, and a pick
+    made while another candidate remains counts against ``ISO_BUDGET``:
+    past it, ``IsomorphismInconclusive``.
     """
     _require_same_variant(m, n)
+    mapping = {m.initial: n.initial}
+    used = {n.initial}
+    order = [m.initial]
+    for q in order:  # the list grows while it is read
+        moves, answers = m.out(q), n.out(mapping[q])
+        labels = [a for a, _ in moves]
+        if labels != [b for b, _ in answers]:
+            return None
+        if len(set(labels)) < len(labels):
+            return _search_isomorphism(m, n)
+        for (_, q2), (_, p2) in zip(moves, answers):
+            image = mapping.get(q2)
+            if image is None:
+                if p2 in used:
+                    return None
+                mapping[q2] = p2
+                used.add(p2)
+                order.append(q2)
+            elif image != p2:
+                return None
+    return mapping
+
+
+def _search_isomorphism(m: Lts, n: Lts) -> dict[str, str] | None:
+    """The backtracking search of :func:`find_isomorphism_reachable`, and the
+    tests' oracle for its forced walk."""
     reach_n = n.reachable()
     # Breadth-first order of m.  Each edge but the access edges is checked at
     # its later endpoint: from the out-list if it leads back or loops, else

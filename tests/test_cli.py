@@ -676,6 +676,10 @@ class TestOsErrors:
             (lambda tmp: ["to-tree", fixture("coffee.code.json"),
                           "--out", str(tmp / "missing" / "x.json")],
              "FileNotFoundError"),
+            # An empty path once wrote to stdout and exited 0.
+            (lambda tmp: ["contract", "--code", fixture("double-press.code.json"),
+                          fixture("square.mealy.json"), "--out", ""],
+             "IsADirectoryError"),
             (lambda tmp: ["adaptor", "--code", fixture("double-press.code.json"),
                           "--sut-file", fixture("square.mealy.json"),
                           "--inputs", str(tmp / "missing.txt")],
@@ -692,7 +696,7 @@ class TestOsErrors:
                           "--inputs", _inputs(tmp)],
              "ConnectionRefusedError"),
         ],
-        ids=["out", "inputs", "script", "sut-exec", "sut-tcp"],
+        ids=["out", "empty-out", "inputs", "script", "sut-exec", "sut-tcp"],
     )
     def test_os_error_exits_2_with_error_line(self, capsys, tmp_path, argv, error):
         status, out, err = run(capsys, *argv(tmp_path))

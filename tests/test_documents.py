@@ -152,6 +152,10 @@ def lts_documents(draw) -> dict:
           "initial": ODD[0], "transitions": [[q, "a", r] for q in ODD for r in ODD]})
 @example({"schema": LTS_SCHEMA, "kind": "lts", "alphabet": ["a"], "states": ["", "q"],
           "initial": "q", "transitions": [["q", "a", ""], ["", "a"], ["q", "a", "q", "q"]]})
+# Plain rows, then a row holding an integer: the rows' one-join attempt fails
+# after reading the plain ones, and none of its pieces may stay in the text.
+@example({"schema": LTS_SCHEMA, "kind": "lts", "alphabet": ["a"], "states": ["p", "q"],
+          "initial": "p", "transitions": [["p", "a", "q"], ["q", "a", "p"], ["q", "a", 1]]})
 def test_lts_documents_match_the_standard_encoder(doc):
     assert dumps(doc) == json_oracle(doc)
 

@@ -12,9 +12,11 @@ from actioncodes.errors import (
     IsomorphismInconclusive,
 )
 from actioncodes import check_adaptor_theorem, simulation, to_tree
-from actioncodes.generate import gen_adaptor_code, gen_lts, gen_mealy
+from actioncodes.generate import gen_adaptor_code, gen_code, gen_lts, gen_mealy
 from actioncodes.lts import Label, Lts
+from actioncodes.operators import contract, refine
 from actioncodes.simulation import (
+    _search_isomorphism,
     find_delay_simulation,
     find_isomorphism_reachable,
     find_simulation,
@@ -293,6 +295,59 @@ class TestIsomorphism:
             assert mapping is not None and is_reachable_isomorphism(m, n, mapping)
         other = numbered_copy(forked_chain(551, 548))  # same state and edge counts
         assert find_isomorphism_reachable(m, other) is None
+
+
+class TestForcedWalk:
+    """The forced walk of ``find_isomorphism_reachable`` against the search it
+    hands over to, which is its oracle: the same map or both ``None``."""
+
+    def test_a_target_bound_before_a_repeated_label(self):
+        # Walking r binds y, then x has two b edges, to y and to z, whose
+        # images sort the other way round: pairing x's targets by position
+        # would bind y to a second image.
+        a, b, c = Label("a"), Label("b"), Label("c")
+        m = Lts("rxyz", "r", [("r", a, "x"), ("r", c, "y"), ("x", b, "y"), ("x", b, "z")],
+                [a, b, c])
+        image = {"r": "R", "x": "X", "y": "Q", "z": "P"}
+        n = Lts(image.values(), "R", [(image[s], x, image[d]) for s, x, d in m.transitions],
+                m.alphabet)
+        assert find_isomorphism_reachable(m, n) == _search_isomorphism(m, n) == image
+
+    @staticmethod
+    def deterministic_systems(seed: int):
+        yield gen_lts(seed, states=9, labels=3, deterministic=True)
+        yield gen_mealy(seed, states=9, inputs=2, outputs=2, output_deterministic=True)
+        code = gen_code(seed, source=2, target=3, entries=3, maxlen=3)
+        for build, labels in ((refine, code.target), (contract, code.source)):
+            machine = gen_lts(seed, states=8, labels=sorted(labels, key=str), deterministic=True)
+            yield build(code, machine)
+
+    @staticmethod
+    def others(rng: random.Random, m: Lts):
+        """Renamed copies of ``m``, one-edge mutants of one, and a copy with
+        one more edge that repeats a label."""
+        for n in (relabel(m), numbered_copy(m, backwards=True)):
+            yield n
+        edges = sorted(n.transitions)
+        if not edges:
+            return
+        src, a, dst = edges.pop(rng.randrange(len(edges)))
+        labels = sorted(n.alphabet, key=str)
+        for edge in ((src, a, rng.choice(n.states)), (src, rng.choice(labels), dst), None):
+            yield Lts(n.states, n.initial, edges + ([edge] if edge else []), n.alphabet)
+        twin = rng.choice(n.states)
+        yield Lts(n.states, n.initial, [*n.transitions, (src, a, twin)], n.alphabet)
+
+    def test_agrees_with_the_search(self):
+        rng = random.Random(21)
+        verdicts = []
+        for seed in range(60):
+            for m in self.deterministic_systems(seed):
+                for n in self.others(rng, m):
+                    got = find_isomorphism_reachable(m, n)
+                    assert got == _search_isomorphism(m, n)
+                    verdicts.append(got is not None)
+        assert verdicts.count(True) >= 400 and verdicts.count(False) >= 400
 
 
 class TestDelaySimulation:
