@@ -9,6 +9,7 @@ code has no edge for.
 from __future__ import annotations
 
 import argparse
+import errno
 import sys
 from pathlib import Path
 
@@ -42,12 +43,19 @@ EXIT_NOT_WINNING = 3
 EXIT_CODE_INCOMPLETE = 4
 
 
+def _file(path: str) -> Path:
+    """A file argument; an empty one is refused, as ``Path("")`` is ``.``."""
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, "empty path", path)
+    return Path(path)
+
+
 def _text(path: str | None) -> str:
     """The UTF-8 text of an input file, or of stdin without a path; any
     failure to read it names the path."""
     try:
         if path is not None:
-            return Path(path).read_text(encoding="utf-8")
+            return _file(path).read_text(encoding="utf-8")
         # Stdin's bytes are decoded here: the locale's decoding may turn a
         # byte that is not UTF-8 into a surrogate.  A text stand-in without
         # bytes underneath (io.StringIO) holds decoded text already.
@@ -70,7 +78,7 @@ def _load(argument: str, path: str):
 def _emit(doc: dict, out: str | None) -> None:
     text = dumps(doc)
     if out is not None:  # an empty path is unusable, not absent
-        Path(out).write_text(text, encoding="utf-8")
+        _file(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 

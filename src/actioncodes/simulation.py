@@ -7,14 +7,16 @@ to a move.  It runs over the whole product of the reachable parts for
 ``find_simulation`` and ``find_delay_simulation``, which return the greatest
 relation, and over the pairs that the game reaches from the initial pair for
 callers that want a verdict alone, which build no relation.  The isomorphism
-decider walks breadth first with every image forced while the left system
-repeats no label; at a state that does, it hands over to a search among the
-successors of the parent's image, backtracking on an explicit stack.
+decider is one search: it pairs every forced image first and chooses an
+image only among the targets of a repeated label, backtracking on an
+explicit stack; only a choice that leaves an alternative counts against its
+budget, so deterministic systems never spend it.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import groupby, islice
 
 from .errors import AlphabetMismatch, IsomorphismInconclusive
 from .lts import Label, Lts
@@ -238,119 +240,106 @@ def find_isomorphism_reachable(m: Lts, n: Lts) -> dict[str, str] | None:
     """A bijection between reachable parts preserving the initial state and
     all transitions in both directions, or ``None`` when there is none.
 
-    A forced walk goes first: breadth first from the initial pair, it
-    compares the out-labels of each matched pair; where ``m``'s out-list
-    repeats no label, the targets pair by position, so their images are
-    forced and any conflict leaves no isomorphism.  At the first state of
-    ``m`` that repeats a label, before its targets are paired, the walk
-    hands over to the search, which starts afresh.
-
-    The search matches the states of ``m`` in breadth-first order.  A state
-    reached by an ``a`` edge from its parent can only map to an unused
-    ``a``-successor of the parent's image with the same out-labels; each
-    pick checks the edges to the states already matched.  Equal edge counts
-    then make the map an isomorphism.  The search backtracks, and a pick
-    made while another candidate remains counts against ``ISO_BUDGET``:
-    past it, ``IsomorphismInconclusive``.
+    Matched pairs are expanded in the order they were matched: their
+    out-labels must agree, the targets of a label that the state of ``m``
+    does not repeat pair at once, and a repeated label leaves a group, its
+    targets in ``m`` and in ``n``.  As in DPLL (Davis, Logemann & Loveland
+    1962), an image is chosen only when nothing is left to expand: the first
+    unpaired target of the first open group tries each unused state of its
+    ``n`` group with its out-labels and, as in VF2 (Cordella et al. 2004),
+    its edges to and from the matched states.  A closed group must hold its
+    images; with equal state and edge counts, checked at the first choice,
+    a complete map is an isomorphism.  A conflict backtracks to the last
+    choice with an image left.  A pick that leaves another image counts
+    against ``ISO_BUDGET``, past which it raises ``IsomorphismInconclusive``,
+    so a deterministic ``m`` spends none.
     """
     _require_same_variant(m, n)
-    mapping = {m.initial: n.initial}
-    used = {n.initial}
-    order = [m.initial]
-    for q in order:  # the list grows while it is read
-        moves, answers = m.out(q), n.out(mapping[q])
-        labels = [a for a, _ in moves]
-        if labels != [b for b, _ in answers]:
-            return None
-        if len(set(labels)) < len(labels):
-            return _search_isomorphism(m, n)
-        for (_, q2), (_, p2) in zip(moves, answers):
-            image = mapping.get(q2)
-            if image is None:
-                if p2 in used:
-                    return None
-                mapping[q2] = p2
-                used.add(p2)
-                order.append(q2)
-            elif image != p2:
-                return None
-    return mapping
-
-
-def _search_isomorphism(m: Lts, n: Lts) -> dict[str, str] | None:
-    """The backtracking search of :func:`find_isomorphism_reachable`, and the
-    tests' oracle for its forced walk."""
-    reach_n = n.reachable()
-    # Breadth-first order of m.  Each edge but the access edges is checked at
-    # its later endpoint: from the out-list if it leads back or loops, else
-    # from ``into``.
-    order = [m.initial]
-    position = {m.initial: 0}
-    parent: dict[str, str] = {}
-    via: dict[str, Label] = {}
-    into: dict[str, list[tuple[str, Label]]] = {}
-    edges = 0
-    for q in order:  # the list grows while it is read
-        moves = m.out(q)
-        edges += len(moves)
-        for a, q2 in moves:
-            if q2 not in position:
-                position[q2] = len(order)
-                order.append(q2)
-                parent[q2], via[q2] = q, a
-            elif position[q2] > position[q]:
-                into.setdefault(q2, []).append((q, a))
-    if len(order) != len(reach_n) or edges != sum(len(n.out(p)) for p in reach_n):
-        return None
-
     mapping: dict[str, str] = {}
     used: set[str] = set()
+    order: list[str] = []  # m's matched states, in the order they were matched
+    groups: list[tuple[list[str], list[str]]] = []
+    into: dict[str, list[tuple[str, Label]]] = {}  # m's in-edges, from the first decision on
 
-    def candidates(q: str) -> list[str]:
-        """Images of ``q`` that fit the states matched so far, last one first."""
-        pool = [n.initial] if q == m.initial else [
-            p for b, p in n.out(mapping[parent[q]]) if b == via[q] and p not in used
-        ]
-        moves = m.out(q)
-        labels = [a for a, _ in moves]
-        fitting = []
-        for p in reversed(pool):
-            mapping[q] = p
-            edges_p = n.out(p)
-            if (
-                [a for a, _ in edges_p] == labels
-                and all(
-                    (a, mapping[q2]) in edges_p
-                    for a, q2 in moves
-                    if position[q2] <= position[q]
-                )
-                and all((a, p) in n.out(mapping[q1]) for q1, a in into.get(q, ()))
-            ):
-                fitting.append(p)
-        mapping.pop(q, None)
-        return fitting
+    def expand(start: int) -> bool:
+        """Expand the pairs from ``order[start]`` on; False on a conflict."""
+        for q in islice(order, start, None):  # the list grows while it is read
+            p = mapping[q]
+            moves, answers = m.out(q), n.out(p)
+            labels = [a for a, _ in moves]
+            if labels != [b for b, _ in answers]:
+                return False
+            pairs = zip(moves, answers)
+            if len(set(labels)) < len(labels):
+                runs, pairs = pairs, []
+                for _, run in groupby(runs, key=lambda edges: edges[0][0]):
+                    run = list(run)
+                    if len(run) == 1:
+                        pairs += run
+                    else:
+                        groups.append(([q2 for (_, q2), _ in run], [p2 for _, (_, p2) in run]))
+            for (_, q2), (_, p2) in pairs:
+                image = mapping.get(q2)
+                if image is None:
+                    if p2 in used:
+                        return False
+                    mapping[q2] = p2
+                    used.add(p2)
+                    order.append(q2)
+                elif image != p2:
+                    return False
+        return True
 
-    # Untried candidates, the next one last, with the depth each one is for.
-    images = candidates(m.initial)
-    depths = [0] * len(images)
+    def fits(q: str, p: str) -> bool:
+        """Whether ``p`` is unused, has ``q``'s out-labels, and has each edge
+        that ``q`` has to or from a matched state, with ``q`` mapped to it."""
+        edges = n.out(p)
+        return (
+            p not in used
+            and [a for a, _ in edges] == [a for a, _ in m.out(q)]
+            and all((a, mapping.get(q2, p)) in edges for a, q2 in m.out(q) if q2 in mapping or q2 == q)
+            and all((a, p) in n.out(mapping[q1]) for q1, a in into[q] if q1 in mapping)
+        )
+
+    # The decisions with images left, the next one last: the matched states
+    # and the groups before it, the groups closed, its state and its images.
+    stack = [(0, 0, 0, m.initial, [n.initial])]
     nodes = 0
-    while images:
-        p, depth = images.pop(), depths.pop()
-        while len(mapping) > depth:  # backtrack
-            used.discard(mapping.pop(order[len(mapping) - 1]))
-        if depths and depths[-1] == depth:
-            nodes += 1
-            if nodes > ISO_BUDGET:
-                raise IsomorphismInconclusive(
-                    f"isomorphism search exceeded {ISO_BUDGET} nodes"
-                )
-        mapping[order[depth]] = p
+    while stack:
+        depth, width, closed, q, images = stack[-1]
+        p = images.pop()
+        if not images:
+            stack.pop()
+        elif (nodes := nodes + 1) > ISO_BUDGET:
+            raise IsomorphismInconclusive(f"isomorphism search exceeded {ISO_BUDGET} nodes")
+        for q1 in order[depth:]:  # backtrack
+            used.discard(mapping.pop(q1))
+        del order[depth:], groups[width:]
+        mapping[q] = p
         used.add(p)
-        if depth + 1 == len(order):
+        order.append(q)
+        if not expand(depth):
+            continue
+        while closed < len(groups):
+            targets, answers = groups[closed]
+            free = [q2 for q2 in targets if q2 not in mapping]
+            if free or any(mapping[q2] not in answers for q2 in targets):
+                break
+            closed += 1
+        else:
             return mapping
-        found = candidates(order[depth + 1])
-        images += found
-        depths += [depth + 1] * len(found)
+        if not free:  # a closed group holds an image outside its answers
+            continue
+        if not into:  # the first decision
+            sizes = {(len(x.reachable()), sum(map(len, map(x.out, x.reachable())))) for x in (m, n)}
+            if len(sizes) > 1:
+                return None
+            for q1 in m.reachable():
+                for a, q2 in m.out(q1):
+                    into.setdefault(q2, []).append((q1, a))
+        images = [p for p in reversed(answers) if fits(free[0], p)]
+        if images:
+            stack.append((len(order), len(groups), closed, free[0], images))
     return None
 
 

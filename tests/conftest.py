@@ -12,10 +12,10 @@ import pytest
 
 from actioncodes.codes import CodeMap, CodeTree, to_tree
 from actioncodes.documents import code_from_document, loads, lts_from_document
-from actioncodes.errors import AlphabetMismatch, PrefixClash
+from actioncodes.errors import AlphabetMismatch, IsomorphismInconclusive, PrefixClash
 from actioncodes.lts import CompatRel, Label, Lts, Word, explore, is_deterministic
 from actioncodes.operators import CHAOS, IncompletenessWitness, composite_name
-from actioncodes.simulation import _require_same_variant, _tau_closure, find_simulation
+from actioncodes.simulation import ISO_BUDGET, _require_same_variant, _tau_closure, find_simulation
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -279,6 +279,87 @@ def brute_force_isomorphic(m: Lts, n: Lts) -> bool:
         if ok:
             return True
     return False
+
+
+def _search_isomorphism(m: Lts, n: Lts) -> dict[str, str] | None:
+    """The backtracking search that ``find_isomorphism_reachable`` replaced,
+    kept as its oracle: match the states of ``m`` in breadth-first order,
+    each among the unused successors of its parent's image by its access
+    label, checking each pick against the states already matched; equal
+    state and edge counts then make the map an isomorphism.  A pick made
+    while another candidate remains counts against ``ISO_BUDGET``."""
+    reach_n = n.reachable()
+    # Breadth-first order of m.  Each edge but the access edges is checked at
+    # its later endpoint: from the out-list if it leads back or loops, else
+    # from ``into``.
+    order = [m.initial]
+    position = {m.initial: 0}
+    parent: dict[str, str] = {}
+    via: dict[str, Label] = {}
+    into: dict[str, list[tuple[str, Label]]] = {}
+    edges = 0
+    for q in order:  # the list grows while it is read
+        moves = m.out(q)
+        edges += len(moves)
+        for a, q2 in moves:
+            if q2 not in position:
+                position[q2] = len(order)
+                order.append(q2)
+                parent[q2], via[q2] = q, a
+            elif position[q2] > position[q]:
+                into.setdefault(q2, []).append((q, a))
+    if len(order) != len(reach_n) or edges != sum(len(n.out(p)) for p in reach_n):
+        return None
+
+    mapping: dict[str, str] = {}
+    used: set[str] = set()
+
+    def candidates(q: str) -> list[str]:
+        """Images of ``q`` that fit the states matched so far, last one first."""
+        pool = [n.initial] if q == m.initial else [
+            p for b, p in n.out(mapping[parent[q]]) if b == via[q] and p not in used
+        ]
+        moves = m.out(q)
+        labels = [a for a, _ in moves]
+        fitting = []
+        for p in reversed(pool):
+            mapping[q] = p
+            edges_p = n.out(p)
+            if (
+                [a for a, _ in edges_p] == labels
+                and all(
+                    (a, mapping[q2]) in edges_p
+                    for a, q2 in moves
+                    if position[q2] <= position[q]
+                )
+                and all((a, p) in n.out(mapping[q1]) for q1, a in into.get(q, ()))
+            ):
+                fitting.append(p)
+        mapping.pop(q, None)
+        return fitting
+
+    # Untried candidates, the next one last, with the depth each one is for.
+    images = candidates(m.initial)
+    depths = [0] * len(images)
+    nodes = 0
+    while images:
+        p, depth = images.pop(), depths.pop()
+        while len(mapping) > depth:  # backtrack
+            used.discard(mapping.pop(order[len(mapping) - 1]))
+        if depths and depths[-1] == depth:
+            nodes += 1
+            if nodes > ISO_BUDGET:
+                raise IsomorphismInconclusive(
+                    f"isomorphism search exceeded {ISO_BUDGET} nodes"
+                )
+        mapping[order[depth]] = p
+        used.add(p)
+        if depth + 1 == len(order):
+            return mapping
+        found = candidates(order[depth + 1])
+        images += found
+        depths += [depth + 1] * len(found)
+    return None
 
 
 def brute_force_winning(tree: CodeTree, node: str, abstract_input: str) -> bool:

@@ -675,26 +675,27 @@ class TestOsErrors:
         [
             (lambda tmp: ["to-tree", fixture("coffee.code.json"),
                           "--out", str(tmp / "missing" / "x.json")],
-             "FileNotFoundError"),
-            # An empty path once wrote to stdout and exited 0.
+             "FileNotFoundError "),
+            # An empty path once wrote to stdout and exited 0, then named the
+            # working directory.
             (lambda tmp: ["contract", "--code", fixture("double-press.code.json"),
                           fixture("square.mealy.json"), "--out", ""],
-             "IsADirectoryError"),
+             "FileNotFoundError [Errno 2] empty path: ''\n"),
             (lambda tmp: ["adaptor", "--code", fixture("double-press.code.json"),
                           "--sut-file", fixture("square.mealy.json"),
                           "--inputs", str(tmp / "missing.txt")],
-             "DocumentError"),
+             "DocumentError "),
             (lambda tmp: ["adaptor", "--code", fixture("double-press.code.json"),
                           "--sut-file", fixture("square.mealy.json"),
                           "--script", str(tmp / "missing.txt"), "--inputs", _inputs(tmp)],
-             "DocumentError"),
+             "DocumentError "),
             (lambda tmp: ["adaptor", "--code", fixture("double-press.code.json"),
                           "--sut-exec", str(tmp / "no-such-sut"), "--inputs", _inputs(tmp)],
-             "FileNotFoundError"),
+             "FileNotFoundError "),
             (lambda tmp: ["adaptor", "--code", fixture("double-press.code.json"),
                           "--sut-tcp", f"127.0.0.1:{_closed_port()}",
                           "--inputs", _inputs(tmp)],
-             "ConnectionRefusedError"),
+             "ConnectionRefusedError "),
         ],
         ids=["out", "empty-out", "inputs", "script", "sut-exec", "sut-tcp"],
     )
@@ -702,7 +703,7 @@ class TestOsErrors:
         status, out, err = run(capsys, *argv(tmp_path))
         assert status == 2
         assert out == ""
-        assert err.startswith(f"ERROR {error} ")
+        assert err.startswith(f"ERROR {error}")
 
 
 def test_non_string_state_names_exit_2(capsys, tmp_path):
@@ -762,13 +763,14 @@ def test_unreadable_symbol_file_exits_2(capsys, tmp_path, option, content):
 
 @pytest.mark.parametrize("option", ["--inputs", "--script"])
 def test_an_empty_symbol_path_is_not_absent(capsys, monkeypatch, tmp_path, option):
-    # An empty path once read stdin (--inputs) or ran with no script.
+    # An empty path once read stdin (--inputs) or ran with no script, then
+    # named the working directory.
     monkeypatch.setattr(sys, "stdin", io.StringIO("A\n"))
     argv = ["adaptor", "--code", fixture("double-press.code.json"),
             "--sut-file", fixture("square.mealy.json"), "--inputs", _inputs(tmp_path)]
     status, out, err = run(capsys, *argv, option, "")  # a repeated option wins
     assert (status, out) == (2, "")
-    assert err.startswith("ERROR DocumentError cannot read : ")
+    assert err.startswith("ERROR DocumentError cannot read : [Errno 2] empty path: ''")
     assert err.count("\n") == 1
 
 

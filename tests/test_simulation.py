@@ -16,7 +16,6 @@ from actioncodes.generate import gen_adaptor_code, gen_code, gen_lts, gen_mealy
 from actioncodes.lts import Label, Lts
 from actioncodes.operators import contract, refine
 from actioncodes.simulation import (
-    _search_isomorphism,
     find_delay_simulation,
     find_isomorphism_reachable,
     find_simulation,
@@ -26,6 +25,7 @@ from actioncodes.simulation import (
 
 from conftest import (
     _delay_answers,
+    _search_isomorphism,
     _step_answers,
     add_noise,
     brute_force_delay_simulated,
@@ -70,10 +70,12 @@ def forked_chain(left: int, right: int) -> Lts:
     return Lts(["r", *xs, *ys], "r", edges, [a, b])
 
 
-def numbered_copy(m: Lts, backwards: bool = False) -> Lts:
-    """A renamed copy whose names sort in the order of ``m.states``, or in
-    the reverse order."""
-    states = reversed(m.states) if backwards else m.states
+def numbered_copy(m: Lts, backwards: bool = False, shuffle: int | None = None) -> Lts:
+    """A renamed copy whose names sort in the order of ``m.states``, in the
+    reverse order, or in an order shuffled by the seed ``shuffle``."""
+    states = list(reversed(m.states) if backwards else m.states)
+    if shuffle is not None:
+        random.Random(shuffle).shuffle(states)
     name = {q: f"c{k:04d}" for k, q in enumerate(states)}
     return Lts(
         [name[q] for q in m.states],
@@ -81,6 +83,34 @@ def numbered_copy(m: Lts, backwards: bool = False) -> Lts:
         [(name[s], a, name[d]) for s, a, d in m.transitions],
         m.alphabet,
     )
+
+
+def dense_lts(seed: int, states: int, labels: int) -> Lts:
+    """A random system with 3, 5 or 8 targets per state and label."""
+    rng = random.Random(seed)
+    alphabet = [Label(x) for x in "abc"[:labels]]
+    ids = [f"q{k}" for k in range(states)]
+    edges = [
+        (q, a, d)
+        for q in ids
+        for a in alphabet
+        for d in rng.sample(ids, k=min(rng.choice((3, 5, 8)), states))
+    ]
+    return Lts(ids, ids[0], edges, alphabet)
+
+
+def fan(k: int, swap: bool = False) -> Lts:
+    """A root with ``k`` ``a`` edges into ``k`` chains of three states joined
+    by ``a``, chain ``i`` ending in a ``b_i`` edge to its own last state;
+    with ``swap``, chain 0 ends in ``b_1`` instead, over the same alphabet."""
+    a, bs = Label("a"), [Label(f"b{i}") for i in range(k)]
+    states, edges = ["r"], []
+    for i in range(k):
+        chain = [f"c{i}.{j}" for j in range(4)]
+        states += chain
+        edges += [(src, a, dst) for src, dst in zip(["r", *chain], chain[:3])]
+        edges.append((chain[2], bs[1 if swap and i == 0 else i], chain[3]))
+    return Lts(states, "r", edges, [a, *bs])
 
 
 class TestFindSimulation:
@@ -297,9 +327,12 @@ class TestIsomorphism:
         assert find_isomorphism_reachable(m, other) is None
 
 
-class TestForcedWalk:
-    """The forced walk of ``find_isomorphism_reachable`` against the search it
-    hands over to, which is its oracle: the same map or both ``None``."""
+class TestAgainstTheOracle:
+    """``find_isomorphism_reachable`` against the backtracking search it
+    replaced, kept as the oracle: the same verdict, every map an
+    isomorphism, and for a deterministic left side the same map."""
+
+    BOUND_S = 0.5
 
     def test_a_target_bound_before_a_repeated_label(self):
         # Walking r binds y, then x has two b edges, to y and to z, whose
@@ -348,6 +381,34 @@ class TestForcedWalk:
                     assert got == _search_isomorphism(m, n)
                     verdicts.append(got is not None)
         assert verdicts.count(True) >= 400 and verdicts.count(False) >= 400
+
+    def verdicts(self, systems, seed: int) -> list[bool]:
+        """Each system against a shuffled copy and :meth:`others`: the
+        oracle's verdict, a valid map, and each call within ``BOUND_S`` of
+        CPU time."""
+        rng = random.Random(seed)
+        verdicts = []
+        for m in systems:
+            for n in (numbered_copy(m, shuffle=rng.randrange(10**6)), *self.others(rng, m)):
+                start = time.process_time()
+                got = find_isomorphism_reachable(m, n)
+                assert time.process_time() - start < self.BOUND_S
+                assert (got is None) == (_search_isomorphism(m, n) is None)
+                assert got is None or is_reachable_isomorphism(m, n, got)
+                verdicts.append(got is not None)
+        return verdicts
+
+    def test_nondeterministic_systems(self):
+        systems = (gen_lts(seed, 3 + seed % 58, 1 + seed % 3) for seed in range(120))
+        verdicts = self.verdicts(systems, 22)
+        assert verdicts.count(True) >= 500 and verdicts.count(False) >= 150
+
+    def test_dense_systems(self):
+        # Without the edge checks at each pick, the search took seconds on
+        # such systems or ran out of budget.
+        systems = (dense_lts(seed, 3 + seed % 58, 1 + seed % 3) for seed in range(120))
+        verdicts = self.verdicts(systems, 23)
+        assert verdicts.count(True) >= 400 and verdicts.count(False) >= 300
 
 
 class TestDelaySimulation:
@@ -705,6 +766,19 @@ class TestNoCliff:
         m, n = tau_ring(self.N, "p"), tau_ring(self.N, "q")
         witness = self.decide(find_delay_simulation, m, n, TAU)
         assert len(witness) == self.N ** 2 and is_delay_simulation(m, n, TAU, witness)
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_fan(self, seed):
+        # Matched breadth first, the first level of a fan took 0.4-1.3 s at
+        # k=8 and ran out of budget at k=10 on a 2-vCPU machine.
+        m = fan(12)
+        for n, isomorphic in ((numbered_copy(m, shuffle=seed), True),
+                              (numbered_copy(fan(12, swap=True), shuffle=seed), False)):
+            start = time.process_time()
+            mapping = find_isomorphism_reachable(m, n)
+            assert time.process_time() - start < 1.0
+            assert (mapping is not None) == isomorphic
+            assert mapping is None or is_reachable_isomorphism(m, n, mapping)
 
 
 class TestVerdictPathNoCliff:
