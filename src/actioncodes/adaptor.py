@@ -48,7 +48,7 @@ TAU = Label("τ")
 
 
 def _require_mealy_tree(tree: CodeTree) -> None:
-    if not all(a.is_mealy for a in tree.tree.alphabet):
+    if not all(a.is_mealy for a in tree._code.source):
         raise ValueError("adaptor codes need Mealy labels on the tree")
     if not all(lab.is_mealy for _, lab in tree.leaf_labels):
         raise ValueError("adaptor codes need Mealy leaf labels")
@@ -58,8 +58,8 @@ class WinningTable:
     """For each tree node and abstract input: the concrete inputs that force
     the play into a leaf carrying that abstract input.
 
-    ``wins`` holds the winning pairs only, each with its sorted inputs; a
-    labeled leaf wins its own abstract input with no input, stored as ``()``.
+    ``wins`` holds the winning pairs only, keyed by carrier name, with sorted
+    inputs; a labeled leaf wins its own abstract input with no input, ``()``.
     """
 
     def __init__(self, wins: dict[tuple[str, str], tuple[str, ...]]):
@@ -86,36 +86,37 @@ def _solve(tree: CodeTree) -> tuple[WinningTable, DeterminacyWitness | None]:
     node wins an abstract input with concrete input i when it has an i-edge
     and every i-successor wins that abstract input.  A node is a determinacy
     conflict when leaves with the same abstract input lie below two of its
-    concrete inputs; the witness is the first conflict of the least node.
+    concrete inputs; the witness is the first conflict of the least node name.
     """
     _require_mealy_tree(tree)
-    labels = tree._labels
-    below: dict[str, set[str]] = {}  # abstract inputs of the leaves under a node
-    won: dict[str, set[str]] = {}  # abstract inputs a node wins
+    kids, leaf, names = tree._code._kids, tree._code._leaf, tree._names
+    below: dict[int, set[str]] = {}  # abstract inputs of the leaves under a node
+    won: dict[int, set[str]] = {}  # abstract inputs a node wins
     wins: dict[tuple[str, str], tuple[str, ...]] = {}
     witness = None
-    for node in reversed(tree._words):  # breadth first, reversed: children before parents
-        if node in labels:  # labeled nodes are exactly the non-root leaves
-            x = labels[node].symbol
+    for node in reversed(range(len(kids))):  # a child's number exceeds its parent's
+        name = names[node]
+        if leaf[node] is not None:  # labeled nodes are exactly the non-root leaves
+            x = leaf[node].symbol
             below[node] = won[node] = {x}
-            wins[(node, x)] = ()
+            wins[(name, x)] = ()
             continue
         # Per concrete input: what its successors reach, and what they all win.
         reached: dict[str, set[str]] = {}
         forced: dict[str, set[str]] = {}
-        for a, dst in tree.tree.out(node):
+        for a, dst in kids[node].items():
             i = a.symbol
             reached[i] = reached.get(i, set()) | below[dst]
             forced[i] = forced[i] & won[dst] if i in forced else won[dst]
         below[node] = set().union(*reached.values())
         won[node] = set().union(*forced.values())
         for x in won[node]:
-            wins[(node, x)] = tuple(sorted(i for i, xs in forced.items() if x in xs))
-        if witness is None or node < witness.node:
+            wins[(name, x)] = tuple(sorted(i for i, xs in forced.items() if x in xs))
+        if witness is None or name < witness.node:
             inputs = sorted(reached)
             witness = next(
                 (
-                    DeterminacyWitness(node, min(shared), i1, i2)
+                    DeterminacyWitness(name, min(shared), i1, i2)
                     for k, i1 in enumerate(inputs)
                     for i2 in inputs[k + 1 :]
                     if (shared := reached[i1] & reached[i2])
@@ -248,10 +249,6 @@ class ExternalSut:
             bufsize=0,
         )
 
-        def write(data: bytes) -> None:
-            proc.stdin.write(data)
-            proc.stdin.flush()
-
         def read_some(deadline: float) -> bytes:
             ready, _, _ = select.select([proc.stdout], [], [], deadline)
             if not ready:
@@ -273,7 +270,7 @@ class ExternalSut:
                 proc.kill()
                 proc.wait()
 
-        return cls(write, read_some, close, timeout)
+        return cls(proc.stdin.write, read_some, close, timeout)  # unbuffered
 
     @classmethod
     def connect(cls, host: str, port: int, timeout: float = 5.0) -> "ExternalSut":
@@ -282,9 +279,6 @@ class ExternalSut:
         if not 0 < port < 65536:  # the resolver would truncate it to 16 bits
             raise ValueError(f"the port must be in 1..65535, got {port}")
         sock = socket.create_connection((host, port), timeout=timeout)
-
-        def write(data: bytes) -> None:
-            sock.sendall(data)
 
         def read_some(deadline: float) -> bytes:
             sock.settimeout(deadline)
@@ -296,10 +290,13 @@ class ExternalSut:
                 raise SutProtocolError("SUT closed the connection")
             return chunk
 
-        return cls(write, read_some, sock.close, timeout)
+        return cls(sock.sendall, read_some, sock.close, timeout)
 
     def send(self, symbol: str) -> None:
-        self._write((symbol + "\n").encode("utf-8"))
+        try:
+            self._write((symbol + "\n").encode("utf-8"))
+        except OSError as exc:  # the SUT stopped reading: not a closed stdout
+            raise SutProtocolError(f"cannot write to the SUT: {exc}") from exc
 
     def receive(self) -> str:
         deadline = time.monotonic() + self.timeout  # one for the whole line
@@ -319,7 +316,7 @@ class ExternalSut:
         return symbol
 
     def reset(self) -> None:
-        self._write(b"RESET\n")
+        self.send("RESET")
 
     def close(self) -> None:
         self._close()
@@ -347,11 +344,11 @@ def format_transcript(events: Iterable[tuple]) -> list[str]:
 class AdaptorSession:
     """One adaptor in front of one SUT endpoint.
 
-    Each abstract input restarts the code tree at its root and walks down:
-    send the unique winning concrete input, read the SUT's output, follow
-    the corresponding edge.  The leaf reached carries the abstract
-    input/output pair whose output component is returned to the caller.
-    Not safe for concurrent use from several threads.
+    Each abstract input restarts the code tree at its root and walks down
+    its numbered nodes: send the unique winning concrete input, read the
+    SUT's output, follow the corresponding edge.  The leaf reached carries
+    the abstract input/output pair whose output component is returned to the
+    caller.  Not safe for concurrent use from several threads.
     """
 
     def __init__(self, tree: CodeTree, sut):
@@ -361,22 +358,22 @@ class AdaptorSession:
         self.transcript: list[tuple] = []
 
     def apply(self, abstract_input: str) -> str:
-        tree = self.tree
-        if not self.table.is_winning(tree.root, abstract_input):
+        table, tree = self.table, self.tree
+        kids, leaf, names = tree._code._kids, tree._code._leaf, tree._names
+        if not table.is_winning(names[0], abstract_input):
             raise NotWinning(abstract_input)
         self.transcript.append(("IN", abstract_input))
-        node = tree.root
-        while not tree.is_leaf(node):
-            (concrete,) = self.table.winning_inputs(node, abstract_input)
+        node = 0  # the root; a node the play reaches wins the input
+        while leaf[node] is None:
+            (concrete,) = table.winning_inputs(names[node], abstract_input)
             self.sut.send(concrete)
             observed = self.sut.receive()
             self.transcript.append(("SUT", concrete, observed))
-            step = Label(concrete, observed)
-            targets = tree.tree.succ(node, step)
-            if not targets:
-                raise CodeIncomplete(node, concrete, observed)
-            node = targets[0]
-        leaf_label = tree.label_of(node)
+            child = kids[node].get(Label(concrete, observed))  # Label checks the reply
+            if child is None:
+                raise CodeIncomplete(names[node], concrete, observed)
+            node = child
+        leaf_label = leaf[node]
         assert leaf_label.symbol == abstract_input
         self.transcript.append(("OUT", leaf_label.output))
         return leaf_label.output
@@ -431,9 +428,10 @@ def adaptor_composition(tree: CodeTree, m: Lts) -> Lts:
 
     States pair an adaptor phase with a SUT state: idle at the tree root,
     descending towards a leaf for a pending abstract input, or waiting for
-    the SUT's output after forwarding a concrete input.  Synchronizations on
-    concrete inputs and outputs are hidden as ``τ``; abstract inputs and
-    namespaced output emissions stay visible.
+    the SUT's output after forwarding a concrete input; keys hold node
+    numbers, names the carrier's.  Synchronizations on concrete inputs and
+    outputs are hidden as ``τ``; abstract inputs and namespaced output
+    emissions stay visible.
     """
     _require_mealy_tree(tree)
     if not all(a.is_mealy for a in m.alphabet):
@@ -447,37 +445,31 @@ def adaptor_composition(tree: CodeTree, m: Lts) -> Lts:
 
     xs = sorted({a.symbol for a in tree.abstract})
     alphabet = _learner_alphabet(tree.abstract)
-    labels = tree._labels
+    kids, leaf, names = tree._code._kids, tree._code._leaf, tree._names
 
     def successors(key):
         if key[0] == "P":
             _, q = key
             for x in xs:
-                yield Label(x), ("Q", tree.root, x, q)
+                yield Label(x), ("Q", 0, x, q)
         elif key[0] == "Q":
             _, node, x, q = key
-            if tree.is_leaf(node):
-                if node in labels:
-                    yield _emission(labels[node].output), ("P", q)
-                return
-            inputs = table.winning_inputs(node, x)
-            if inputs:
+            if leaf[node] is not None:
+                yield _emission(leaf[node].output), ("P", q)
+            elif inputs := table.winning_inputs(names[node], x):
                 yield TAU, ("R", node, x, q, inputs[0])
         else:
             _, node, x, q, i = key
-            for a, child in tree.tree.out(node):
-                if a.symbol != i:
-                    continue
-                for a2, q2 in m.out(q):
-                    if a2 == a:
-                        yield TAU, ("Q", child, x, q2)
+            for a, q2 in m.out(q):
+                if a.symbol == i and a in kids[node]:
+                    yield TAU, ("Q", kids[node][a], x, q2)
 
     def name(key) -> str:
         if key[0] == "P":
             return f"P∥{key[1]}"
         if key[0] == "Q":
-            return f"Q({key[1]},{key[2]})∥{key[3]}"
-        return f"R({key[1]},{key[2]})∥{key[3]}?{key[4]}"
+            return f"Q({names[key[1]]},{key[2]})∥{key[3]}"
+        return f"R({names[key[1]]},{key[2]})∥{key[3]}?{key[4]}"
 
     return explore([("P", m.initial)], successors, name, alphabet)
 

@@ -3,13 +3,15 @@
 Exit codes: 0 success or PASS, 1 check FAIL, 2 malformed input or validation
 error (with a machine-readable ``ERROR`` line on stderr), 3 no winning
 strategy for a requested abstract input, 4 the SUT produced an output the
-code has no edge for.
+code has no edge for, 141 (128 + SIGPIPE) stdout was closed before all output
+was written, as by ``| head``, and nothing goes to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
+import os
 import sys
 from pathlib import Path
 
@@ -41,6 +43,7 @@ EXIT_FAIL = 1
 EXIT_BAD_INPUT = 2
 EXIT_NOT_WINNING = 3
 EXIT_CODE_INCOMPLETE = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
 
 def _file(path: str) -> Path:
@@ -291,8 +294,7 @@ def _cmd_adaptor(args) -> int:
     session = AdaptorSession(tree, None)
     for x in sorted(set(requested)):
         if not session.table.is_winning(tree.root, x):
-            print(f"ERROR NotWinning {x}", file=sys.stderr)
-            return EXIT_NOT_WINNING
+            raise NotWinning(x)
 
     sut = None
     try:
@@ -513,7 +515,22 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser(argv).parse_args(argv)
     try:
+        status = _handle(args)
+        sys.stdout.flush()  # here, not at exit, so a closed stdout is caught below
+        return status
+    except BrokenPipeError:
+        # The reader of stdout is gone.  Exit quietly, and let the interpreter's
+        # final flush of what is still buffered go to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+
+
+def _handle(args) -> int:
+    """Run the verb; an error becomes its exit code and one ``ERROR`` line."""
+    try:
         return args.handler(args)
+    except BrokenPipeError:
+        raise  # stdout is closed: ``main`` exits without an ERROR line
     except NotWinning as exc:
         print(f"ERROR NotWinning {exc.abstract_input}", file=sys.stderr)
         return EXIT_NOT_WINNING

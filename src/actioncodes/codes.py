@@ -52,7 +52,8 @@ class CodeMap(_Value):
         # In rendered-word order a word follows every word that is its prefix,
         # and the first clash met is between neighbours in that order.
         kids, leaf, below, text = [{}], [None], [set()], [""]  # node 0 is the root
-        for b, word in sorted(self.entries, key=lambda e: tuple(str(a) for a in e[1])):
+        rendered = {a: str(a) for a in self.source}
+        for b, word in sorted(self.entries, key=lambda e: [rendered[a] for a in e[1]]):
             i = 0
             for a in word:
                 if leaf[i] is not None:
@@ -64,7 +65,7 @@ class CodeMap(_Value):
                     kids.append({})
                     leaf.append(None)
                     below.append(set())
-                    text.append(f"{text[i]}.{a}" if i else str(a))
+                    text.append(f"{text[i]}.{rendered[a]}" if i else rendered[a])
                 i = j
             if leaf[i] is not None:
                 raise PrefixClash(leaf[i], b)
@@ -94,15 +95,16 @@ class CodeMap(_Value):
 
 
 class CodeTree(_Value):
-    """Tree form of an action code.
+    """Tree form of an action code: its map form's prefix tree, named.
 
     The carrier is a deterministic, tree-shaped, grounded LTS over the
     concrete alphabet; every non-root leaf carries a distinct abstract label
-    and the root carries none.  Construction walks the carrier once, breadth
-    first from the root, and keeps each node's access word.
+    and the root carries none.  One breadth-first walk checks it; the map
+    form is built once from the leaves' access words, and ``_names[i]`` is
+    the carrier state of its node ``i``.
     """
 
-    __slots__ = ("tree", "leaf_labels", "abstract", "_labels", "_words")
+    __slots__ = ("tree", "leaf_labels", "abstract", "_labels", "_code", "_names")
 
     def __init__(self, tree, leaf_labels, abstract):
         self.tree = tree
@@ -138,8 +140,14 @@ class CodeTree(_Value):
         for lab in labels:
             if lab not in self.abstract:
                 raise InvalidTree(f"leaf label {lab} is not in the abstract alphabet")
+        entries = [(lab, words[q]) for q, lab in self.leaf_labels]
+        self._code = code = CodeMap(tree.alphabet, self.abstract, entries)
+        number = {tree.initial: 0}
+        for q in order:  # parents first, so each state's number is known
+            for a, dst in tree.out(q):
+                number[dst] = code._kids[number[q]][a]
+        self._names = sorted(number, key=number.__getitem__)
         self._labels = dict(self.leaf_labels)
-        self._words = words
 
     def _key(self):
         return self.tree, self.leaf_labels, self.abstract
@@ -173,9 +181,8 @@ def to_tree(code: CodeMap) -> CodeTree:
 
 
 def to_map(tree: CodeTree) -> CodeMap:
-    """Recover the map form: each labeled leaf contributes its access word."""
-    entries = [(lab, tree._words[leaf]) for leaf, lab in tree.leaf_labels]
-    return CodeMap(tree.tree.alphabet, tree.abstract, entries)
+    """The map form, which the tree built once from its leaves' access words."""
+    return tree._code
 
 
 def compose(r: CodeMap, s: CodeMap) -> CodeMap:

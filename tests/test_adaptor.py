@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 import sys
 import textwrap
 import time
@@ -24,7 +25,8 @@ from actioncodes.adaptor import (
     solve_winning,
     split_io,
 )
-from actioncodes.codes import CodeMap, to_tree
+from actioncodes.codes import CodeMap, CodeTree, to_tree
+from actioncodes.documents import tree_from_document, tree_to_document
 from actioncodes.errors import (
     CodeIncomplete,
     NotDeterminate,
@@ -266,6 +268,22 @@ class TestRunAdaptor:
         assert err.value.concrete_input == "b"
         assert err.value.observed_output == "1"
 
+    @pytest.mark.parametrize("reply", ["0 1", "a/b", "", 7])
+    def test_a_malformed_reply_is_a_bad_symbol(self, reply):
+        # Any object with send and receive may be the SUT; the walk builds a
+        # label from its reply, so a reply that is no symbol is refused there
+        # and does not pass for an output outside the code.
+        class Sut:
+            def send(self, symbol):
+                pass
+
+            def receive(self):
+                return reply
+
+        session = AdaptorSession(to_tree(load_fixture("double-press.code.json")), Sut())
+        with pytest.raises(ValueError, match="^bad symbol "):
+            session.apply("A")
+
     def test_transcripts_spell_whole_code_words(self):
         for seed in range(40):
             code = gen_adaptor_code(seed, inputs=2, outputs=2, abstract_inputs=2)
@@ -329,6 +347,135 @@ def _seeded_trees():
     for seed in range(240):
         yield to_tree(gen_code(seed, mealy_alphabet(2, 2), target,
                                entries=2 + seed % 4, maxlen=3))
+
+
+def _renamed(tree: CodeTree, seed: int) -> tuple[CodeTree, dict[str, str]]:
+    """The tree read back from its document with every state renamed by a
+    seeded shuffle, so names are no rendered words and sort another way."""
+    names = [f"n{k}" for k in range(len(tree.tree.states))]
+    random.Random(seed).shuffle(names)
+    new = dict(zip(tree.tree.states, names))
+    doc = tree_to_document(tree)
+    carrier = doc["tree"]
+    carrier["states"] = [new[q] for q in carrier["states"]]
+    carrier["initial"] = new[carrier["initial"]]
+    carrier["transitions"] = [[new[q], a, new[p]] for q, a, p in carrier["transitions"]]
+    doc["leaf_labels"] = [[new[q], lab] for q, lab in doc["leaf_labels"]]
+    return tree_from_document(doc), new
+
+
+def _renaming_instances():
+    """Fixture codes with their SUT model (None for one that is not
+    determinate), adaptor codes, and Mealy codes, most not determinate."""
+    square = load_fixture("square.mealy.json")
+    for name in ("double-press", "split-press", "coffee", "shared-input"):
+        m = square if name.endswith("press") else None
+        yield to_tree(load_fixture(f"{name}.code.json")), m
+    target = [Label(x, y) for x in "AB" for y in "012"]
+    for seed in range(1, 21):
+        code = gen_adaptor_code(seed, inputs=2, outputs=2, abstract_inputs=2)
+        m = gen_mealy(seed + 19, states=4, inputs=2, outputs=2, input_enabled=True)
+        yield to_tree(code), m
+        yield to_tree(gen_code(seed, mealy_alphabet(2, 2), target, entries=4, maxlen=3)), None
+
+
+class _StrayingSut:
+    """Answers along the first matching edge of the carrier for ``steps``
+    exchanges, then with an output that no edge of the tree carries."""
+
+    def __init__(self, tree: CodeTree, steps: int):
+        self.tree, self.steps, self.node = tree, steps, tree.root
+        self.reply = ""
+
+    def send(self, symbol: str) -> None:
+        if self.steps == 0:
+            self.reply = "stray"
+            return
+        self.steps -= 1
+        a, self.node = next(e for e in self.tree.tree.out(self.node) if e[0].symbol == symbol)
+        self.reply = a.output
+
+    def receive(self) -> str:
+        return self.reply
+
+
+class TestRenamedCarriers:
+    def test_renamed_trees_sort_their_nodes_another_way(self):
+        reordered = 0
+        for seed, (tree, _) in enumerate(_renaming_instances()):
+            renamed, new = _renamed(tree, seed)
+            reordered += [new[q] for q in tree.tree.states] != list(renamed.tree.states)
+        assert reordered >= 40
+
+    def test_winning_table_names_the_carriers_nodes(self):
+        for seed, (tree, _) in enumerate(_renaming_instances()):
+            renamed, new = _renamed(tree, seed)
+            table, renamed_table = solve_winning(tree), solve_winning(renamed)
+            xs = sorted({lab.symbol for _, lab in tree.leaf_labels}) + ["unknown"]
+            for node in tree.tree.states:
+                for x in xs:
+                    won = renamed_table.is_winning(new[node], x)
+                    assert won == brute_force_winning(renamed, new[node], x)
+                    assert won == table.is_winning(node, x)
+                    assert renamed_table.winning_inputs(new[node], x) == (
+                        table.winning_inputs(node, x))
+                    # The rendered word is no name of the renamed tree.
+                    assert not renamed_table.is_winning(node, x)
+                    assert renamed_table.winning_inputs(node, x) == ()
+
+    def test_witness_is_the_least_named_conflict(self):
+        undetermined = 0
+        for seed, (tree, _) in enumerate(_renaming_instances()):
+            renamed, _ = _renamed(tree, seed)
+            conflicts = brute_force_conflicts(renamed)
+            assert is_determinate(renamed) == (
+                not conflicts, conflicts[0] if conflicts else None)
+            undetermined += bool(conflicts)
+        assert undetermined >= 10
+
+    def test_code_incomplete_names_the_carriers_node(self):
+        deep = 0
+        for seed, (tree, m) in enumerate(_renaming_instances()):
+            if m is None:
+                continue
+            renamed, new = _renamed(tree, seed)
+            x = min(lab.symbol for _, lab in tree.leaf_labels)
+            for steps in range(3):
+                errors = []
+                for t in (tree, renamed):
+                    sut = _StrayingSut(t, steps)
+                    try:
+                        AdaptorSession(t, sut).apply(x)
+                    except CodeIncomplete as exc:
+                        assert exc.node == sut.node
+                        errors.append(exc.node)
+                if errors:  # none when the play reached a leaf first
+                    assert errors == [errors[0], new[errors[0]]]
+                    deep += errors[0] != tree.root
+        assert deep >= 10
+
+    def test_composition_states_carry_the_carriers_names(self):
+        pattern = re.compile(r"^([QR])\((.*),(\w+)\)∥(.*)$")
+        for seed, (tree, m) in enumerate(_renaming_instances()):
+            if m is None:
+                continue
+            renamed, new = _renamed(tree, seed)
+
+            def rename(state: str) -> str:
+                match = pattern.match(state)
+                if match is None:
+                    return state
+                phase, node, x, rest = match.groups()
+                return f"{phase}({new[node]},{x})∥{rest}"
+
+            composed = adaptor_composition(tree, m)
+            expected = Lts(
+                [rename(q) for q in composed.states],
+                rename(composed.initial),
+                [(rename(q), a, rename(p)) for q, a, p in composed.transitions],
+                composed.alphabet,
+            )
+            assert adaptor_composition(renamed, m) == expected
 
 
 def _find_script(tree, table, machine, pairs):
@@ -433,6 +580,19 @@ class TestExternalSut:
             sut.receive()
         assert time.monotonic() - start < 0.3
         assert all(later < earlier for earlier, later in zip(waits, waits[1:]))
+
+    @pytest.mark.parametrize("error", [BrokenPipeError, ConnectionResetError])
+    def test_a_sut_that_stops_reading_is_a_protocol_error(self, error):
+        # Not the OSError itself: the CLI reads a broken pipe as its own
+        # stdout closed, and would exit quietly over a dead SUT.
+        def write(data: bytes) -> None:
+            raise error("gone")
+
+        sut = ExternalSut(write, lambda timeout: b"0\n", lambda: None)
+        for call in (lambda: sut.send("a"), sut.reset):
+            with pytest.raises(SutProtocolError, match="^cannot write to the SUT: gone$") as err:
+                call()
+            assert isinstance(err.value.__cause__, error)
 
     def test_non_utf8_line_is_malformed(self):
         sut = ExternalSut(lambda data: None, lambda timeout: b"\xff\n", lambda: None)

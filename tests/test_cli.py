@@ -16,6 +16,7 @@ import pytest
 from actioncodes import adaptor
 from actioncodes.cli import _CHECKS, _VERBS, _build_parser, main
 from actioncodes.documents import dumps, loads, lts_from_document, lts_to_document
+from actioncodes.generate import gen_lts
 from actioncodes.simulation import find_isomorphism_reachable, is_simulation
 
 from conftest import FIXTURES, load_fixture
@@ -800,6 +801,55 @@ def test_non_utf8_stdin_exits_2_under_the_c_locale():
     )
     assert (result.returncode, result.stdout) == (2, b"")
     assert result.stderr.startswith(b"ERROR DocumentError cannot read <stdin>: ")
+
+
+def _child(*argv: str, unbuffered: bool) -> subprocess.Popen:
+    """``python -m actioncodes.cli`` as a child, stdout and stderr piped;
+    stdout is block-buffered unless ``unbuffered``."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "actioncodes.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_stdout_closed_mid_output_exits_141_quietly(tmp_path, unbuffered):
+    # 20,000 map lines are about 245 KB, more than a pipe holds, so a write
+    # fails while the check prints: it once ended as exit 2 with an
+    # "ERROR BrokenPipeError" line.
+    big = tmp_path / "big.lts.json"
+    big.write_text(dumps(lts_to_document(gen_lts(1, 20000, 3, True))), encoding="utf-8")
+    proc = _child("check", "isomorphism", str(big), str(big), unbuffered=unbuffered)
+    assert proc.stdout.readline() == b"PASS\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (err, proc.returncode) == (b"", 141)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_stdout_closed_before_the_output_exits_141_quietly(unbuffered):
+    # Buffered, the few lines wait in stdout's buffer, so the write fails
+    # only when main flushes it; a flush left to the interpreter on the way
+    # out would print "Exception ignored" and exit 120.
+    choice = fixture("choice.lts.json")
+    proc = _child("check", "isomorphism", choice, choice, unbuffered=unbuffered)
+    proc.stdout.close()  # before the child has started up
+    _, err = proc.communicate(timeout=60)
+    assert (err, proc.returncode) == (b"", 141)
+
+
+def test_a_dead_sut_is_no_closed_stdout(capsys, tmp_path):
+    # The child exits without reading a line: the RESET or the input may
+    # meet a broken pipe, or the read an end of stream; each is the SUT's
+    # fault, exit 2 with an ERROR line, not the quiet 141.
+    status, out, err = run(
+        capsys, "adaptor", "--code", fixture("double-press.code.json"),
+        "--sut-exec", f"{sys.executable} -c pass", "--inputs", _inputs(tmp_path, "A\n"),
+    )
+    assert (status, out) == (2, "")
+    assert err.startswith("ERROR SutProtocolError ")
 
 
 _TREE = {

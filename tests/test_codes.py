@@ -187,10 +187,15 @@ class TestTreeForm:
         for seed in range(40):
             tree = to_tree(gen_code(seed, entries=4, maxlen=3))
             # Every node lies on the access word of some labeled leaf.
-            words = [tree._words[q] for q, _ in tree.leaf_labels]
-            assert words
-            for w in tree._words.values():
-                assert any(v[: len(w)] == w for v in words)
+            words, todo = {tree.root: ()}, [tree.root]
+            for q in todo:
+                for a, dst in tree.tree.out(q):
+                    words[dst] = words[q] + (a,)
+                    todo.append(dst)
+            leaf_words = [words[q] for q, _ in tree.leaf_labels]
+            assert leaf_words
+            for w in words.values():
+                assert any(v[: len(w)] == w for v in leaf_words)
 
     def test_invalid_trees_are_rejected(self):
         a = Label("a")
