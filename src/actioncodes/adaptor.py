@@ -112,7 +112,8 @@ def _solve(tree: CodeTree) -> tuple[WinningTable, DeterminacyWitness | None]:
         won[node] = set().union(*forced.values())
         for x in won[node]:
             wins[(name, x)] = tuple(sorted(i for i, xs in forced.items() if x in xs))
-        if witness is None or name < witness.node:
+        conflict = sum(map(len, reached.values())) > len(below[node])  # the sets overlap
+        if conflict and (witness is None or name < witness.node):
             inputs = sorted(reached)
             witness = next(
                 (
@@ -222,6 +223,22 @@ def _check_timeout(timeout: float) -> None:
         raise ValueError(f"the timeout must be a finite number > 0, got {timeout}")
 
 
+def _reader(stream):
+    """``read_some`` for a pipe or socket: wait until it is readable, then read.
+    It keeps the stream, not its number, so a read after ``close`` raises."""
+    import select
+
+    def read_some(deadline: float) -> bytes:
+        if not select.select([stream], [], [], deadline)[0]:
+            raise SutProtocolError("timed out waiting for the SUT")
+        chunk = os.read(stream.fileno(), 4096)
+        if not chunk:
+            raise SutProtocolError("the SUT closed its output")
+        return chunk
+
+    return read_some
+
+
 class ExternalSut:
     """A SUT behind a newline-delimited byte stream (child process or TCP).
 
@@ -239,24 +256,14 @@ class ExternalSut:
 
     @classmethod
     def spawn(cls, command: Sequence[str], timeout: float = 5.0) -> "ExternalSut":
-        import select
         import subprocess
         _check_timeout(timeout)
         proc = subprocess.Popen(
             list(command),
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
-            bufsize=0,
+            bufsize=0,  # unbuffered: each write reaches the SUT at once
         )
-
-        def read_some(deadline: float) -> bytes:
-            ready, _, _ = select.select([proc.stdout], [], [], deadline)
-            if not ready:
-                raise SutProtocolError("timed out waiting for the SUT process")
-            chunk = os.read(proc.stdout.fileno(), 4096)
-            if not chunk:
-                raise SutProtocolError("SUT process closed its output stream")
-            return chunk
 
         def close() -> None:
             try:
@@ -269,8 +276,9 @@ class ExternalSut:
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait()
+            proc.stdout.close()
 
-        return cls(proc.stdin.write, read_some, close, timeout)  # unbuffered
+        return cls(proc.stdin.write, _reader(proc.stdout), close, timeout)
 
     @classmethod
     def connect(cls, host: str, port: int, timeout: float = 5.0) -> "ExternalSut":
@@ -279,18 +287,7 @@ class ExternalSut:
         if not 0 < port < 65536:  # the resolver would truncate it to 16 bits
             raise ValueError(f"the port must be in 1..65535, got {port}")
         sock = socket.create_connection((host, port), timeout=timeout)
-
-        def read_some(deadline: float) -> bytes:
-            sock.settimeout(deadline)
-            try:
-                chunk = sock.recv(4096)
-            except socket.timeout as exc:
-                raise SutProtocolError("timed out waiting for the SUT socket") from exc
-            if not chunk:
-                raise SutProtocolError("SUT closed the connection")
-            return chunk
-
-        return cls(sock.sendall, read_some, sock.close, timeout)
+        return cls(sock.sendall, _reader(sock), sock.close, timeout)
 
     def send(self, symbol: str) -> None:
         try:

@@ -158,9 +158,10 @@ def _winning(args, code):
 
     tree = to_tree(code)
     table = solve_winning(tree)
-    wanted = [args.abstract_input] if args.abstract_input else sorted(
-        {lab.symbol for _, lab in tree.leaf_labels}
-    )
+    if args.abstract_input is None:
+        wanted = sorted({lab.symbol for _, lab in tree.leaf_labels})
+    else:  # "" or "a b" is no symbol: Label refuses it
+        wanted = [Label(args.abstract_input).symbol]
     lines = []
     ok = True
     for x in wanted:

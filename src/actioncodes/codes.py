@@ -99,22 +99,21 @@ class CodeTree(_Value):
 
     The carrier is a deterministic, tree-shaped, grounded LTS over the
     concrete alphabet; every non-root leaf carries a distinct abstract label
-    and the root carries none.  One breadth-first walk checks it; the map
-    form is built once from the leaves' access words, and ``_names[i]`` is
-    the carrier state of its node ``i``.
+    and the root carries none.  One breadth-first walk checks it and builds
+    the map form from the leaves' access words, or ``to_tree`` names a given
+    map; ``_names[i]`` is the carrier state of the map's node ``i``.
     """
 
     __slots__ = ("tree", "leaf_labels", "abstract", "_labels", "_code", "_names")
 
     def __init__(self, tree, leaf_labels, abstract):
-        self.tree = tree
         labels: dict = {}
         for q, lab in leaf_labels:
             if q in labels:
                 raise InvalidTree(f"leaf {q} is labeled twice")
             labels[q] = lab
-        self.leaf_labels = tuple(sorted((str(q), lab) for q, lab in labels.items()))
-        self.abstract = frozenset(abstract)
+        leaf_labels = sorted((str(q), lab) for q, lab in labels.items())
+        abstract = frozenset(abstract)
         if not is_deterministic(tree):
             raise InvalidTree("carrier is not deterministic")
         words: dict[str, Word] = {tree.initial: ()}
@@ -127,27 +126,31 @@ class CodeTree(_Value):
                 order.append(dst)
         if len(words) != len(tree.states):
             raise InvalidTree("carrier has unreachable states")
-        labeled = {q for q, _ in self.leaf_labels}
+        labeled = {q for q, _ in leaf_labels}
         expected = {q for q in order[1:] if not tree.out(q)}
         if labeled != expected:
             raise InvalidTree(
                 "labeled states must be exactly the non-root leaves "
                 f"(labeled {sorted(labeled)}, leaves {sorted(expected)})"
             )
-        labels = [lab for _, lab in self.leaf_labels]
-        if len(set(labels)) != len(labels):
+        if len({lab for _, lab in leaf_labels}) != len(leaf_labels):
             raise InvalidTree("leaf labeling is not injective")
-        for lab in labels:
-            if lab not in self.abstract:
+        for _, lab in leaf_labels:
+            if lab not in abstract:
                 raise InvalidTree(f"leaf label {lab} is not in the abstract alphabet")
-        entries = [(lab, words[q]) for q, lab in self.leaf_labels]
-        self._code = code = CodeMap(tree.alphabet, self.abstract, entries)
+        code = CodeMap(tree.alphabet, abstract, [(lab, words[q]) for q, lab in leaf_labels])
         number = {tree.initial: 0}
         for q in order:  # parents first, so each state's number is known
             for a, dst in tree.out(q):
                 number[dst] = code._kids[number[q]][a]
-        self._names = sorted(number, key=number.__getitem__)
-        self._labels = dict(self.leaf_labels)
+        self._name(code, sorted(number, key=number.__getitem__), tree)
+
+    def _name(self, code, names, tree):
+        """Name each node ``i`` of ``code`` by state ``names[i]`` of ``tree``; return self."""
+        self.tree, self._code, self._names, self.abstract = tree, code, names, code.target
+        self._labels = {q: b for q, b in zip(names, code._leaf) if b is not None}
+        self.leaf_labels = tuple(sorted(self._labels.items()))
+        return self
 
     def _key(self):
         return self.tree, self.leaf_labels, self.abstract
@@ -167,21 +170,19 @@ class CodeTree(_Value):
 
 
 def to_tree(code: CodeMap) -> CodeTree:
-    """The unique grounded tree form of a map-based code.
+    """The unique grounded tree form of a map-based code, sharing that map.
 
-    It explores the code's prefix tree: nodes are the prefixes of the code
-    words (the empty prefix is the root), named by their rendered word;
-    edges extend a prefix by one letter, and the node of a complete code
-    word becomes a leaf labeled with its abstract label.
+    Its carrier is the code's prefix tree, each node named by its rendered
+    word (the root by ``ε``); the node of a complete code word is a leaf
+    labeled with that word's abstract label.
     """
-    kids, text = code._kids, code._text
-    tree = explore([0], lambda i: kids[i].items(), lambda i: text[i] or "ε", code.source)
-    leaf_labels = [(text[i], b) for i, b in enumerate(code._leaf) if b is not None]
-    return CodeTree(tree, leaf_labels, code.target)
+    kids, names = code._kids, [text or "ε" for text in code._text]
+    carrier = explore([0], lambda i: kids[i].items(), names.__getitem__, code.source)
+    return CodeTree.__new__(CodeTree)._name(code, names, carrier)
 
 
 def to_map(tree: CodeTree) -> CodeMap:
-    """The map form, which the tree built once from its leaves' access words."""
+    """The map form the tree names: built once, or the one given to ``to_tree``."""
     return tree._code
 
 

@@ -87,8 +87,8 @@ def render_word(word: Word) -> str:
 
 
 class _Value:
-    """Base of the value types: each attribute is written once, by
-    ``__init__`` or by a cache on first use, and is never rebound or deleted.
+    """Base of the value types: each attribute is written once, when the
+    value is built or by a cache on first use, and is never rebound or deleted.
     Equality and hash are those of ``_key()``, within one class."""
 
     __slots__ = ()

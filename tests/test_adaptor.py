@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import random
 import re
+import socket
 import sys
 import textwrap
+import threading
 import time
+import warnings
 
 import pytest
 
@@ -556,6 +560,17 @@ class TestExternalSut:
             outputs = [session.apply(x) for x in ["A", "B", "A"]]
         assert outputs == ["0", "0", "0"]
 
+    def test_close_releases_the_pipes(self, tmp_path):
+        script = tmp_path / "sut.py"
+        script.write_text(SQUARE_SUT_SCRIPT, encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with ExternalSut.spawn([sys.executable, str(script)], timeout=10.0) as sut:
+                sut.reset()
+            del sut
+            gc.collect()
+        assert [w for w in caught if w.category is ResourceWarning] == []
+
     def test_timeout_raises(self, tmp_path):
         script = tmp_path / "sleepy.py"
         script.write_text("import time\ntime.sleep(60)\n", encoding="utf-8")
@@ -593,6 +608,46 @@ class TestExternalSut:
             with pytest.raises(SutProtocolError, match="^cannot write to the SUT: gone$") as err:
                 call()
             assert isinstance(err.value.__cause__, error)
+
+    def test_a_peer_that_closes_after_reset_is_a_protocol_error(self):
+        server = socket.create_server(("127.0.0.1", 0))
+        heard = []
+
+        def serve():  # read the RESET line in full, so the close is a clean end
+            conn, _ = server.accept()
+            with conn:
+                data = b""
+                while not data.endswith(b"\n"):
+                    data += conn.recv(64)
+                heard.append(data)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            with ExternalSut.connect("127.0.0.1", server.getsockname()[1], timeout=5.0) as sut:
+                sut.reset()
+                thread.join(5.0)
+                assert not thread.is_alive()
+                with pytest.raises(SutProtocolError, match="^the SUT closed its output$"):
+                    sut.receive()
+        finally:
+            server.close()
+        assert heard == [b"RESET\n"]
+
+    def test_a_silent_peer_times_out(self):
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            with ExternalSut.connect("127.0.0.1", server.getsockname()[1], timeout=0.2) as sut:
+                sut.send("a")
+                with pytest.raises(SutProtocolError, match="^timed out waiting for the SUT$"):
+                    sut.receive()
+
+    def test_a_child_that_exits_closes_its_output(self, tmp_path):
+        script = tmp_path / "quitter.py"
+        script.write_text("import sys\nsys.stdin.readline()\n", encoding="utf-8")
+        with ExternalSut.spawn([sys.executable, str(script)], timeout=10.0) as sut:
+            sut.send("a")
+            with pytest.raises(SutProtocolError, match="^the SUT closed its output$"):
+                sut.receive()
 
     def test_non_utf8_line_is_malformed(self):
         sut = ExternalSut(lambda data: None, lambda timeout: b"\xff\n", lambda: None)

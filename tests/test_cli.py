@@ -251,6 +251,15 @@ class TestCheckVerbs:
         assert status == 1
         assert "not-winning latte" in out
 
+    @pytest.mark.parametrize("value", ["", "a b", "a/b"])
+    def test_winning_for_a_non_symbol_is_refused(self, capsys, value):
+        # An empty value is a bad symbol, not an absent --for.
+        status, out, err = run(
+            capsys, "check", "winning", "--code", fixture("coffee.code.json"), "--for", value
+        )
+        assert (status, out) == (2, "")
+        assert err.startswith(f"ERROR ValueError bad symbol {value!r}: ")
+
     def test_determinate_witness(self, capsys):
         status, out, _ = run(
             capsys, "check", "determinate", "--code", fixture("shared-input.code.json")

@@ -15,7 +15,8 @@ from actioncodes.errors import (
     InvalidTree,
     PrefixClash,
 )
-from actioncodes.generate import gen_code
+from actioncodes.documents import dumps, loads, tree_from_document, tree_to_document
+from actioncodes.generate import gen_adaptor_code, gen_code, mealy_alphabet
 from actioncodes.lts import Label, Lts, is_deterministic, render_word
 from actioncodes.simulation import find_isomorphism_reachable
 
@@ -285,6 +286,56 @@ class TestRoundTrip:
             assert mapping is not None
             for leaf, lab in tree.leaf_labels:
                 assert back.label_of(mapping[leaf]) == lab
+
+
+def _named_codes():
+    """The codes of ``_tree_codes`` but DOTTED, whose words render alike;
+    codes over a and a-x, whose rendered words sort apart from their node
+    numbers (a.b before a-x as words, after it as text); seeded Mealy and
+    adaptor codes."""
+    yield from (code for code in _tree_codes() if code is not DOTTED)
+    target = [Label(x, y) for x in "AB" for y in "012"]
+    for seed in range(40):
+        yield gen_code(seed, source=atoms("a", "a-x", "b"), target=6, entries=6, maxlen=3)
+        yield gen_code(seed, mealy_alphabet(2, 2), target, entries=2 + seed % 4, maxlen=3)
+        yield gen_adaptor_code(seed, inputs=3, outputs=2, abstract_inputs=2)
+
+
+class TestNamedMap:
+    """``to_tree`` names the nodes of the map it is given."""
+
+    def test_tree_of_map_shares_the_map(self, monkeypatch):
+        codes = list(_named_codes())
+        built, init = [], CodeMap.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(CodeMap, "__init__", counting_init)
+        for code in codes:
+            assert to_map(to_tree(code)) is code
+        assert built == []
+
+    def test_named_map_equals_the_validated_carrier(self):
+        for code in _named_codes():
+            tree = to_tree(code)
+            checked = CodeTree(tree.tree, tree.leaf_labels, tree.abstract)
+            assert checked == tree
+            assert checked._names == tree._names
+            assert list(tree.leaf_labels) == sorted(tree.leaf_labels)  # by state name
+            assert to_map(checked) == code
+            assert checked._code._kids == code._kids and checked._code._leaf == code._leaf
+            for q, lab in tree.leaf_labels:
+                assert tree.label_of(q) == checked.label_of(q) == lab
+
+    def test_named_map_survives_a_tree_document(self):
+        for code in _named_codes():
+            tree = to_tree(code)
+            back = tree_from_document(loads(dumps(tree_to_document(tree))))
+            assert back == tree
+            assert back._names == tree._names
+            assert to_map(back) == code
 
 
 class TestCompose:
