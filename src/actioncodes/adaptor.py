@@ -395,9 +395,10 @@ def _learner_alphabet(abstract: Iterable[Label]) -> frozenset[Label]:
 def split_io(m: Lts) -> Lts:
     """Two-phase view of a Mealy machine with inputs and outputs separated.
 
-    Every state first accepts any input of the alphabet, then emits one of
-    the outputs the machine allows for it; emissions are namespaced with a
-    trailing ``!`` so inputs and outputs cannot collide.
+    The view covers the states reachable from the initial one.  Every state
+    first accepts any input of the alphabet, then emits one of the outputs
+    the machine allows for it; emissions are namespaced with a trailing
+    ``!`` so inputs and outputs cannot collide.
     """
     if not all(a.is_mealy for a in m.alphabet):
         raise ValueError("split_io needs a Mealy machine")
@@ -416,8 +417,7 @@ def split_io(m: Lts) -> Lts:
     def name(key) -> str:
         return key if isinstance(key, str) else f"{key[0]}?{key[1]}"
 
-    roots = [m.initial, *m.states]
-    return explore(roots, successors, name, _learner_alphabet(m.alphabet))
+    return explore(m.initial, successors, name, _learner_alphabet(m.alphabet))
 
 
 def adaptor_composition(tree: CodeTree, m: Lts) -> Lts:
@@ -468,7 +468,7 @@ def adaptor_composition(tree: CodeTree, m: Lts) -> Lts:
             return f"Q({names[key[1]]},{key[2]})∥{key[3]}"
         return f"R({names[key[1]]},{key[2]})∥{key[3]}?{key[4]}"
 
-    return explore([("P", m.initial)], successors, name, alphabet)
+    return explore(("P", m.initial), successors, name, alphabet)
 
 
 def check_adaptor_theorem(tree: CodeTree, m: Lts) -> bool:

@@ -308,19 +308,17 @@ def _cmd_adaptor(args) -> int:
             if not command:
                 raise ValueError("--sut-exec needs a command")
             sut = ExternalSut.spawn(command, timeout=args.timeout)
-            sut.reset()
         else:
             host, _, port = args.sut_tcp.rpartition(":")
             sut = ExternalSut.connect(host, int(port), timeout=args.timeout)
-            sut.reset()
+        sut.reset()
 
         session.sut = sut
-        printed = 0
         for x in requested:
             session.apply(x)
-            for line in format_transcript(session.transcript[printed:]):
+            for line in format_transcript(session.transcript):
                 print(line)
-            printed = len(session.transcript)
+            session.transcript.clear()  # printed: memory stays flat however long the run
         return EXIT_OK
     finally:
         if isinstance(sut, ExternalSut):

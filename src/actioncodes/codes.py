@@ -104,7 +104,7 @@ class CodeTree(_Value):
     map; ``_names[i]`` is the carrier state of the map's node ``i``.
     """
 
-    __slots__ = ("tree", "leaf_labels", "abstract", "_labels", "_code", "_names")
+    __slots__ = ("tree", "leaf_labels", "abstract", "_code", "_names")
 
     def __init__(self, tree, leaf_labels, abstract):
         labels: dict = {}
@@ -148,8 +148,8 @@ class CodeTree(_Value):
     def _name(self, code, names, tree):
         """Name each node ``i`` of ``code`` by state ``names[i]`` of ``tree``; return self."""
         self.tree, self._code, self._names, self.abstract = tree, code, names, code.target
-        self._labels = {q: b for q, b in zip(names, code._leaf) if b is not None}
-        self.leaf_labels = tuple(sorted(self._labels.items()))
+        nodes = zip(names, code._leaf)
+        self.leaf_labels = tuple(sorted((q, b) for q, b in nodes if b is not None))
         return self
 
     def _key(self):
@@ -158,12 +158,6 @@ class CodeTree(_Value):
     @property
     def root(self) -> str:
         return self.tree.initial
-
-    def label_of(self, leaf: str) -> Label:
-        return self._labels[leaf]
-
-    def is_leaf(self, node: str) -> bool:
-        return not self.tree.out(node)
 
     def __repr__(self) -> str:
         return f"CodeTree(nodes={len(self.tree.states)}, leaves={len(self.leaf_labels)})"
@@ -177,7 +171,7 @@ def to_tree(code: CodeMap) -> CodeTree:
     labeled with that word's abstract label.
     """
     kids, names = code._kids, [text or "ε" for text in code._text]
-    carrier = explore([0], lambda i: kids[i].items(), names.__getitem__, code.source)
+    carrier = explore(0, lambda i: kids[i].items(), names.__getitem__, code.source)
     return CodeTree.__new__(CodeTree)._name(code, names, carrier)
 
 

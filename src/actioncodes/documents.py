@@ -61,6 +61,9 @@ def lts_to_document(m: Lts) -> dict[str, Any]:
 
 
 def _expect(doc: dict, key: str, schema: str):
+    """A field of a document, which must be a JSON object."""
+    if not isinstance(doc, dict):
+        raise DocumentError(f"{schema} document must be an object, not {type(doc).__name__}")
     if key not in doc:
         raise DocumentError(f"{schema} document is missing the {key!r} field")
     return doc[key]

@@ -15,7 +15,6 @@ class EmptyCodeWord(ActionCodesError):
     """A code maps an abstract label to the empty word."""
 
     def __init__(self, label):
-        self.label = label
         super().__init__(f"code word for {label} is empty")
 
 

@@ -202,28 +202,18 @@ class Lts(_Value):
         )
 
 
-def _ambiguous(text: str) -> ValueError:
-    return ValueError(f"state name {text!r} is ambiguous: two different states render to it")
+def explore(root, successors, name, alphabet) -> Lts:
+    """Build the part of an implicit system reachable from the key ``root``.
 
-
-def explore(roots, successors, name, alphabet) -> Lts:
-    """Build the part of an implicit system reachable from ``roots``.
-
-    States are hashable keys, explored breadth first; every root is a state
-    and the first one is initial.  ``successors(key)`` yields ``(label,
-    key)`` edges; a target not met before is named by ``name(key)`` and
-    queued.  Two keys rendering the same name raise ``ValueError``: names are
-    built by joining symbols, and symbols may contain the separators.
+    States are hashable keys, explored breadth first from the initial state
+    ``root``.  ``successors(key)`` yields ``(label, key)`` edges; a target
+    not met before is named by ``name(key)`` and queued.  Two keys rendering
+    the same name raise ``ValueError``: names are built by joining symbols,
+    and symbols may contain the separators.
     """
-    names: dict = {}
-    taken: set[str] = set()
-    for key in roots:
-        if key not in names:
-            names[key] = text = name(key)
-            if text in taken:
-                raise _ambiguous(text)
-            taken.add(text)
-    order = list(names)
+    names = {root: name(root)}
+    taken = {names[root]}
+    order = [root]
     transitions: list[Transition] = []
     for key in order:  # the list grows while it is read: breadth first
         src = names[key]
@@ -232,12 +222,14 @@ def explore(roots, successors, name, alphabet) -> Lts:
             if text is None:  # a key not met before; not falsy: "" is a state name
                 text = name(dst)
                 if text in taken:
-                    raise _ambiguous(text)
+                    raise ValueError(
+                        f"state name {text!r} is ambiguous: two different states render to it"
+                    )
                 taken.add(text)
                 names[dst] = text
                 order.append(dst)
             transitions.append((src, label, text))
-    return Lts(names.values(), names[roots[0]], transitions, alphabet)
+    return Lts(names.values(), names[root], transitions, alphabet)
 
 
 class CompatRel:
@@ -282,9 +274,6 @@ class CompatRel:
             raise ValueError(f"unknown relation name {name!r}")
         return getattr(cls, cls.NAMED[name])(alphabet)
 
-    def holds(self, a: Label, b: Label) -> bool:
-        return b in self._related.get(a, ())
-
     def related(self, a: Label) -> tuple[Label, ...]:
         """All labels b of the carrier with (a, b) in the relation, sorted by
         rendering."""
@@ -306,6 +295,6 @@ def is_deterministic(m: Lts, rel: CompatRel | None = None) -> bool:
         edges = m.out(q)
         for a, p in edges:
             for b, r in edges:
-                if rel.holds(a, b) and not (a == b and p == r):
+                if b in rel.related(a) and not (a == b and p == r):
                     return False
     return True

@@ -69,7 +69,7 @@ def contract(code: CodeMap, m: Lts) -> Lts:
                         pending.setdefault(j, set()).add(dst)
             todo += pending.items()
 
-    return explore([m.initial], successors, str, code.target)
+    return explore(m.initial, successors, str, code.target)
 
 
 def refine(code: CodeMap, n: Lts) -> Lts:
@@ -98,7 +98,7 @@ def refine(code: CodeMap, n: Lts) -> Lts:
             elif not below[j].isdisjoint([b2 for b2, _ in edges]):
                 yield a, (q, j)
 
-    return explore([(n.initial, 0)], successors, _pending_name(code), code.source)
+    return explore((n.initial, 0), successors, _pending_name(code), code.source)
 
 
 def concretize(code: CodeMap, rel: CompatRel, m: Lts) -> Lts:
@@ -145,7 +145,7 @@ def concretize(code: CodeMap, rel: CompatRel, m: Lts) -> Lts:
             if chaos:
                 yield a, CHAOS
 
-    return explore([(m.initial, 0)], successors, _pending_name(code), code.source)
+    return explore((m.initial, 0), successors, _pending_name(code), code.source)
 
 
 class IncompletenessWitness(NamedTuple):

@@ -429,7 +429,7 @@ def scan_contract(code: CodeMap, m: Lts) -> Lts:
             for q2 in sorted(word_targets(m, q, word)):
                 yield b, q2
 
-    return explore([m.initial], successors, str, code.target)
+    return explore(m.initial, successors, str, code.target)
 
 
 def scan_refine(code: CodeMap, n: Lts) -> Lts:
@@ -446,7 +446,7 @@ def scan_refine(code: CodeMap, n: Lts) -> Lts:
                 else:
                     yield a, (q, w + (a,))
 
-    return explore([(n.initial, ())], successors, _pending_name, code.source)
+    return explore((n.initial, ()), successors, _pending_name, code.source)
 
 
 def scan_concretize(code: CodeMap, rel: CompatRel, m: Lts) -> Lts:
@@ -477,7 +477,7 @@ def scan_concretize(code: CodeMap, rel: CompatRel, m: Lts) -> Lts:
             ):
                 yield a, CHAOS
 
-    return explore([(m.initial, ())], successors, _pending_name, code.source)
+    return explore((m.initial, ()), successors, _pending_name, code.source)
 
 
 def scan_is_icomplete(code: CodeMap, rel: CompatRel, m: Lts):
@@ -495,7 +495,7 @@ def scan_is_icomplete(code: CodeMap, rel: CompatRel, m: Lts):
                 if m.enables(q, a2) and a2 not in edges:
                     return False, IncompletenessWitness(q, node, a, a2)
         for a, child in sorted(edges.items(), key=lambda e: str(e[0])):
-            nxt = root if tree.is_leaf(child) else child
+            nxt = child if node_edges[child] else root
             for q2 in m.succ(q, a):
                 pair = (q2, nxt)
                 if pair not in seen:

@@ -97,7 +97,8 @@ def test_02_roundtrip_laws():
             back = to_tree(to_map(tree))
             mapping = find_isomorphism_reachable(tree.tree, back.tree)
             assert mapping is not None
-            assert all(back.label_of(mapping[leaf]) == lab for leaf, lab in tree.leaf_labels)
+            back_labels = dict(back.leaf_labels)
+            assert all(back_labels[mapping[leaf]] == lab for leaf, lab in tree.leaf_labels)
         elapsed = time.perf_counter() - started
         assert elapsed < 5.0, f"took {elapsed:.2f}s"
 

@@ -491,8 +491,8 @@ def _find_script(tree, table, machine, pairs):
         return walk(tree.root, state, idx, script)
 
     def walk(node, state, idx, script):
-        if tree.is_leaf(node):
-            lab = tree.label_of(node)
+        if not tree.tree.out(node):
+            lab = dict(tree.leaf_labels)[node]
             if (lab.symbol, lab.output) == pairs[idx]:
                 return advance(state, idx + 1, script)
             return None
@@ -674,6 +674,16 @@ class TestComposedProcess:
         assert TAU in view.alphabet
         assert view.enables("q0", Label("a"))
         assert view.enables("q0?a", Label("0!"))
+
+    def test_split_view_covers_the_reachable_states(self):
+        # q2 is unreachable from q0; neither it nor its q2?x states are in the view.
+        a0, a1, b0 = Label("a", "0"), Label("a", "1"), Label("b", "0")
+        m = Lts(["q0", "q1", "q2"], "q0",
+                [("q0", a0, "q1"), ("q1", a1, "q0"), ("q2", b0, "q0")], [a0, a1, b0])
+        view = split_io(m)
+        assert view.states == ("q0", "q0?a", "q0?b", "q1", "q1?a", "q1?b")
+        assert view.initial == "q0"
+        assert ("q1?a", Label("1!"), "q0") in view.transitions
 
     def test_golden_pairs_are_equivalent(self):
         m = load_fixture("square.mealy.json")

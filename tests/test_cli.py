@@ -619,6 +619,23 @@ class TestAdaptorVerb:
         assert status == 0 and out.count("OUT 0") == 1
         assert len(calls) == 1
 
+    def test_printed_events_are_dropped(self, capsys, tmp_path, monkeypatch):
+        # The transcript holds only the input being applied, however long the run.
+        sizes = []
+
+        def recording_apply(self, abstract_input):
+            sizes.append(len(self.transcript))
+            return apply(self, abstract_input)
+
+        apply = adaptor.AdaptorSession.apply
+        monkeypatch.setattr(adaptor.AdaptorSession, "apply", recording_apply)
+        status, out, _ = run(
+            capsys, "adaptor", "--code", fixture("double-press.code.json"),
+            "--sut-file", fixture("square.mealy.json"), "--inputs", _inputs(tmp_path, "A\nB\n" * 100),
+        )
+        assert status == 0 and len(out.splitlines()) == 800
+        assert sizes == [0] * 200
+
     def test_tcp_backend(self, capsys, tmp_path):
         server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         server.bind(("127.0.0.1", 0))
@@ -888,8 +905,12 @@ _TREE = {
           "target_alphabet": ["X"], "entries": [[[1], ["a"]]]},
          "bad symbol [1]: symbols are strings"),
         (["to-map", "{doc}"], _TREE, "state name 1 is not a string"),
+        (["to-map", "{doc}"], {**_TREE, "tree": 5}, "lts document must be an object, not int"),
+        (["to-map", "{doc}"], {**_TREE, "tree": ["schema"]},
+         "lts document must be an object, not list"),
     ],
-    ids=["label-in-alphabet", "label-in-code-entry", "leaf-name"],
+    ids=["label-in-alphabet", "label-in-code-entry", "leaf-name", "carrier-int",
+         "carrier-list"],
 )
 def test_non_string_document_values_exit_2(capsys, tmp_path, verb, doc, error):
     path = tmp_path / "doc.json"

@@ -5,19 +5,24 @@ generators, an in-process adaptor session and malformed input run through
 ``cli.main`` from the repository root, so paths in messages are relative.
 ``{tmp}`` in an argument stands for a per-test temporary directory.
 
-Regenerate the golden file (only when an output change is intended) with::
+Run as a script, it replays the calls without pytest and checks them
+against the golden file: it prints the first call that differs and exits 1.
+``--write`` rewrites the golden file instead (only when an output change is
+intended)::
 
-    PYTHONPATH=src python3 tests/test_cli_transcript.py
+    PYTHONPATH=src python3 tests/test_cli_transcript.py [--write]
 """
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import os
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import zip_longest
 from pathlib import Path
 
 from actioncodes.cli import main
@@ -109,16 +114,28 @@ def test_transcript_matches_golden(tmp_path):
         assert _run(argv, stdin, tmp_path) == want, " ".join(argv)
 
 
-def _write_golden() -> None:
+def _script() -> int:
+    parser = argparse.ArgumentParser(description="Replay the golden CLI calls.")
+    parser.add_argument("--write", action="store_true", help="rewrite the golden file")
+    args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         entries = [
             {"argv": argv, "stdin": stdin, **_run(argv, stdin, Path(tmp))}
             for argv, stdin in CALLS
         ]
-    GOLDEN.write_text(
-        json.dumps(entries, indent=1, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    if args.write:
+        GOLDEN.write_text(
+            json.dumps(entries, indent=1, ensure_ascii=False) + "\n", encoding="utf-8"
+        )
+        return 0
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    for got, want in zip_longest(entries, golden):
+        if got != want:
+            print("differs:", " ".join((got or want)["argv"]))
+            return 1
+    print(f"{len(entries)} calls match {GOLDEN.name}")
+    return 0
 
 
 if __name__ == "__main__":
-    _write_golden()
+    sys.exit(_script())

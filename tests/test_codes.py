@@ -171,7 +171,7 @@ class TestTreeForm:
         tree = to_tree(load_fixture("ascii-fragment.code.json"))
         assert len(tree.tree.states) == 11
         assert len(tree.leaf_labels) == 5
-        leaves = {q for q in tree.tree.states if tree.is_leaf(q)}
+        leaves = {q for q in tree.tree.states if not tree.tree.out(q)}
         assert leaves == {q for q, _ in tree.leaf_labels}
 
     def test_empty_code_tree(self):
@@ -284,8 +284,9 @@ class TestRoundTrip:
             back = to_tree(to_map(tree))
             mapping = find_isomorphism_reachable(tree.tree, back.tree)
             assert mapping is not None
+            back_labels = dict(back.leaf_labels)
             for leaf, lab in tree.leaf_labels:
-                assert back.label_of(mapping[leaf]) == lab
+                assert back_labels[mapping[leaf]] == lab
 
 
 def _named_codes():
@@ -326,8 +327,9 @@ class TestNamedMap:
             assert list(tree.leaf_labels) == sorted(tree.leaf_labels)  # by state name
             assert to_map(checked) == code
             assert checked._code._kids == code._kids and checked._code._leaf == code._leaf
+            labels, checked_labels = dict(tree.leaf_labels), dict(checked.leaf_labels)
             for q, lab in tree.leaf_labels:
-                assert tree.label_of(q) == checked.label_of(q) == lab
+                assert labels[q] == checked_labels[q] == lab
 
     def test_named_map_survives_a_tree_document(self):
         for code in _named_codes():

@@ -233,6 +233,20 @@ class TestRejection:
             parse({**base, key: value})
 
     @pytest.mark.parametrize(
+        "doc", [5, None, "schema", ["schema"]], ids=["int", "null", "str", "list"]
+    )
+    @pytest.mark.parametrize(
+        "schema,parse",
+        [("lts", lts_from_document), ("code", code_from_document), ("tree", tree_from_document)],
+    )
+    def test_a_document_is_an_object(self, schema, parse, doc):
+        # A string would be searched for its fields as substrings.
+        text = f"{schema} document must be an object, not {type(doc).__name__}"
+        with pytest.raises(DocumentError) as err:
+            parse(doc)
+        assert str(err.value) == text
+
+    @pytest.mark.parametrize(
         "alphabet,transitions,message",
         [
             (["a"], [["q", "b", "q"]], "transition label b is not in the alphabet"),

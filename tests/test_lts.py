@@ -228,9 +228,9 @@ class TestDeterminism:
 
     def test_explicit_relation_closed_reflexively(self):
         rel = CompatRel([Label("a"), Label("b")], [(Label("a"), Label("b"))])
-        assert rel.holds(Label("a"), Label("a"))
-        assert rel.holds(Label("a"), Label("b"))
-        assert not rel.holds(Label("b"), Label("a"))
+        assert Label("a") in rel.related(Label("a"))
+        assert Label("b") in rel.related(Label("a"))
+        assert Label("a") not in rel.related(Label("b"))
         assert rel.related(Label("a")) == (Label("a"), Label("b"))
         assert rel.related(Label("b")) == (Label("b"),)
 
@@ -257,7 +257,11 @@ class TestDeterminism:
                     str(b) for b in alphabet if b.symbol == a.symbol
                 )
                 for b in alphabet:
-                    assert explicit.holds(a, b) == same_input.holds(a, b) == (a.symbol == b.symbol)
+                    assert (
+                        (b in explicit.related(a))
+                        == (b in same_input.related(a))
+                        == (a.symbol == b.symbol)
+                    )
 
 
 class TestTraces:

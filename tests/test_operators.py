@@ -478,7 +478,7 @@ def _definition_violation(code, rel, m, prefix_labels):
                 if m.enables(q, a2) and a2 not in edges:
                     return (q, node, a, a2)
         for a, child in edges.items():
-            if tree.is_leaf(child):
+            if not tree.tree.out(child):
                 continue
             for q2 in m.succ(q, a):
                 found = descend(q2, child)
@@ -537,7 +537,7 @@ class TestICompleteFalsification:
             edges = {a for a, _ in tree.tree.out(witness.node)}
             assert witness.enabled in edges
             assert witness.missing not in edges
-            assert rel.holds(witness.enabled, witness.missing)
+            assert witness.missing in rel.related(witness.enabled)
             assert m.enables(witness.state, witness.missing)
         assert found >= 5
 
