@@ -157,11 +157,9 @@ def is_output_deterministic(m: Lts) -> bool:
 
 
 def is_input_enabled(m: Lts) -> bool:
-    """Every state accepts every input of the alphabet."""
+    """Every state accepts every input of the alphabet: one pass per out-list."""
     inputs = m.inputs
-    return all(
-        any(a.symbol == i for a, _ in m.out(q)) for q in m.states for i in inputs
-    )
+    return all(inputs <= {a.symbol for a, _ in m.out(q)} for q in m.states)
 
 
 # -- SUT endpoints ----------------------------------------------------------
@@ -239,6 +237,10 @@ def _reader(stream):
     return read_some
 
 
+#: The longest output line, newline excluded, that an external SUT may send.
+LINE_CAP = 64 * 1024
+
+
 class ExternalSut:
     """A SUT behind a newline-delimited byte stream (child process or TCP).
 
@@ -252,7 +254,7 @@ class ExternalSut:
         self._read_some = read_some
         self._close = close
         self.timeout = timeout
-        self._buffer = b""
+        self._buffer = bytearray()
 
     @classmethod
     def spawn(cls, command: Sequence[str], timeout: float = 5.0) -> "ExternalSut":
@@ -297,13 +299,17 @@ class ExternalSut:
 
     def receive(self) -> str:
         deadline = time.monotonic() + self.timeout  # one for the whole line
-        wait = self.timeout
-        while b"\n" not in self._buffer:
+        buffer, scanned = self._buffer, 0  # no newline before ``scanned``
+        while (end := buffer.find(b"\n", scanned)) < 0 and len(buffer) <= LINE_CAP:
+            wait = deadline - time.monotonic()
             if wait <= 0:
                 raise SutProtocolError("timed out waiting for the SUT")
-            self._buffer += self._read_some(wait)
-            wait = deadline - time.monotonic()
-        line, _, self._buffer = self._buffer.partition(b"\n")
+            scanned = len(buffer)
+            buffer += self._read_some(wait)
+        if not 0 <= end <= LINE_CAP:
+            raise SutProtocolError(f"an output line from the SUT is longer than {LINE_CAP} bytes")
+        line = bytes(buffer[:end])
+        del buffer[: end + 1]  # a bytearray drops its front without copying the rest
         try:
             symbol = line.decode("utf-8").strip()
         except UnicodeDecodeError:

@@ -199,14 +199,15 @@ def _write(value, level: int, out: list[str]) -> None:
     take one join each, with no Python call per item; when no string needs
     escaping, the quotes go into the separators and no string is encoded.
     A join is appended only once it is whole, so an attempt that fails
-    leaves no piece in ``out``.  Anything else is left to ``json.dumps``.
+    leaves no piece in ``out``.  Anything else, a list of other items
+    included, is left to ``json.dumps``.
     """
     outer = "\n" + "  " * level
     pad = outer + "  "
     if type(value) is str:
         out.append(_encode(value))
-    elif type(value) is list and value:
-        out.append("[" + pad)
+        return
+    if type(value) is list and value:
         try:
             if set(map(type, value)) == {list} and all(value):
                 inner = pad + "  "
@@ -216,25 +217,22 @@ def _write(value, level: int, out: list[str]) -> None:
                     q, rows = "", map(map, repeat(_encode), value)
                 rows = map((q + "," + inner + q).join, rows)
                 body = (q + pad + "]," + pad + "[" + inner + q).join(rows)
-                out += ("[" + inner + q, body, q + pad + "]")
+                out += ("[" + pad + "[" + inner + q, body, q + pad + "]" + outer + "]")
             else:
                 q, items = ('"', value) if _plain(value) else ("", map(_encode, value))
-                out += (q, (q + "," + pad + q).join(items), q)
-        except TypeError:  # an item that is not a string: one item at a time
-            for x in value:
-                _write(x, level + 1, out)
-                out.append("," + pad)
-            out.pop()
-        out.append(outer + "]")
-    elif type(value) is dict and value and set(map(type, value)) == {str}:
+                out += ("[" + pad + q, (q + "," + pad + q).join(items), q + outer + "]")
+            return
+        except TypeError:  # an item that is not a string
+            pass
+    if type(value) is dict and value and set(map(type, value)) == {str}:
         out.append("{" + pad)
         for key, v in value.items():
             out.append(_encode(key) + ": ")
             _write(v, level + 1, out)
             out.append("," + pad)
         out[-1] = outer + "}"
-    else:
-        out.append(json.dumps(value, indent=2, ensure_ascii=False).replace("\n", outer))
+        return
+    out.append(json.dumps(value, indent=2, ensure_ascii=False).replace("\n", outer))
 
 
 def dumps(doc: dict[str, Any]) -> str:

@@ -181,15 +181,9 @@ class Lts(_Value):
 
     def reachable(self) -> frozenset[str]:
         if not hasattr(self, "_reach"):
-            todo = [self.initial]
-            seen = {self.initial}
-            while todo:
-                for _, dst in self._out[todo.pop()]:
-                    if dst not in seen:
-                        seen.add(dst)
-                        todo.append(dst)
+            reach = frozenset(walk(self.initial, lambda q: map(itemgetter(1), self._out[q])))
             try:
-                self._reach = frozenset(seen)
+                self._reach = reach
             except AttributeError:  # another thread cached it first
                 pass
         return self._reach
@@ -200,6 +194,18 @@ class Lts(_Value):
             f"Lts(states={len(self.states)}, transitions={edges}, "
             f"alphabet={len(self.alphabet)}, initial={self.initial!r})"
         )
+
+
+def walk(start, step):
+    """Yield ``start`` and each key reached through ``step(key)`` once, breadth
+    first: each key before its one ``step`` call, so stopping early asks no more."""
+    seen, order = {start}, [start]
+    for key in order:  # the list grows while it is read
+        yield key
+        for nxt in step(key):
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
 
 
 def explore(root, successors, name, alphabet) -> Lts:
@@ -285,16 +291,16 @@ def is_deterministic(m: Lts, rel: CompatRel | None = None) -> bool:
 
     With the identity relation this is plain determinism; with the same-input
     relation on a Mealy machine it is output determinism (one output and one
-    successor per state and input).
+    successor per state and input).  One pass over each state's out-list,
+    plus the related labels of each enabled label.
     """
     if rel is None:
         rel = CompatRel.identity(m.alphabet)
     if rel.carrier != m.alphabet:
         raise AlphabetMismatch("relation carrier must be the machine's alphabet")
-    for q in m.states:
-        edges = m.out(q)
-        for a, p in edges:
-            for b, r in edges:
-                if b in rel.related(a) and not (a == b and p == r):
-                    return False
-    return True
+    # Out-lists hold no duplicate edge, and each label is related to itself.
+    return all(
+        len(enabled := {a for a, _ in edges}) == len(edges)
+        and all(len(enabled.intersection(rel.related(a))) == 1 for a in enabled)
+        for edges in map(m.out, m.states)
+    )

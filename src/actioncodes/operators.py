@@ -9,12 +9,11 @@ chaos state, which makes it the over-approximating counterpart of refinement.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import NamedTuple
 
 from .codes import CodeMap
 from .errors import AlphabetMismatch
-from .lts import CompatRel, Label, Lts, Word, explore
+from .lts import CompatRel, Label, Lts, Word, explore, walk
 
 __all__ = [
     "CHAOS",
@@ -169,30 +168,30 @@ def is_icomplete(
     letters the tree knows, and the node resets to the root whenever a code
     word completes.  At every reachable pair, any machine transition related
     to some edge of the node must itself be an edge of the node; a witness
-    names the node by its rendered word (``ε`` for the root).
+    names the node by its rendered word (``ε`` for the root).  One pass over
+    each reachable pair's out-list, plus the related labels of its node's letters.
     """
     if not m.alphabet <= code.source:
         raise AlphabetMismatch("machine alphabet must lie within the code's source alphabet")
     if rel.carrier != code.source:
         raise AlphabetMismatch("relation carrier must be the code's source alphabet")
     kids, leaf, text = code._kids, code._leaf, code._text
-    start = (m.initial, 0)
-    seen = {start}
-    todo = deque([start])
-    while todo:
-        q, i = todo.popleft()
+
+    def step(pair):
+        q, i = pair
         edges = kids[i]
-        for a in edges:
-            for a2 in rel.related(a):
-                if a2 not in edges and m.enables(q, a2):
-                    return False, IncompletenessWitness(q, text[i] or "ε", a, a2)
         # Out-lists and node letters share one order, so pairs are met
         # letter by letter, each letter's targets in order.
         for a, q2 in m.out(q):
             j = edges.get(a)
             if j is not None:
-                pair = (q2, 0 if leaf[j] is not None else j)
-                if pair not in seen:
-                    seen.add(pair)
-                    todo.append(pair)
+                yield q2, 0 if leaf[j] is not None else j
+
+    for q, i in walk((m.initial, 0), step):
+        edges = kids[i]
+        missing = [(a, a2) for a in edges for a2 in rel.related(a) if a2 not in edges]
+        enabled = {b for b, _ in m.out(q)} if missing else ()  # never under the identity
+        for a, a2 in missing:
+            if a2 in enabled:
+                return False, IncompletenessWitness(q, text[i] or "ε", a, a2)
     return True, None

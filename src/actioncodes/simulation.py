@@ -19,7 +19,7 @@ from functools import cache
 from itertools import groupby, islice
 
 from .errors import AlphabetMismatch, IsomorphismInconclusive
-from .lts import Label, Lts
+from .lts import Label, Lts, walk
 
 __all__ = [
     "find_simulation",
@@ -348,15 +348,7 @@ def find_isomorphism_reachable(m: Lts, n: Lts) -> dict[str, str] | None:
 
 def _tau_closure(n: Lts, tau: Label, p: str) -> tuple[str, ...]:
     """``p`` and every state it reaches by hidden moves alone, sorted."""
-    seen = {p}
-    todo = [p]
-    while todo:
-        r = todo.pop()
-        for dst in n.succ(r, tau):
-            if dst not in seen:
-                seen.add(dst)
-                todo.append(dst)
-    return tuple(sorted(seen))
+    return tuple(sorted(walk(p, lambda r: n.succ(r, tau))))
 
 
 def find_delay_simulation(m: Lts, n: Lts, tau: Label) -> Pairs | None:
@@ -381,14 +373,12 @@ def is_delay_simulation(m: Lts, n: Lts, tau: Label, relation: Pairs) -> bool:
     Answers are computed once per right-hand state and label that the
     relation asks about, after its states are known to exist.
     """
-    closure: dict[str, tuple[str, ...]] = {}
+    closure = cache(lambda p: _tau_closure(n, tau, p))
 
     @cache
     def answer(p: str, a: Label) -> tuple[str, ...]:
-        if p not in closure:
-            closure[p] = _tau_closure(n, tau, p)
         if a == tau:
-            return closure[p]
-        return tuple(p2 for p1 in closure[p] for p2 in n.succ(p1, a))
+            return closure(p)
+        return tuple(p2 for p1 in closure(p) for p2 in n.succ(p1, a))
 
     return _transfer_closed(m, n, relation, answer)

@@ -17,6 +17,7 @@ import warnings
 import pytest
 
 from actioncodes.adaptor import (
+    LINE_CAP,
     TAU,
     AdaptorSession,
     ExternalSut,
@@ -25,6 +26,7 @@ from actioncodes.adaptor import (
     check_adaptor_theorem,
     format_transcript,
     is_determinate,
+    is_input_enabled,
     is_output_deterministic,
     solve_winning,
     split_io,
@@ -213,6 +215,11 @@ class TestInProcessSut:
             sut.send("a")
             got.append(sut.receive())
         assert got == ["1", "0", "1"]
+
+    def test_an_input_outside_the_machine_is_rejected(self):
+        sut = InProcessSut(Lts(["q0"], "q0", [("q0", Label("a", "0"), "q0")], atoms("a/0")))
+        with pytest.raises(SutProtocolError, match="^machine rejects input 'b' in state 'q0'$"):
+            sut.send("b")
 
     def test_script_must_be_enabled(self):
         m = Lts(["q0"], "q0", [("q0", Label("a", "0"), "q0")], atoms("a/0"))
@@ -649,6 +656,20 @@ class TestExternalSut:
             with pytest.raises(SutProtocolError, match="^the SUT closed its output$"):
                 sut.receive()
 
+    @pytest.mark.parametrize("length", [LINE_CAP, LINE_CAP + 1])
+    def test_a_line_is_capped(self, length):
+        # In 4 KiB chunks, as a pipe delivers it: the newline may come in the
+        # chunk after the cap was passed.
+        data = b"x" * length + b"\n"
+        chunks = (data[k:k + 4096] for k in range(0, len(data), 4096))
+        sut = ExternalSut(lambda data: None, lambda timeout: next(chunks), lambda: None)
+        if length <= LINE_CAP:
+            assert sut.receive() == "x" * length
+        else:
+            with pytest.raises(SutProtocolError, match=f"^an output line from the SUT is longer "
+                                                       f"than {LINE_CAP} bytes$"):
+                sut.receive()
+
     def test_non_utf8_line_is_malformed(self):
         sut = ExternalSut(lambda data: None, lambda timeout: b"\xff\n", lambda: None)
         with pytest.raises(SutProtocolError, match=r"malformed output symbol b'\\xff'"):
@@ -666,6 +687,50 @@ class TestExternalSut:
             sut.send("a")
             with pytest.raises(SutProtocolError):
                 sut.receive()
+
+
+class TestNoCliff:
+    """Wide states and long streams, each bounded in CPU time with a wide
+    margin both ways.  Looking for each input in a state's out-list took
+    0.69 s on one state with 4,000 inputs.  Searching the whole buffer for a
+    newline after each chunk took 3.98 s on a newline-free 24 MB stream, and
+    cutting each line off the front of a bytes buffer copied all the rest."""
+
+    BOUND_S = 0.1
+
+    def test_input_enabled_with_four_thousand_inputs(self):
+        alphabet = [Label(f"i{k}", "0") for k in range(4000)]
+        full = Lts(["q0"], "q0", [("q0", a, "q0") for a in alphabet], alphabet)
+        short = Lts(["q0"], "q0", [("q0", a, "q0") for a in alphabet[:-1]], alphabet)
+        start = time.process_time()
+        verdicts = is_input_enabled(full), is_input_enabled(short)
+        assert time.process_time() - start < self.BOUND_S
+        assert verdicts == (True, False)
+
+    def test_a_newline_free_stream_is_refused(self):
+        chunks = iter([b"x" * 65536] * 384)  # 24 MB, then the end of the stream
+
+        def read_some(timeout: float) -> bytes:
+            chunk = next(chunks, b"")
+            if not chunk:
+                raise SutProtocolError("the SUT closed its output")
+            return chunk
+
+        sut = ExternalSut(lambda data: None, read_some, lambda: None)
+        start = time.process_time()
+        with pytest.raises(SutProtocolError, match="^an output line from the SUT is longer"):
+            sut.receive()
+        assert time.process_time() - start < self.BOUND_S
+
+    def test_lines_that_arrive_in_one_chunk(self):
+        # 1.3 MB: 1.45 s when each line was cut off a bytes buffer, 0.1 s now.
+        lines = [f"o{k:032d}" for k in range(40000)]
+        chunks = iter([("\n".join(lines) + "\n").encode()])
+        sut = ExternalSut(lambda data: None, lambda timeout: next(chunks), lambda: None)
+        start = time.process_time()
+        received = [sut.receive() for _ in lines]
+        assert time.process_time() - start < 0.5
+        assert received == lines
 
 
 class TestComposedProcess:

@@ -267,6 +267,32 @@ class TestCheckVerbs:
         assert status == 1
         assert "witness node=ε input=0 first=a second=b" in out
 
+    @pytest.mark.parametrize(
+        "left,right,violated",
+        [(True, False, "left-to-right"), (False, True, "right-to-left")],
+    )
+    def test_galois1_names_the_violated_direction(self, capsys, monkeypatch, left, right,
+                                                   violated):
+        # Neither direction fails on a real instance: the simulation verdicts
+        # are forced, refinement side first.
+        from actioncodes import simulation
+
+        verdicts = iter([left, right])
+        monkeypatch.setattr(simulation, "_simulates", lambda m, n: next(verdicts))
+        status, out, err = run(
+            capsys, "check", "galois1", "--code", fixture("octal-letters.code.json"),
+            fixture("choice.lts.json"), fixture("octal-choice-det.lts.json"),
+        )
+        assert (status, err) == (1, "")
+        assert out.splitlines() == [
+            "FAIL",
+            f"refinement-simulated {left}",
+            f"contraction-simulated {right}",
+            "abstract-over-domain True",
+            "concrete-deterministic True",
+            f"violated {violated}",
+        ]
+
     def test_galois_checks_pass_on_goldens(self, capsys):
         status, out, _ = run(
             capsys,
@@ -876,6 +902,18 @@ def test_a_dead_sut_is_no_closed_stdout(capsys, tmp_path):
     )
     assert (status, out) == (2, "")
     assert err.startswith("ERROR SutProtocolError ")
+
+
+def test_a_sut_line_past_the_cap_exits_2(capsys, tmp_path):
+    script = tmp_path / "verbose.py"
+    script.write_text("import sys\nfor line in sys.stdin:\n    print('x' * 70000, flush=True)\n",
+                      encoding="utf-8")
+    status, out, err = run(
+        capsys, "adaptor", "--code", fixture("double-press.code.json"),
+        "--sut-exec", f"{sys.executable} {script}", "--inputs", _inputs(tmp_path, "A\n"),
+    )
+    assert (status, out) == (2, "")
+    assert err == "ERROR SutProtocolError an output line from the SUT is longer than 65536 bytes\n"
 
 
 _TREE = {

@@ -321,6 +321,14 @@ class TestRejection:
         with pytest.raises(DocumentError):
             dumps({"schema": "actioncodes/lts-v1", "kind": "lts"})
 
+    def test_dumps_names_an_unknown_schema(self):
+        with pytest.raises(DocumentError, match="^cannot serialize unknown schema 'nope'$"):
+            dumps({"schema": "nope"})
+
+    def test_a_tree_document_of_another_schema_is_rejected(self):
+        with pytest.raises(DocumentError, match=f"^unsupported schema '{LTS_SCHEMA}'$"):
+            tree_from_document(LTS_DOC)
+
 
 #: The committed fixtures and the SHA-256 of each.  The files are the source
 #: of truth for the worked examples; changing one means updating its pin here

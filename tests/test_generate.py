@@ -120,6 +120,11 @@ def test_growth_matches_the_sorting_oracle(alphabet):
             grow_by_sorting(random.Random(seed), alphabet, entries, maxlen))
 
 
+def test_adaptor_code_needs_a_concrete_input_per_abstract_input():
+    with pytest.raises(ValueError, match="^needs at least one concrete input per abstract input$"):
+        gen_adaptor_code(0, inputs=2, abstract_inputs=3)
+
+
 class TestNoCliff:
     """Long code words.  Growth once re-sorted the whole prefix tree on every
     step: ``gen_code(1, 6, 26, 26, 40)`` took 1.26-1.6 s on a 2-vCPU machine,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -84,6 +85,10 @@ class TestLtsConstruction:
     def test_deduplicates_transitions(self):
         m = Lts(["p", "q"], "p", [("p", Label("a"), "q"), ("p", Label("a"), "q")], [Label("a")])
         assert len(m.transitions) == 1
+
+    def test_rejects_no_states(self):
+        with pytest.raises(ValueError, match="^an LTS needs at least one state$"):
+            Lts([], "p", [], [Label("a")])
 
     def test_rejects_unknown_initial(self):
         with pytest.raises(ValueError):
@@ -234,6 +239,35 @@ class TestDeterminism:
         assert rel.related(Label("a")) == (Label("a"), Label("b"))
         assert rel.related(Label("b")) == (Label("b"),)
 
+    def test_explicit_pair_must_lie_in_the_carrier(self):
+        with pytest.raises(ValueError, match=r"^pair \(a, b\) leaves the carrier alphabet$"):
+            CompatRel([Label("a")], [(Label("a"), Label("b"))])
+
+    def test_agrees_with_the_pairwise_scan(self):
+        # The scan compares every two edges of a state; explicit relations are
+        # not symmetric, so related(a) may hold b while related(b) lacks a.
+        def scan(m, rel):
+            return not any(
+                b in rel.related(a) and (a, p) != (b, r)
+                for q in m.states for a, p in m.out(q) for b, r in m.out(q)
+            )
+
+        rng = random.Random(11)
+        verdicts = set()
+        for seed in range(60):
+            m = gen_lts(seed, states=3, labels=3, deterministic=seed % 2 == 0)
+            alphabet = sorted(m.alphabet, key=str)
+            pairs = [(a, b) for a in alphabet for b in alphabet if rng.random() < 0.2]
+            for rel in (CompatRel.identity(alphabet), CompatRel(alphabet, pairs)):
+                expected = scan(m, rel)
+                verdicts.add(expected)
+                assert is_deterministic(m, rel) == expected
+            mealy = gen_mealy(seed, states=3, inputs=2, outputs=2,
+                              output_deterministic=seed % 2 == 0)
+            rel = CompatRel.same_input(mealy.alphabet)
+            assert is_deterministic(mealy, rel) == scan(mealy, rel)
+        assert verdicts == {True, False}
+
     def test_by_name_knows_the_cli_names(self):
         alphabet = mealy_alphabet(2, 2)
         assert list(CompatRel.NAMED) == ["identity", "same-input"]
@@ -262,6 +296,24 @@ class TestDeterminism:
                         == (b in same_input.related(a))
                         == (a.symbol == b.symbol)
                     )
+
+
+class TestNoCliff:
+    """Wide states.  Comparing every two edges of a state took 2.06 s on one
+    state with 4,000 labels; a pass over the out-list with a set of the enabled
+    labels takes milliseconds.  The CPU-time bound leaves a wide margin both ways."""
+
+    BOUND_S = 0.1
+
+    @pytest.mark.parametrize("repeated", [False, True], ids=["deterministic", "repeated-label"])
+    def test_four_thousand_labels_on_one_state(self, repeated):
+        alphabet = [Label(f"a{k}") for k in range(4000)]
+        edges = [("q0", a, "q0") for a in alphabet] + [("q0", alphabet[-1], "q1")] * repeated
+        m = Lts(["q0", "q1"], "q0", edges, alphabet)
+        start = time.process_time()
+        verdict = is_deterministic(m)
+        assert time.process_time() - start < self.BOUND_S
+        assert verdict is not repeated
 
 
 class TestTraces:

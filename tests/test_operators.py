@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+import time
 
 import pytest
 
@@ -455,6 +456,25 @@ class TestICompleteness:
         assert scan_is_icomplete(code, CompatRel.same_input(code.source), m) == (ok, witness)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda code, m: refine(code, m), "machine alphabet must lie within the code's target"),
+        (lambda code, m: concretize(code, CompatRel.identity(code.source), m),
+         "machine alphabet must lie within the code's target"),
+        (lambda code, m: is_icomplete(code, CompatRel.identity(code.source), m),
+         "machine alphabet must lie within the code's source"),
+        (lambda code, m: is_icomplete(code, CompatRel.identity(atoms("a/0")),
+                                      load_fixture("square.mealy.json")),
+         "relation carrier must be the code's source"),
+    ],
+    ids=["refine", "concretize", "icomplete-machine", "icomplete-relation"],
+)
+def test_alphabet_mismatch_names_the_alphabet(call, message):
+    with pytest.raises(AlphabetMismatch, match=f"^{message} alphabet$"):
+        call(load_fixture("double-press.code.json"), load_fixture("choice.lts.json"))
+
+
 def _definition_violation(code, rel, m, prefix_labels):
     """Search a completeness violation reachable after one given abstract word.
 
@@ -491,6 +511,28 @@ def _definition_violation(code, rel, m, prefix_labels):
         if found:
             return found
     return None
+
+
+class TestNoCliff:
+    """Wide relation classes.  With 800 outputs of one input and the code
+    covering every other one, the root relates each covered letter to 400
+    uncovered ones, which the machine does not enable.  Scanning the state's
+    out-list for each took 3.70 s; one set of the enabled labels takes
+    milliseconds.  The CPU-time bound leaves a wide margin both ways."""
+
+    BOUND_S = 0.2
+
+    def test_eight_hundred_outputs_of_one_input(self):
+        source = [Label("a", str(k)) for k in range(800)]
+        covered = source[::2]
+        code = CodeMap(source, [Label(f"X{k}", "0") for k in range(400)],
+                       [(Label(f"X{k}", "0"), (a,)) for k, a in enumerate(covered)])
+        m = Lts(["q0"], "q0", [("q0", a, "q0") for a in covered], source)
+        rel = CompatRel.same_input(source)
+        start = time.process_time()
+        verdict = is_icomplete(code, rel, m)
+        assert time.process_time() - start < self.BOUND_S
+        assert verdict == (True, None)
 
 
 class TestICompleteFalsification:
