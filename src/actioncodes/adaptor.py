@@ -38,7 +38,6 @@ __all__ = [
     "InProcessSut",
     "ExternalSut",
     "AdaptorSession",
-    "format_transcript",
     "split_io",
     "adaptor_composition",
     "check_adaptor_theorem",
@@ -246,7 +245,7 @@ class ExternalSut:
 
     The adaptor writes one input symbol per line; the SUT answers with one
     output symbol per line.  The literal line ``RESET`` asks the SUT to
-    return to its initial state and expects no reply.
+    return to its initial state and expects no reply; it is no input symbol.
     """
 
     def __init__(self, write, read_some, close, timeout: float = 5.0):
@@ -292,12 +291,18 @@ class ExternalSut:
         return cls(sock.sendall, _reader(sock), sock.close, timeout)
 
     def send(self, symbol: str) -> None:
+        if symbol == "RESET":  # the SUT would reset instead of answering
+            raise SutProtocolError("the input symbol 'RESET' is reserved on the wire")
+        self._write_line(symbol)
+
+    def _write_line(self, line: str) -> None:
         try:
-            self._write((symbol + "\n").encode("utf-8"))
+            self._write((line + "\n").encode("utf-8"))
         except OSError as exc:  # the SUT stopped reading: not a closed stdout
             raise SutProtocolError(f"cannot write to the SUT: {exc}") from exc
 
     def receive(self) -> str:
+        """The next reply line, stripped, as a symbol: ``Label`` is its one judge."""
         deadline = time.monotonic() + self.timeout  # one for the whole line
         buffer, scanned = self._buffer, 0  # no newline before ``scanned``
         while (end := buffer.find(b"\n", scanned)) < 0 and len(buffer) <= LINE_CAP:
@@ -310,16 +315,13 @@ class ExternalSut:
             raise SutProtocolError(f"an output line from the SUT is longer than {LINE_CAP} bytes")
         line = bytes(buffer[:end])
         del buffer[: end + 1]  # a bytearray drops its front without copying the rest
-        try:
-            symbol = line.decode("utf-8").strip()
-        except UnicodeDecodeError:
-            symbol = ""  # not UTF-8: refused below as malformed
-        if not symbol or any(ch.isspace() for ch in symbol) or "/" in symbol:
-            raise SutProtocolError(f"malformed output symbol {line!r} from the SUT")
-        return symbol
+        try:  # not UTF-8 is a ValueError too
+            return Label(line.decode("utf-8").strip()).symbol
+        except ValueError:
+            raise SutProtocolError(f"malformed output symbol {line!r} from the SUT") from None
 
     def reset(self) -> None:
-        self.send("RESET")
+        self._write_line("RESET")
 
     def close(self) -> None:
         self._close()
@@ -334,24 +336,16 @@ class ExternalSut:
 # -- the adaptor runtime ----------------------------------------------------
 
 
-def format_transcript(events: Iterable[tuple]) -> list[str]:
-    lines = []
-    for event in events:
-        if event[0] == "SUT":
-            lines.append(f"SUT {event[1]}/{event[2]}")
-        else:
-            lines.append(f"{event[0]} {event[1]}")
-    return lines
-
-
 class AdaptorSession:
     """One adaptor in front of one SUT endpoint.
 
     Each abstract input restarts the code tree at its root and walks down
     its numbered nodes: send the unique winning concrete input, read the
-    SUT's output, follow the corresponding edge.  The leaf reached carries
-    the abstract input/output pair whose output component is returned to the
-    caller.  Not safe for concurrent use from several threads.
+    SUT's output, follow the edge of their ``Label``, which judges the reply
+    and is the exchange's one record.  The transcript holds ``(kind, value)``
+    events: ``("IN", x)``, ``("SUT", label)`` per exchange and ``("OUT", y)``,
+    where y, the output of the leaf reached, is returned to the caller.
+    Not safe for concurrent use from several threads.
     """
 
     def __init__(self, tree: CodeTree, sut):
@@ -370,11 +364,11 @@ class AdaptorSession:
         while leaf[node] is None:
             (concrete,) = table.winning_inputs(names[node], abstract_input)
             self.sut.send(concrete)
-            observed = self.sut.receive()
-            self.transcript.append(("SUT", concrete, observed))
-            child = kids[node].get(Label(concrete, observed))  # Label checks the reply
+            label = Label(concrete, self.sut.receive())  # Label judges the reply
+            self.transcript.append(("SUT", label))
+            child = kids[node].get(label)
             if child is None:
-                raise CodeIncomplete(names[node], concrete, observed)
+                raise CodeIncomplete(names[node], concrete, label.output)
             node = child
         leaf_label = leaf[node]
         assert leaf_label.symbol == abstract_input

@@ -277,15 +277,14 @@ def _adaptor_theorem(args, code, machine):
 
 
 def _symbols(path: str | None) -> list[str]:
-    """The stripped non-blank lines of a file, or of stdin without a path."""
-    text = _text(path)
-    return [line.strip() for line in text.splitlines() if line.strip()]
+    """The non-blank lines of a file, or of stdin without a path, as symbols."""
+    return [Label(line.strip()).symbol for line in _text(path).splitlines() if line.strip()]
 
 
 def _cmd_adaptor(args) -> int:
     import shlex
 
-    from .adaptor import AdaptorSession, ExternalSut, InProcessSut, format_transcript
+    from .adaptor import AdaptorSession, ExternalSut, InProcessSut
 
     tree = to_tree(_load("code", args.code))
     requested = _symbols(args.inputs)
@@ -316,8 +315,8 @@ def _cmd_adaptor(args) -> int:
         session.sut = sut
         for x in requested:
             session.apply(x)
-            for line in format_transcript(session.transcript):
-                print(line)
+            for kind, value in session.transcript:
+                print(kind, value)
             session.transcript.clear()  # printed: memory stays flat however long the run
         return EXIT_OK
     finally:

@@ -24,3 +24,8 @@ test ! -s "$tmp/stderr.txt"
 # is the code again, byte for byte.
 "$@" to-tree fixtures/coffee.code.json --out "$tmp/coffee.tree.json"
 "$@" to-map "$tmp/coffee.tree.json" | cmp - fixtures/coffee.code.json
+# Over a pipe to the table-driven SUT child, the adaptor prints what it
+# prints with the in-process SUT: the machine is output-deterministic.
+printf 'A\nB\nA\n' > "$tmp/inputs.txt"
+"$@" adaptor --code fixtures/double-press.code.json --sut-file fixtures/square.mealy.json --inputs "$tmp/inputs.txt" > "$tmp/inproc.txt"
+"$@" adaptor --code fixtures/double-press.code.json --sut-exec "python3 bench/sut_table.py fixtures/square.mealy.json stdio" --inputs "$tmp/inputs.txt" | cmp - "$tmp/inproc.txt"

@@ -24,7 +24,6 @@ from actioncodes.adaptor import (
     InProcessSut,
     adaptor_composition,
     check_adaptor_theorem,
-    format_transcript,
     is_determinate,
     is_input_enabled,
     is_output_deterministic,
@@ -236,12 +235,13 @@ class TestRunAdaptor:
     def test_double_press_session(self):
         session = AdaptorSession(to_tree(load_fixture("double-press.code.json")), square_sut())
         assert [session.apply(x) for x in ["A", "B", "A"]] == ["0", "0", "0"]
-        concrete = [e for e in session.transcript if e[0] == "SUT"]
-        assert [(i, o) for _, i, o in concrete] == [
+        concrete = [label for kind, label in session.transcript if kind == "SUT"]
+        assert concrete == [
             ("a", "0"), ("a", "0"),
             ("b", "0"), ("b", "0"),
             ("a", "0"), ("a", "0"),
         ]
+        assert all(type(label) is Label for label in concrete)
 
     def test_empty_input_stream(self):
         session = AdaptorSession(to_tree(load_fixture("double-press.code.json")), square_sut())
@@ -250,7 +250,7 @@ class TestRunAdaptor:
     def test_split_press_reads_remembered_output(self):
         session = AdaptorSession(to_tree(load_fixture("split-press.code.json")), square_sut())
         assert session.apply("C") == "1"
-        assert format_transcript(session.transcript) == [
+        assert [f"{kind} {value}" for kind, value in session.transcript] == [
             "IN C", "SUT a/0", "SUT b/1", "OUT 1",
         ]
 
@@ -312,7 +312,7 @@ class TestRunAdaptor:
                 if event[0] == "IN":
                     segments.append({"x": event[1], "word": []})
                 elif event[0] == "SUT":
-                    segments[-1]["word"].append(Label(event[1], event[2]))
+                    segments[-1]["word"].append(event[1])
                 else:
                     segments[-1]["y"] = event[1]
             assert len(segments) == len(inputs)
@@ -674,6 +674,33 @@ class TestExternalSut:
         sut = ExternalSut(lambda data: None, lambda timeout: b"\xff\n", lambda: None)
         with pytest.raises(SutProtocolError, match=r"malformed output symbol b'\\xff'"):
             sut.receive()
+
+    @pytest.mark.parametrize("line", [
+        b" \t\n", b"a b\n", "a\u00a0b\n".encode(), "a\u3000b\n".encode(), b"a/b\n", b"\xff\n",
+    ], ids=["blank", "space", "no-break-space", "ideographic-space", "slash", "not-utf8"])
+    def test_label_judges_each_reply(self, line):
+        # Label's rule is the only one: a line it refuses is malformed.
+        sut = ExternalSut(lambda data: None, lambda timeout: line, lambda: None)
+        with pytest.raises(SutProtocolError) as err:
+            sut.receive()
+        assert str(err.value) == f"malformed output symbol {line[:-1]!r} from the SUT"
+
+    def test_a_non_ascii_symbol_is_a_reply(self):
+        sut = ExternalSut(lambda data: None, lambda timeout: " é\n".encode(), lambda: None)
+        assert sut.receive() == "é"
+
+    def test_reset_is_reserved_on_the_wire(self):
+        # Sent as an input, the word would reset the SUT, which then answers
+        # nothing: the call would end only at the timeout.
+        written = []
+        sut = ExternalSut(written.append, lambda timeout: b"0\n", lambda: None)
+        with pytest.raises(SutProtocolError,
+                           match="^the input symbol 'RESET' is reserved on the wire$"):
+            sut.send("RESET")
+        assert written == []
+        sut.reset()
+        sut.send("a")
+        assert written == [b"RESET\n", b"a\n"]
 
     def test_malformed_symbol_raises(self, tmp_path):
         script = tmp_path / "chatty.py"

@@ -827,6 +827,52 @@ def test_an_empty_symbol_path_is_not_absent(capsys, monkeypatch, tmp_path, optio
     assert err.count("\n") == 1
 
 
+def test_a_bad_input_symbol_exits_2_before_the_sut_starts(capsys, monkeypatch, tmp_path):
+    # It once reached the winning check and exited 3 with NotWinning.
+    spawned = []
+    monkeypatch.setattr(subprocess, "Popen", lambda *args, **kwargs: spawned.append(args))
+    status, out, err = run(
+        capsys, "adaptor", "--code", fixture("double-press.code.json"),
+        "--sut-exec", "/nonexistent/sut", "--inputs", _inputs(tmp_path, "A\n a b \n"),
+    )
+    assert (status, out, spawned) == (2, "", [])
+    assert err == ("ERROR ValueError bad symbol 'a b': symbols are non-empty and contain "
+                   "no whitespace and no '/'\n")
+
+
+def test_a_bad_script_symbol_exits_2_before_the_run(capsys, tmp_path):
+    # It once failed only when the script reached it, at send time.
+    script = tmp_path / "script.txt"
+    script.write_text("0\n0/1\n", encoding="utf-8")
+    status, out, err = run(
+        capsys, "adaptor", "--code", fixture("double-press.code.json"),
+        "--sut-file", fixture("square.mealy.json"), "--script", str(script),
+        "--inputs", _inputs(tmp_path, "A\n"),
+    )
+    assert (status, out) == (2, "")
+    assert err == ("ERROR ValueError bad symbol '0/1': symbols are non-empty and contain "
+                   "no whitespace and no '/'\n")
+
+
+def test_a_reset_input_exits_2_without_waiting(capsys, tmp_path):
+    # Sent on the wire, RESET reset the SUT, which answered nothing, and the
+    # call ended with a timeout.
+    code = tmp_path / "reset.code.json"
+    code.write_text(dumps({
+        "schema": "actioncodes/code-v1", "source_alphabet": ["RESET/0"],
+        "target_alphabet": ["X/0"], "entries": [["X/0", ["RESET/0"]]],
+    }), encoding="utf-8")
+    script = tmp_path / "zero.py"
+    script.write_text("import sys\nfor line in sys.stdin:\n    if line != 'RESET\\n':\n"
+                      "        print(0, flush=True)\n", encoding="utf-8")
+    status, out, err = run(
+        capsys, "adaptor", "--code", str(code),
+        "--sut-exec", f"{sys.executable} {script}", "--inputs", _inputs(tmp_path, "X\n"),
+    )
+    assert (status, out) == (2, "")
+    assert err == "ERROR SutProtocolError the input symbol 'RESET' is reserved on the wire\n"
+
+
 @pytest.mark.parametrize("data,want", [
     (b"B\n", (0, "IN B\nSUT b/0\nSUT b/0\nOUT 0\n", "")),
     (b"A\n\xff\n", (2, "", "ERROR DocumentError cannot read <stdin>: 'utf-8' codec can't "
@@ -906,8 +952,8 @@ def test_a_dead_sut_is_no_closed_stdout(capsys, tmp_path):
 
 def test_a_sut_line_past_the_cap_exits_2(capsys, tmp_path):
     script = tmp_path / "verbose.py"
-    script.write_text("import sys\nfor line in sys.stdin:\n    print('x' * 70000, flush=True)\n",
-                      encoding="utf-8")
+    script.write_text("import sys\nfor line in sys.stdin:\n    if line != 'RESET\\n':\n"
+                      "        print('x' * 70000, flush=True)\n", encoding="utf-8")
     status, out, err = run(
         capsys, "adaptor", "--code", fixture("double-press.code.json"),
         "--sut-exec", f"{sys.executable} {script}", "--inputs", _inputs(tmp_path, "A\n"),
