@@ -424,11 +424,11 @@ def adaptor_composition(tree: CodeTree, m: Lts) -> Lts:
     """The composed process of an adaptor for the code and a SUT model.
 
     States pair an adaptor phase with a SUT state: idle at the tree root,
-    descending towards a leaf for a pending abstract input, or waiting for
-    the SUT's output after forwarding a concrete input; keys hold node
-    numbers, names the carrier's.  Synchronizations on concrete inputs and
-    outputs are hidden as ``τ``; abstract inputs and namespaced output
-    emissions stay visible.
+    or descending towards a leaf for a pending abstract input; keys hold
+    node numbers, names the carrier's.  Each hidden step ``τ`` is one SUT
+    transition: the node's winning concrete input with an output whose edge
+    the node has.  Abstract inputs and namespaced output emissions stay
+    visible.
     """
     _require_mealy_tree(tree)
     if not all(a.is_mealy for a in m.alphabet):
@@ -449,24 +449,19 @@ def adaptor_composition(tree: CodeTree, m: Lts) -> Lts:
             _, q = key
             for x in xs:
                 yield Label(x), ("Q", 0, x, q)
-        elif key[0] == "Q":
+        else:
             _, node, x, q = key
             if leaf[node] is not None:
                 yield _emission(leaf[node].output), ("P", q)
             elif inputs := table.winning_inputs(names[node], x):
-                yield TAU, ("R", node, x, q, inputs[0])
-        else:
-            _, node, x, q, i = key
-            for a, q2 in m.out(q):
-                if a.symbol == i and a in kids[node]:
-                    yield TAU, ("Q", kids[node][a], x, q2)
+                for a, q2 in m.out(q):  # one SUT transition per hidden step
+                    if a.symbol == inputs[0] and a in kids[node]:
+                        yield TAU, ("Q", kids[node][a], x, q2)
 
     def name(key) -> str:
         if key[0] == "P":
             return f"P∥{key[1]}"
-        if key[0] == "Q":
-            return f"Q({names[key[1]]},{key[2]})∥{key[3]}"
-        return f"R({names[key[1]]},{key[2]})∥{key[3]}?{key[4]}"
+        return f"Q({names[key[1]]},{key[2]})∥{key[3]}"
 
     return explore(("P", m.initial), successors, name, alphabet)
 

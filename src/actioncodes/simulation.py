@@ -15,6 +15,7 @@ budget, so deterministic systems never spend it.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
 from itertools import groupby, islice
 
@@ -247,10 +248,10 @@ def find_isomorphism_reachable(m: Lts, n: Lts) -> dict[str, str] | None:
     1962), an image is chosen only when nothing is left to expand: the first
     unpaired target of the first open group tries each unused state of its
     ``n`` group with its out-labels and, as in VF2 (Cordella et al. 2004),
-    its edges to and from the matched states.  A closed group must hold its
-    images; with equal state and edge counts, checked at the first choice,
-    a complete map is an isomorphism.  A conflict backtracks to the last
-    choice with an image left.  A pick that leaves another image counts
+    its edges to the matched states.  A closed group must hold its images;
+    with equal state counts and in-degree multisets, checked at the first
+    choice, a complete map is an isomorphism.  A conflict backtracks to the
+    last choice with an image left.  A pick that leaves another image counts
     against ``ISO_BUDGET``, past which it raises ``IsomorphismInconclusive``,
     so a deterministic ``m`` spends none.
     """
@@ -259,7 +260,7 @@ def find_isomorphism_reachable(m: Lts, n: Lts) -> dict[str, str] | None:
     used: set[str] = set()
     order: list[str] = []  # m's matched states, in the order they were matched
     groups: list[tuple[list[str], list[str]]] = []
-    into: dict[str, list[tuple[str, Label]]] = {}  # m's in-edges, from the first decision on
+    sizes = None  # state counts and in-degrees, compared at the first decision
 
     def expand(start: int) -> bool:
         """Expand the pairs from ``order[start]`` on; False on a conflict."""
@@ -292,13 +293,12 @@ def find_isomorphism_reachable(m: Lts, n: Lts) -> dict[str, str] | None:
 
     def fits(q: str, p: str) -> bool:
         """Whether ``p`` is unused, has ``q``'s out-labels, and has each edge
-        that ``q`` has to or from a matched state, with ``q`` mapped to it."""
+        that ``q`` has to a matched state, with ``q`` mapped to it."""
         edges = n.out(p)
         return (
             p not in used
             and [a for a, _ in edges] == [a for a, _ in m.out(q)]
             and all((a, mapping.get(q2, p)) in edges for a, q2 in m.out(q) if q2 in mapping or q2 == q)
-            and all((a, p) in n.out(mapping[q1]) for q1, a in into[q] if q1 in mapping)
         )
 
     # The decisions with images left, the next one last: the matched states
@@ -330,13 +330,12 @@ def find_isomorphism_reachable(m: Lts, n: Lts) -> dict[str, str] | None:
             return mapping
         if not free:  # a closed group holds an image outside its answers
             continue
-        if not into:  # the first decision
-            sizes = {(len(x.reachable()), sum(map(len, map(x.out, x.reachable())))) for x in (m, n)}
-            if len(sizes) > 1:
+        if sizes is None:  # the first decision
+            sizes = [(len(x.reachable()),
+                      sorted(Counter(q2 for q1 in x.reachable() for _, q2 in x.out(q1)).values()))
+                     for x in (m, n)]
+            if sizes[0] != sizes[1]:
                 return None
-            for q1 in m.reachable():
-                for a, q2 in m.out(q1):
-                    into.setdefault(q2, []).append((q1, a))
         images = [p for p in reversed(answers) if fits(free[0], p)]
         if images:
             stack.append((len(order), len(groups), closed, free[0], images))

@@ -15,6 +15,11 @@ trap 'rm -rf "$tmp"' EXIT
 "$@" contract --code fixtures/double-press.code.json fixtures/square.mealy.json | cmp - fixtures/double-press-contraction.mealy.json
 test "$("$@" check isomorphism fixtures/letter-loops.lts.json fixtures/letter-loops.lts.json | head -n 1)" = PASS
 test "$("$@" check isomorphism fixtures/octal-choice-nondet.lts.json fixtures/octal-choice-nondet.lts.json | head -n 1)" = PASS
+# The adaptor/SUT composition and the split view of the contraction
+# delay-simulate each other for both press codes.
+for code in double-press split-press; do
+  test "$("$@" check adaptor-theorem --code "fixtures/$code.code.json" fixtures/square.mealy.json)" = PASS
+done
 # About 245 KB of map lines into a reader that takes one: a closed
 # stdout exits 141 with nothing on stderr.
 "$@" gen lts --seed 1 --states 20000 --labels 3 --deterministic --out "$tmp/big.lts.json"

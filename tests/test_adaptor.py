@@ -466,7 +466,7 @@ class TestRenamedCarriers:
         assert deep >= 10
 
     def test_composition_states_carry_the_carriers_names(self):
-        pattern = re.compile(r"^([QR])\((.*),(\w+)\)∥(.*)$")
+        pattern = re.compile(r"^Q\((.*),(\w+)\)∥(.*)$")
         for seed, (tree, m) in enumerate(_renaming_instances()):
             if m is None:
                 continue
@@ -476,8 +476,8 @@ class TestRenamedCarriers:
                 match = pattern.match(state)
                 if match is None:
                     return state
-                phase, node, x, rest = match.groups()
-                return f"{phase}({new[node]},{x})∥{rest}"
+                node, x, rest = match.groups()
+                return f"Q({new[node]},{x})∥{rest}"
 
             composed = adaptor_composition(tree, m)
             expected = Lts(
@@ -803,10 +803,38 @@ class TestComposedProcess:
         view = split_io(contract(code, m))
         assert observable_traces(composed, 8, TAU) == observable_traces(view, 8, TAU)
 
+    def test_each_hidden_step_is_one_sut_exchange(self):
+        # Behind an output-deterministic SUT every reached composed state has
+        # one move, so the process can be walked beside a live session.
+        deeper = 0
+        for seed in range(30):
+            tree = to_tree(gen_adaptor_code(seed, inputs=2, outputs=2, abstract_inputs=2,
+                                            max_depth=3))
+            m = gen_mealy(seed + 23, states=4, inputs=2, outputs=2, input_enabled=True,
+                          output_deterministic=True)
+            composed = adaptor_composition(tree, m)
+            session = AdaptorSession(tree, InProcessSut(m, seed=seed))
+            xs = sorted({lab.symbol for _, lab in tree.leaf_labels})
+            rng = random.Random(seed)
+            state = composed.initial
+            for x in (rng.choice(xs) for _ in range(6)):
+                start = len(session.transcript)
+                y = session.apply(x)
+                exchanges = sum(kind == "SUT" for kind, _ in session.transcript[start:])
+                (state,) = composed.succ(state, Label(x))
+                hidden = 0
+                while True:
+                    ((label, state),) = composed.out(state)
+                    if label != TAU:
+                        break
+                    hidden += 1
+                assert (hidden, label) == (exchanges, Label(f"{y}!"))
+                deeper += hidden > 1
+        assert deeper >= 20
+
     def test_compositions_are_pinned(self):
         # SHA-256 of the states (held sorted), initial state, transitions and
-        # alphabet of the systems pinned before the composition looked edges
-        # up in a step index, re-hashed with their states sorted.
+        # alphabet of the compositions with one hidden step per SUT transition.
         def fingerprint(m: Lts) -> str:
             rows = [list(m.states), m.initial,
                     sorted([s, str(a), d] for s, a, d in m.transitions),
@@ -816,9 +844,9 @@ class TestComposedProcess:
         square = load_fixture("square.mealy.json")
         pins = {
             "double-press.code.json":
-                "09a6258145c8c1796d72c85e47b81d4638c6b5971ac8faf0a30d38b3f1d173da",
+                "73f3972245713bc07b6eebd37634641a4bc945c494ea7cf5b09a96949f7f98d0",
             "split-press.code.json":
-                "71c02af44c4773aa4ec7101c9fa3431484aa32f2f2d99907161e83fb9b2da29a",
+                "b3df3c1618e347bce206af02c269d49fa5b3b9269822490348e934e47ede85e8",
         }
         for name, pin in pins.items():
             assert fingerprint(adaptor_composition(to_tree(load_fixture(name)), square)) == pin
@@ -828,7 +856,7 @@ class TestComposedProcess:
             m = gen_mealy(seed + 19, states=4, inputs=2, outputs=2, input_enabled=True)
             digest.update(fingerprint(adaptor_composition(to_tree(code), m)).encode())
         assert digest.hexdigest() == (
-            "d55045f94132577605f9ef802704ec364a5b335baafcd423b007bc9efbfbae35")
+            "a571e670b09ae6a99dac1a422f3dca01953c380d54d7e117e4bdb302eb0ad4d3")
 
     def test_split_io_needs_a_mealy_machine(self):
         atomic = Lts(["q0"], "q0", [("q0", Label("a"), "q0")], atoms("a"))

@@ -113,6 +113,17 @@ def fan(k: int, swap: bool = False) -> Lts:
     return Lts(states, "r", edges, [a, *bs])
 
 
+def a_tree(depth: int, back: str | None = None) -> Lts:
+    """The complete binary ``a``-tree of ``depth`` below the root ``t``, each
+    leaf with a ``b`` self-loop; with ``back``, that leaf's ``b`` edge goes
+    to the root instead, keeping the state and edge counts."""
+    a, b = Label("a"), Label("b")
+    states = ["t" + format(k, "b")[1:] for k in range(1, 2 ** (depth + 1))]
+    edges = [(q, a, q + bit) for q in states if len(q) <= depth for bit in "01"]
+    edges += [(q, b, "t" if q == back else q) for q in states if len(q) > depth]
+    return Lts(states, "t", edges, [a, b])
+
+
 class TestFindSimulation:
     def test_reflexive(self):
         for name in ("choice.lts.json", "square.mealy.json", "octal-choice-nondet.lts.json"):
@@ -779,6 +790,14 @@ class TestNoCliff:
             assert time.process_time() - start < 1.0
             assert (mapping is not None) == isomorphic
             assert mapping is None or is_reachable_isomorphism(m, n, mapping)
+
+    def test_tree_near_copy_is_refuted_before_any_pick(self, monkeypatch):
+        # Equal state and edge counts; only the copy's root has an in-edge.
+        # Refuted by in-degrees at the first pick, not after a million picks.
+        monkeypatch.setattr(simulation, "ISO_BUDGET", 1000)
+        m, n = a_tree(6), a_tree(6, back="t111111")
+        assert (len(n.states), len(n.transitions)) == (127, 190)
+        assert self.decide(find_isomorphism_reachable, m, n) is None
 
 
 class TestVerdictPathNoCliff:
