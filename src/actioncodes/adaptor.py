@@ -57,18 +57,19 @@ class WinningTable:
     """For each tree node and abstract input: the concrete inputs that force
     the play into a leaf carrying that abstract input.
 
-    ``wins`` holds the winning pairs only, keyed by carrier name, with sorted
-    inputs; a labeled leaf wins its own abstract input with no input, ``()``.
+    Built once from the game's per-number tables, keyed by carrier name, for
+    callers that name nodes; a labeled leaf wins its own abstract input with
+    no input, ``()``.
     """
 
-    def __init__(self, wins: dict[tuple[str, str], tuple[str, ...]]):
+    def __init__(self, wins: dict[str, dict[str, tuple[str, ...]]]):
         self._wins = wins
 
     def winning_inputs(self, node: str, abstract_input: str) -> tuple[str, ...]:
-        return self._wins.get((node, abstract_input), ())
+        return self._wins.get(node, {}).get(abstract_input, ())
 
     def is_winning(self, node: str, abstract_input: str) -> bool:
-        return (node, abstract_input) in self._wins
+        return abstract_input in self._wins.get(node, {})
 
 
 class DeterminacyWitness(NamedTuple):
@@ -78,57 +79,54 @@ class DeterminacyWitness(NamedTuple):
     second_input: str
 
 
-def _solve(tree: CodeTree) -> tuple[WinningTable, DeterminacyWitness | None]:
+Wins = list[dict[str, tuple[str, ...]]]  # per node number: abstract input -> inputs
+
+
+def _solve(tree: CodeTree) -> tuple[Wins, DeterminacyWitness | None]:
     """Evaluate the adaptor game and check determinacy in one bottom-up pass.
 
-    A labeled leaf wins exactly the abstract input it carries.  An internal
-    node wins an abstract input with concrete input i when it has an i-edge
-    and every i-successor wins that abstract input.  A node is a determinacy
-    conflict when leaves with the same abstract input lie below two of its
-    concrete inputs; the witness is the first conflict of the least node name.
+    Entry ``n`` of the list maps each abstract input that node ``n`` wins to
+    its sorted winning inputs.  A labeled leaf wins exactly the abstract
+    input it carries, with ``()``.  An internal node wins an abstract input
+    with concrete input i when it has an i-edge and every i-successor wins
+    it.  A node is a determinacy conflict when leaves with the same abstract
+    input lie below two of its concrete inputs.  Its least conflict starts at
+    the least input that reaches the abstract input, so one pass over the
+    sorted inputs finds it; the witness is that of the least node name.
     """
     _require_mealy_tree(tree)
-    kids, leaf, names = tree._code._kids, tree._code._leaf, tree._names
-    below: dict[int, set[str]] = {}  # abstract inputs of the leaves under a node
-    won: dict[int, set[str]] = {}  # abstract inputs a node wins
-    wins: dict[tuple[str, str], tuple[str, ...]] = {}
+    code, names = tree._code, tree._names
+    # below[n]: the labels whose words pass through node n, none at a leaf
+    kids, leaf, below = code._kids, code._leaf, code._below
+    wins: Wins = [{}] * len(kids)
     witness = None
     for node in reversed(range(len(kids))):  # a child's number exceeds its parent's
-        name = names[node]
         if leaf[node] is not None:  # labeled nodes are exactly the non-root leaves
-            x = leaf[node].symbol
-            below[node] = won[node] = {x}
-            wins[(name, x)] = ()
+            wins[node] = {leaf[node].symbol: ()}
             continue
-        # Per concrete input: what its successors reach, and what they all win.
-        reached: dict[str, set[str]] = {}
-        forced: dict[str, set[str]] = {}
+        children: dict[str, list[int]] = {}
         for a, dst in kids[node].items():
-            i = a.symbol
-            reached[i] = reached.get(i, set()) | below[dst]
-            forced[i] = forced[i] & won[dst] if i in forced else won[dst]
-        below[node] = set().union(*reached.values())
-        won[node] = set().union(*forced.values())
-        for x in won[node]:
-            wins[(name, x)] = tuple(sorted(i for i, xs in forced.items() if x in xs))
-        conflict = sum(map(len, reached.values())) > len(below[node])  # the sets overlap
-        if conflict and (witness is None or name < witness.node):
-            inputs = sorted(reached)
-            witness = next(
-                (
-                    DeterminacyWitness(name, min(shared), i1, i2)
-                    for k, i1 in enumerate(inputs)
-                    for i2 in inputs[k + 1 :]
-                    if (shared := reached[i1] & reached[i2])
-                ),
-                witness,
-            )
-    return WinningTable(wins), witness
+            children.setdefault(a.symbol, []).append(dst)
+        first: dict[str, str] = {}  # abstract input -> the least input reaching it
+        won: dict[str, list[str]] = {}
+        conflicts = []
+        for i in sorted(children):
+            dsts = children[i]
+            for x in {b.symbol for d in dsts for b in below[d] or (leaf[d],)}:
+                if first.setdefault(x, i) != i:
+                    conflicts.append((first[x], i, x))
+            for x in set(wins[dsts[0]]).intersection(*(wins[d] for d in dsts[1:])):
+                won.setdefault(x, []).append(i)
+        wins[node] = {x: tuple(inputs) for x, inputs in won.items()}
+        if conflicts and (witness is None or names[node] < witness.node):
+            i1, i2, x = min(conflicts)
+            witness = DeterminacyWitness(names[node], x, i1, i2)
+    return wins, witness
 
 
 def solve_winning(tree: CodeTree) -> WinningTable:
     """The winning table of the adaptor game over the code tree."""
-    return _solve(tree)[0]
+    return WinningTable(dict(zip(tree._names, _solve(tree)[0])))
 
 
 def is_determinate(tree: CodeTree) -> tuple[bool, DeterminacyWitness | None]:
@@ -142,12 +140,12 @@ def is_determinate(tree: CodeTree) -> tuple[bool, DeterminacyWitness | None]:
     return witness is None, witness
 
 
-def _strategy(tree: CodeTree) -> WinningTable:
-    """The winning table of a determinate code: at most one input per win."""
-    table, witness = _solve(tree)
+def _strategy(tree: CodeTree) -> Wins:
+    """The per-number win tables of a determinate code: one input per win."""
+    wins, witness = _solve(tree)
     if witness is not None:
         raise NotDeterminate(witness)
-    return table
+    return wins
 
 
 def is_output_deterministic(m: Lts) -> bool:
@@ -345,24 +343,25 @@ class AdaptorSession:
     and is the exchange's one record.  The transcript holds ``(kind, value)``
     events: ``("IN", x)``, ``("SUT", label)`` per exchange and ``("OUT", y)``,
     where y, the output of the leaf reached, is returned to the caller.
+    ``wins[n]`` maps each abstract input node n wins to its one input.
     Not safe for concurrent use from several threads.
     """
 
     def __init__(self, tree: CodeTree, sut):
-        self.table = _strategy(tree)
+        self.wins = _strategy(tree)
         self.tree = tree
         self.sut = sut
         self.transcript: list[tuple] = []
 
     def apply(self, abstract_input: str) -> str:
-        table, tree = self.table, self.tree
+        wins, tree = self.wins, self.tree
         kids, leaf, names = tree._code._kids, tree._code._leaf, tree._names
-        if not table.is_winning(names[0], abstract_input):
+        if abstract_input not in wins[0]:
             raise NotWinning(abstract_input)
         self.transcript.append(("IN", abstract_input))
         node = 0  # the root; a node the play reaches wins the input
         while leaf[node] is None:
-            (concrete,) = table.winning_inputs(names[node], abstract_input)
+            (concrete,) = wins[node][abstract_input]
             self.sut.send(concrete)
             label = Label(concrete, self.sut.receive())  # Label judges the reply
             self.transcript.append(("SUT", label))
@@ -433,9 +432,9 @@ def adaptor_composition(tree: CodeTree, m: Lts) -> Lts:
     _require_mealy_tree(tree)
     if not all(a.is_mealy for a in m.alphabet):
         raise ValueError("the SUT model must be a Mealy machine")
-    table = _strategy(tree)
+    wins = _strategy(tree)
     for _, lab in tree.leaf_labels:
-        if not table.is_winning(tree.root, lab.symbol):
+        if lab.symbol not in wins[0]:
             raise NotWinning(lab.symbol)
     if not is_input_enabled(m):
         raise ValueError("the SUT model must be input enabled")
@@ -453,7 +452,7 @@ def adaptor_composition(tree: CodeTree, m: Lts) -> Lts:
             _, node, x, q = key
             if leaf[node] is not None:
                 yield _emission(leaf[node].output), ("P", q)
-            elif inputs := table.winning_inputs(names[node], x):
+            elif inputs := wins[node].get(x):
                 for a, q2 in m.out(q):  # one SUT transition per hidden step
                     if a.symbol == inputs[0] and a in kids[node]:
                         yield TAU, ("Q", kids[node][a], x, q2)

@@ -293,7 +293,7 @@ def _cmd_adaptor(args) -> int:
     # requested input is known to be winning.
     session = AdaptorSession(tree, None)
     for x in sorted(set(requested)):
-        if not session.table.is_winning(tree.root, x):
+        if x not in session.wins[0]:  # the root is node 0
             raise NotWinning(x)
 
     sut = None

@@ -168,9 +168,6 @@ class Lts(_Value):
     def succ(self, state: str, label: Label) -> tuple[str, ...]:
         return tuple(dst for a, dst in self._out[state] if a == label)
 
-    def enables(self, state: str, label: Label) -> bool:
-        return any(a == label for a, _ in self._out[state])
-
     @property
     def is_mealy(self) -> bool:
         return any(a.is_mealy for a in self.alphabet)

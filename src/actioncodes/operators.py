@@ -13,11 +13,10 @@ from typing import NamedTuple
 
 from .codes import CodeMap
 from .errors import AlphabetMismatch
-from .lts import CompatRel, Label, Lts, Word, explore, walk
+from .lts import CompatRel, Label, Lts, explore, walk
 
 __all__ = [
     "CHAOS",
-    "composite_name",
     "contract",
     "refine",
     "concretize",
@@ -28,15 +27,9 @@ __all__ = [
 CHAOS = "χ"
 
 
-def composite_name(state: str, word: Word) -> str:
-    """Canonical id for a (state, pending word) pair in an operator output."""
-    inner = ".".join(str(a) for a in word)
-    return f"{state}⟨{inner}⟩"
-
-
 def _pending_name(code: CodeMap):
-    """The namer of (state, node number) keys: ``composite_name`` of the
-    state and the node's word, or the chaos state's name."""
+    """The namer of (state, node number) keys: ``q⟨w⟩`` for state q and the
+    node's rendered word w, or the chaos state's name."""
     text = code._text
     return lambda key: CHAOS if key == CHAOS else f"{key[0]}⟨{text[key[1]]}⟩"
 
@@ -76,7 +69,7 @@ def refine(code: CodeMap, n: Lts) -> Lts:
 
     A state pairs an abstract state q with a node of the code's prefix
     tree: a pending proper prefix w of the word of some label enabled at q,
-    named ``composite_name(q, w)``.  The keys are (q, node number) pairs.
+    named ``q⟨w⟩``.  The keys are (q, node number) pairs.
     Paths for different labels share their common prefixes.  Abstract
     transitions whose label is outside the code's domain contribute
     nothing.  Only the reachable part is built.

@@ -14,7 +14,7 @@ from actioncodes.codes import CodeMap, CodeTree, to_tree
 from actioncodes.documents import code_from_document, loads, lts_from_document
 from actioncodes.errors import AlphabetMismatch, IsomorphismInconclusive, PrefixClash
 from actioncodes.lts import CompatRel, Label, Lts, Word, explore, is_deterministic
-from actioncodes.operators import CHAOS, IncompletenessWitness, composite_name
+from actioncodes.operators import CHAOS, IncompletenessWitness
 from actioncodes.simulation import ISO_BUDGET, _require_same_variant, _tau_closure, find_simulation
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -141,6 +141,17 @@ def traces_up_to(m: Lts, k: int) -> set[Word]:
         result.update(extended)
         frontier = extended
     return result
+
+
+def enables(m: Lts, state: str, label: Label) -> bool:
+    """Whether ``state`` has an outgoing ``label`` edge."""
+    return any(a == label for a, _ in m.out(state))
+
+
+def composite_name(state: str, word: Word) -> str:
+    """The operators' name for a (state, pending word) pair: ``q⟨w⟩``."""
+    inner = ".".join(str(a) for a in word)
+    return f"{state}⟨{inner}⟩"
 
 
 def has_trace(m: Lts, word: Word) -> bool:
@@ -436,7 +447,7 @@ def scan_refine(code: CodeMap, n: Lts) -> Lts:
     def successors(key):
         q, w = key
         for b, word in code.entries:
-            if not n.enables(q, b):
+            if not enables(n, q, b):
                 continue
             if len(w) < len(word) and word[: len(w)] == w:
                 a = word[len(w)]
@@ -492,7 +503,7 @@ def scan_is_icomplete(code: CodeMap, rel: CompatRel, m: Lts):
         edges = node_edges[node]
         for a in sorted(edges, key=str):
             for a2 in rel.related(a):
-                if m.enables(q, a2) and a2 not in edges:
+                if enables(m, q, a2) and a2 not in edges:
                     return False, IncompletenessWitness(q, node, a, a2)
         for a, child in sorted(edges.items(), key=lambda e: str(e[0])):
             nxt = child if node_edges[child] else root

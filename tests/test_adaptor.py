@@ -20,6 +20,7 @@ from actioncodes.adaptor import (
     LINE_CAP,
     TAU,
     AdaptorSession,
+    DeterminacyWitness,
     ExternalSut,
     InProcessSut,
     adaptor_composition,
@@ -45,6 +46,7 @@ from conftest import (
     brute_force_conflicts,
     atoms,
     brute_force_winning,
+    enables,
     entry,
     has_trace,
     load_fixture,
@@ -139,6 +141,56 @@ class TestDeterminate:
     def test_single_path_code(self):
         code = CodeMap(atoms("a/0", "a/1"), atoms("X/0"), [entry("X/0", "a/0 a/1")])
         assert is_determinate(to_tree(code))[0]
+
+
+def _wide_root_code(seed: int) -> CodeTree:
+    """A Mealy code whose root has 20-60 inputs; each input-output edge is a
+    leaf or a node with one or two leaves.  The leaves share five abstract
+    inputs, so several conflicts meet at the root."""
+    rng = random.Random(seed)
+    source = [Label(f"i{j:02d}", o) for j in range(60) for o in "01"]
+    target = [Label(x, str(y)) for x in "ABCDE" for y in range(60)]
+    words = []
+    for a in source[: 2 * rng.randint(20, 60)]:
+        if rng.random() < 0.2:
+            continue  # the input lacks this output
+        if rng.random() < 0.6:
+            words.append((a,))
+        else:
+            words.extend((a, b) for b in rng.sample(source, rng.randint(1, 2)))
+    labels = rng.sample(target, len(words))
+    return to_tree(CodeMap(source, target, list(zip(labels, words))))
+
+
+class TestWideNodes:
+    def test_witness_is_the_least_named_conflict(self):
+        shared = 0
+        for seed in range(60):
+            tree = _wide_root_code(seed)
+            conflicts = brute_force_conflicts(tree)
+            assert is_determinate(tree) == (False, DeterminacyWitness(*conflicts[0]))
+            shared += sum(c[0] == tree.root for c in conflicts) >= 2
+        assert shared == 60
+
+    def test_winning_matches_brute_force(self):
+        for seed in range(60):
+            tree = _wide_root_code(seed)
+            table = solve_winning(tree)
+            xs = sorted({lab.symbol for _, lab in tree.leaf_labels})
+            for node in tree.tree.states:
+                children: dict[str, list[str]] = {}
+                for a, dst in tree.tree.out(node):
+                    children.setdefault(a.symbol, []).append(dst)
+                for x in xs:
+                    assert table.is_winning(node, x) == brute_force_winning(tree, node, x)
+                    assert table.winning_inputs(node, x) == tuple(
+                        i
+                        for i, kids in sorted(children.items())
+                        if all(brute_force_winning(tree, c, x) for c in kids)
+                    )
+            for x in xs:
+                assert not table.is_winning("unknown", x)
+                assert table.winning_inputs("unknown", x) == ()
 
 
 class TestOutputDeterminism:
@@ -721,9 +773,36 @@ class TestNoCliff:
     margin both ways.  Looking for each input in a state's out-list took
     0.69 s on one state with 4,000 inputs.  Searching the whole buffer for a
     newline after each chunk took 3.98 s on a newline-free 24 MB stream, and
-    cutting each line off the front of a bytes buffer copied all the rest."""
+    cutting each line off the front of a bytes buffer copied all the rest.
+    Solving the game on a root with 4,000 inputs took 0.4-0.6 s when each
+    won abstract input rescanned every input, and 1.5 s for the witness when
+    every pair of inputs was compared."""
 
     BOUND_S = 0.1
+
+    @staticmethod
+    def _wide_code(last: Label) -> CodeTree:
+        """A root with inputs i00000...i03999, input j leading to leaf X<j>/0;
+        the last leaf carries ``last`` instead."""
+        source = [Label(f"i{j:05d}", "0") for j in range(4000)]
+        target = [Label(f"X{j}", "0") for j in range(3999)] + [last]
+        return to_tree(CodeMap(source, target, [(b, [a]) for a, b in zip(source, target)]))
+
+    @pytest.mark.parametrize("solve", [is_determinate, solve_winning,
+                                       lambda tree: AdaptorSession(tree, None)],
+                             ids=["is_determinate", "solve_winning", "session"])
+    def test_a_root_with_four_thousand_inputs(self, solve):
+        tree = self._wide_code(Label("X3999", "0"))
+        start = time.process_time()
+        solve(tree)
+        assert time.process_time() - start < self.BOUND_S
+
+    def test_a_conflict_between_the_last_two_of_four_thousand_inputs(self):
+        tree = self._wide_code(Label("X3998", "1"))
+        start = time.process_time()
+        verdict = is_determinate(tree)
+        assert time.process_time() - start < self.BOUND_S
+        assert verdict == (False, DeterminacyWitness("ε", "X3998", "i03998", "i03999"))
 
     def test_input_enabled_with_four_thousand_inputs(self):
         alphabet = [Label(f"i{k}", "0") for k in range(4000)]
@@ -764,8 +843,8 @@ class TestComposedProcess:
     def test_split_view_shapes(self):
         view = split_io(load_fixture("square.mealy.json"))
         assert TAU in view.alphabet
-        assert view.enables("q0", Label("a"))
-        assert view.enables("q0?a", Label("0!"))
+        assert enables(view, "q0", Label("a"))
+        assert enables(view, "q0?a", Label("0!"))
 
     def test_split_view_covers_the_reachable_states(self):
         # q2 is unreachable from q0; neither it nor its q2?x states are in the view.

@@ -786,6 +786,16 @@ def test_deeply_nested_json_exits_2(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_an_integer_past_the_digit_limit_exits_2(capsys, tmp_path):
+    # A 5,000-digit integer once escaped as a plain ValueError.
+    path = tmp_path / "digits.json"
+    path.write_text('{"kind": "lts", "states": ' + "1" * 5000 + "}", encoding="utf-8")
+    status, out, err = run(capsys, "check", "simulation", str(path), str(path))
+    assert (status, out) == (2, "")
+    assert err.startswith("ERROR DocumentError not valid JSON: Exceeds the limit")
+    assert err.count("\n") == 1
+
+
 def test_non_utf8_document_exits_2(capsys, tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"kind": "lts", "states": ["\xe9"]}')

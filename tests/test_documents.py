@@ -304,6 +304,11 @@ class TestRejection:
         with pytest.raises(DocumentError):
             loads("not json at all {")
 
+    def test_an_integer_past_the_digit_limit_is_not_json(self):
+        # The parser refuses it with a plain ValueError, not a JSONDecodeError.
+        with pytest.raises(DocumentError, match="^not valid JSON: Exceeds the limit"):
+            loads('{"states": ' + "1" * 5000 + "}")
+
     def test_prefix_clash_is_reported_verbatim(self):
         # Validation errors surface unchanged, not wrapped as document errors.
         doc = {

@@ -21,7 +21,6 @@ from actioncodes.generate import (
 from actioncodes.lts import CompatRel, Label, Lts, is_deterministic
 from actioncodes.operators import (
     CHAOS,
-    composite_name,
     concretize,
     contract,
     is_icomplete,
@@ -35,6 +34,8 @@ from actioncodes.simulation import (
 from conftest import (
     DOTTED,
     atoms,
+    composite_name,
+    enables,
     entry,
     has_trace,
     load_fixture,
@@ -495,7 +496,7 @@ def _definition_violation(code, rel, m, prefix_labels):
         edges = {a: dst for a, dst in tree.tree.out(node)}
         for a in edges:
             for a2 in rel.related(a):
-                if m.enables(q, a2) and a2 not in edges:
+                if enables(m, q, a2) and a2 not in edges:
                     return (q, node, a, a2)
         for a, child in edges.items():
             if not tree.tree.out(child):
@@ -580,7 +581,7 @@ class TestICompleteFalsification:
             assert witness.enabled in edges
             assert witness.missing not in edges
             assert witness.missing in rel.related(witness.enabled)
-            assert m.enables(witness.state, witness.missing)
+            assert enables(m, witness.state, witness.missing)
         assert found >= 5
 
 
