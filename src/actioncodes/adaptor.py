@@ -159,6 +159,17 @@ def is_input_enabled(m: Lts) -> bool:
     return all(inputs <= {a.symbol for a, _ in m.out(q)} for q in m.states)
 
 
+def _by_input(m: Lts) -> dict[str, dict[str, list[tuple[Label, str]]]]:
+    """For each state and input symbol: the state's edges on that input, in
+    out-list order.  One pass over the out-lists."""
+    index = {}
+    for q in m.states:
+        index[q] = edges = {}
+        for e in m.out(q):
+            edges.setdefault(e[0][0], []).append(e)  # e[0][0]: the label's input
+    return index
+
+
 # -- SUT endpoints ----------------------------------------------------------
 
 
@@ -168,7 +179,9 @@ class InProcessSut:
     The machine must be input enabled.  When a state offers several outputs
     for an input, the choice is resolved by a scripted list of output
     symbols while it lasts, then by a seeded pseudo-random pick, so sessions
-    are reproducible.
+    are reproducible.  The machine's edges are indexed by state and input
+    once, so an exchange costs the edges on its input, not the state's
+    out-degree.
     """
 
     def __init__(self, machine: Lts, seed: int = 0, script: Sequence[str] | None = None):
@@ -177,14 +190,15 @@ class InProcessSut:
         if not is_input_enabled(machine):
             raise ValueError("in-process SUT machine must be input enabled")
         self.machine = machine
+        self._edges = _by_input(machine)
         self._rng = random.Random(seed)
         self._script = deque(script or ())
         self._state = machine.initial
         self._pending: str | None = None
 
     def send(self, symbol: str) -> None:
-        options = [e for e in self.machine.out(self._state) if e[0].symbol == symbol]
-        if not options:
+        options = self._edges[self._state].get(symbol)
+        if options is None:
             raise SutProtocolError(f"machine rejects input {symbol!r} in state {self._state!r}")
         if self._script:
             wanted = self._script.popleft()
@@ -397,21 +411,22 @@ def split_io(m: Lts) -> Lts:
     The view covers the states reachable from the initial one.  Every state
     first accepts any input of the alphabet, then emits one of the outputs
     the machine allows for it; emissions are namespaced with a trailing
-    ``!`` so inputs and outputs cannot collide.
+    ``!`` so inputs and outputs cannot collide.  A second-phase successor
+    costs the edges on its input, read from an index built in one pass.
     """
     if not all(a.is_mealy for a in m.alphabet):
         raise ValueError("split_io needs a Mealy machine")
-    xs = sorted(m.inputs)
+    inputs = [(Label(x), x) for x in sorted(m.inputs)]
+    by_input = _by_input(m)
 
     def successors(key):
         if isinstance(key, str):
-            for x in xs:
-                yield Label(x), (key, x)
+            for label, x in inputs:
+                yield label, (key, x)
         else:
             q, x = key
-            for a, dst in m.out(q):
-                if a.symbol == x:
-                    yield _emission(a.output), dst
+            for a, dst in by_input[q].get(x, ()):  # q may lack input x
+                yield _emission(a.output), dst
 
     def name(key) -> str:
         return key if isinstance(key, str) else f"{key[0]}?{key[1]}"
@@ -426,8 +441,9 @@ def adaptor_composition(tree: CodeTree, m: Lts) -> Lts:
     or descending towards a leaf for a pending abstract input; keys hold
     node numbers, names the carrier's.  Each hidden step ``τ`` is one SUT
     transition: the node's winning concrete input with an output whose edge
-    the node has.  Abstract inputs and namespaced output emissions stay
-    visible.
+    the node has; it costs the SUT state's edges on that input, read from an
+    index built in one pass.  Abstract inputs and namespaced output
+    emissions stay visible.
     """
     _require_mealy_tree(tree)
     if not all(a.is_mealy for a in m.alphabet):
@@ -439,22 +455,24 @@ def adaptor_composition(tree: CodeTree, m: Lts) -> Lts:
     if not is_input_enabled(m):
         raise ValueError("the SUT model must be input enabled")
 
-    xs = sorted({a.symbol for a in tree.abstract})
+    abstract = [(Label(x), x) for x in sorted({a.symbol for a in tree.abstract})]
     alphabet = _learner_alphabet(tree.abstract)
     kids, leaf, names = tree._code._kids, tree._code._leaf, tree._names
+    by_input = _by_input(m)
 
     def successors(key):
         if key[0] == "P":
             _, q = key
-            for x in xs:
-                yield Label(x), ("Q", 0, x, q)
+            for label, x in abstract:
+                yield label, ("Q", 0, x, q)
         else:
             _, node, x, q = key
             if leaf[node] is not None:
                 yield _emission(leaf[node].output), ("P", q)
             elif inputs := wins[node].get(x):
-                for a, q2 in m.out(q):  # one SUT transition per hidden step
-                    if a.symbol == inputs[0] and a in kids[node]:
+                # One SUT transition per hidden step; m may lack the input.
+                for a, q2 in by_input[q].get(inputs[0], ()):
+                    if a in kids[node]:
                         yield TAU, ("Q", kids[node][a], x, q2)
 
     def name(key) -> str:

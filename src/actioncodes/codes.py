@@ -27,9 +27,11 @@ class CodeMap(_Value):
     keeps ``_kids[i]`` (letter -> child, in rendered order), ``_leaf[i]`` (a
     complete word's label, or None), ``_below[i]`` (the labels whose words
     pass through) and ``_text[i]`` (the rendered word, ``""`` at the root).
+    The texts are built on first use: they take memory quadratic in a word's
+    length, and contraction and the adaptor never read them.
     """
 
-    __slots__ = ("source", "target", "entries", "_map", "_kids", "_leaf", "_below", "_text")
+    __slots__ = ("source", "target", "entries", "_map", "_kids", "_leaf", "_below", "_texts")
 
     def __init__(self, source, target, entries):
         self.source = frozenset(source)
@@ -51,7 +53,7 @@ class CodeMap(_Value):
                     raise AlphabetMismatch(f"letter {a} of the word for {b} is not in the source alphabet")
         # In rendered-word order a word follows every word that is its prefix,
         # and the first clash met is between neighbours in that order.
-        kids, leaf, below, text = [{}], [None], [set()], [""]  # node 0 is the root
+        kids, leaf, below = [{}], [None], [set()]  # node 0 is the root
         rendered = {a: str(a) for a in self.source}
         for b, word in sorted(self.entries, key=lambda e: [rendered[a] for a in e[1]]):
             i = 0
@@ -65,13 +67,25 @@ class CodeMap(_Value):
                     kids.append({})
                     leaf.append(None)
                     below.append(set())
-                    text.append(f"{text[i]}.{rendered[a]}" if i else rendered[a])
                 i = j
             if leaf[i] is not None:
                 raise PrefixClash(leaf[i], b)
             leaf[i] = b
         self._map = dict(self.entries)
-        self._kids, self._leaf, self._below, self._text = kids, leaf, below, text
+        self._kids, self._leaf, self._below = kids, leaf, below
+
+    @property
+    def _text(self) -> list[str]:
+        if not hasattr(self, "_texts"):
+            text = [""] * len(self._kids)
+            for i, edges in enumerate(self._kids):  # a parent's number is less than its child's
+                for a, j in edges.items():
+                    text[j] = f"{text[i]}.{a}" if i else str(a)
+            try:
+                self._texts = text
+            except AttributeError:  # another thread cached it first
+                pass
+        return self._texts
 
     def _key(self):
         return self.source, self.target, self.entries

@@ -254,9 +254,21 @@ def dumps(doc: dict[str, Any]) -> str:
     return "".join(out)
 
 
+def _object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object whose keys are all distinct: the parser would keep the last."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise DocumentError(f"the key {key!r} is repeated in a JSON object")
+    return obj
+
+
 def loads(text: str) -> dict[str, Any]:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object)
+    except DocumentError:
+        raise
     except (ValueError, RecursionError) as exc:  # a JSONDecodeError, too many digits, too deep
         raise DocumentError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

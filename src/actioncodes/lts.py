@@ -243,7 +243,7 @@ class CompatRel:
     caller-supplied set of pairs (closed reflexively).  The relation
     parameterizes both determinism checks and the concretization operator.
     It is stored as one table from each label of the carrier to the labels
-    related to it.
+    related to it; labels with equal related sets share one tuple.
     """
 
     __slots__ = ("carrier", "_related")
@@ -258,7 +258,9 @@ class CompatRel:
             if a not in self.carrier or b not in self.carrier:
                 raise ValueError(f"pair ({a}, {b}) leaves the carrier alphabet")
             related[a].add(b)
-        self._related = {a: tuple(sorted(bs, key=str)) for a, bs in related.items()}
+        ranked = {a: tuple(sorted(bs, key=str)) for a, bs in related.items()}
+        shared = {bs: bs for bs in ranked.values()}  # one object per distinct tuple
+        self._related = {a: shared[bs] for a, bs in ranked.items()}
 
     @classmethod
     def identity(cls, alphabet: Iterable[Label]) -> "CompatRel":

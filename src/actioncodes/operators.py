@@ -162,13 +162,14 @@ def is_icomplete(
     word completes.  At every reachable pair, any machine transition related
     to some edge of the node must itself be an edge of the node; a witness
     names the node by its rendered word (``ε`` for the root).  One pass over
-    each reachable pair's out-list, plus the related labels of its node's letters.
+    each reachable pair's out-list, plus once per node each distinct tuple of
+    labels related to its letters: the relation shares equal tuples.
     """
     if not m.alphabet <= code.source:
         raise AlphabetMismatch("machine alphabet must lie within the code's source alphabet")
     if rel.carrier != code.source:
         raise AlphabetMismatch("relation carrier must be the code's source alphabet")
-    kids, leaf, text = code._kids, code._leaf, code._text
+    kids, leaf = code._kids, code._leaf
 
     def step(pair):
         q, i = pair
@@ -180,11 +181,25 @@ def is_icomplete(
             if j is not None:
                 yield q2, 0 if leaf[j] is not None else j
 
+    def gaps(i: int) -> list[tuple[Label, Label]]:
+        """Node i's letters, in order, each with the related labels the node
+        lacks.  A letter whose tuple an earlier letter had is skipped: it
+        could only repeat that letter's verdicts."""
+        edges, seen, found = kids[i], set(), []
+        for a in edges:
+            related = rel.related(a)
+            if id(related) not in seen:
+                seen.add(id(related))
+                found += [(a, a2) for a2 in related if a2 not in edges]
+        return found
+
+    missing: list = [None] * len(kids)  # gaps(i), built on the first visit of node i
     for q, i in walk((m.initial, 0), step):
-        edges = kids[i]
-        missing = [(a, a2) for a in edges for a2 in rel.related(a) if a2 not in edges]
-        enabled = {b for b, _ in m.out(q)} if missing else ()  # never under the identity
-        for a, a2 in missing:
-            if a2 in enabled:
-                return False, IncompletenessWitness(q, text[i] or "ε", a, a2)
+        if missing[i] is None:
+            missing[i] = gaps(i)
+        if missing[i]:  # never under the identity
+            enabled = {b for b, _ in m.out(q)}
+            for a, a2 in missing[i]:
+                if a2 in enabled:
+                    return False, IncompletenessWitness(q, code._text[i] or "ε", a, a2)
     return True, None

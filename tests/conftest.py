@@ -10,9 +10,24 @@ from typing import Iterable, NamedTuple
 
 import pytest
 
+from actioncodes.adaptor import (
+    TAU,
+    InProcessSut,
+    _emission,
+    _learner_alphabet,
+    _require_mealy_tree,
+    _strategy,
+    is_input_enabled,
+)
 from actioncodes.codes import CodeMap, CodeTree, to_tree
 from actioncodes.documents import code_from_document, loads, lts_from_document
-from actioncodes.errors import AlphabetMismatch, IsomorphismInconclusive, PrefixClash
+from actioncodes.errors import (
+    AlphabetMismatch,
+    IsomorphismInconclusive,
+    NotWinning,
+    PrefixClash,
+    SutProtocolError,
+)
 from actioncodes.lts import CompatRel, Label, Lts, Word, explore, is_deterministic
 from actioncodes.operators import CHAOS, IncompletenessWitness
 from actioncodes.simulation import ISO_BUDGET, _require_same_variant, _tau_closure, find_simulation
@@ -513,6 +528,93 @@ def scan_is_icomplete(code: CodeMap, rel: CompatRel, m: Lts):
                     seen.add(pair)
                     todo.append(pair)
     return True, None
+
+
+# -- scan-based SUT steps ------------------------------------------------------
+# ``InProcessSut.send``, ``split_io`` and ``adaptor_composition`` as they were
+# before they looked a SUT state's edges up by input: each step scans the
+# state's whole out-list.  Kept as oracles for the indexed forms, which must
+# draw the same seeded picks and build the same systems.
+
+
+class ScanSut(InProcessSut):
+    """An in-process SUT whose ``send`` scans the current state's out-list."""
+
+    def send(self, symbol: str) -> None:
+        options = [e for e in self.machine.out(self._state) if e[0].symbol == symbol]
+        if not options:
+            raise SutProtocolError(f"machine rejects input {symbol!r} in state {self._state!r}")
+        if self._script:
+            wanted = self._script.popleft()
+            matching = [e for e in options if e[0].output == wanted]
+            if not matching:
+                raise SutProtocolError(
+                    f"scripted output {wanted!r} is not enabled for input "
+                    f"{symbol!r} in state {self._state!r}"
+                )
+            label, nxt = matching[0]
+        else:
+            label, nxt = self._rng.choice(options)
+        self._state = nxt
+        self._pending = label.output
+
+
+def scan_split_io(m: Lts) -> Lts:
+    if not all(a.is_mealy for a in m.alphabet):
+        raise ValueError("split_io needs a Mealy machine")
+    xs = sorted(m.inputs)
+
+    def successors(key):
+        if isinstance(key, str):
+            for x in xs:
+                yield Label(x), (key, x)
+        else:
+            q, x = key
+            for a, dst in m.out(q):
+                if a.symbol == x:
+                    yield _emission(a.output), dst
+
+    def name(key) -> str:
+        return key if isinstance(key, str) else f"{key[0]}?{key[1]}"
+
+    return explore(m.initial, successors, name, _learner_alphabet(m.alphabet))
+
+
+def scan_adaptor_composition(tree: CodeTree, m: Lts) -> Lts:
+    _require_mealy_tree(tree)
+    if not all(a.is_mealy for a in m.alphabet):
+        raise ValueError("the SUT model must be a Mealy machine")
+    wins = _strategy(tree)
+    for _, lab in tree.leaf_labels:
+        if lab.symbol not in wins[0]:
+            raise NotWinning(lab.symbol)
+    if not is_input_enabled(m):
+        raise ValueError("the SUT model must be input enabled")
+
+    xs = sorted({a.symbol for a in tree.abstract})
+    alphabet = _learner_alphabet(tree.abstract)
+    kids, leaf, names = tree._code._kids, tree._code._leaf, tree._names
+
+    def successors(key):
+        if key[0] == "P":
+            _, q = key
+            for x in xs:
+                yield Label(x), ("Q", 0, x, q)
+        else:
+            _, node, x, q = key
+            if leaf[node] is not None:
+                yield _emission(leaf[node].output), ("P", q)
+            elif inputs := wins[node].get(x):
+                for a, q2 in m.out(q):  # one SUT transition per hidden step
+                    if a.symbol == inputs[0] and a in kids[node]:
+                        yield TAU, ("Q", kids[node][a], x, q2)
+
+    def name(key) -> str:
+        if key[0] == "P":
+            return f"P∥{key[1]}"
+        return f"Q({names[key[1]]},{key[2]})∥{key[3]}"
+
+    return explore(("P", m.initial), successors, name, alphabet)
 
 
 # -- prefix-freeness and the prefix tree -----------------------------------------

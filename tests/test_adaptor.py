@@ -43,6 +43,7 @@ from actioncodes.generate import gen_adaptor_code, gen_code, gen_mealy, mealy_al
 from actioncodes.lts import Label, Lts
 from actioncodes.operators import contract
 from conftest import (
+    ScanSut,
     brute_force_conflicts,
     atoms,
     brute_force_winning,
@@ -52,6 +53,8 @@ from conftest import (
     load_fixture,
     multi_winner_pairs,
     observable_traces,
+    scan_adaptor_composition,
+    scan_split_io,
     traces_up_to,
 )
 
@@ -776,7 +779,10 @@ class TestNoCliff:
     cutting each line off the front of a bytes buffer copied all the rest.
     Solving the game on a root with 4,000 inputs took 0.4-0.6 s when each
     won abstract input rescanned every input, and 1.5 s for the witness when
-    every pair of inputs was compared."""
+    every pair of inputs was compared.  Scanning the SUT state's out-list for
+    each step on one state with 4,000 inputs took 1.1-1.4 s for 4,000
+    exchanges, 0.9-1.6 s for the split view and 0.22 s for the composition
+    with a 500-word code."""
 
     BOUND_S = 0.1
 
@@ -812,6 +818,38 @@ class TestNoCliff:
         verdicts = is_input_enabled(full), is_input_enabled(short)
         assert time.process_time() - start < self.BOUND_S
         assert verdicts == (True, False)
+
+    @staticmethod
+    def _wide_state(inputs: int) -> Lts:
+        """One state with a self-loop on each input i00000..., output 0."""
+        alphabet = [Label(f"i{k:05d}", "0") for k in range(inputs)]
+        return Lts(["q0"], "q0", [("q0", a, "q0") for a in alphabet], alphabet)
+
+    def test_exchanges_with_a_state_of_four_thousand_inputs(self):
+        m = self._wide_state(4000)
+        start = time.process_time()
+        sut = InProcessSut(m)
+        for a, _ in m.out("q0"):
+            sut.send(a.symbol)
+            sut.receive()
+        assert time.process_time() - start < self.BOUND_S
+
+    def test_split_view_of_a_state_with_four_thousand_inputs(self):
+        m = self._wide_state(4000)
+        start = time.process_time()
+        view = split_io(m)
+        assert time.process_time() - start < 0.4  # the view has 4,001 states
+        assert len(view.states) == 4001
+
+    def test_composition_with_a_state_of_four_thousand_inputs(self):
+        m = self._wide_state(4000)
+        source = sorted(m.alphabet, key=str)
+        target = [Label(f"X{j}", "0") for j in range(500)]
+        tree = to_tree(CodeMap(source, target, [(b, [a]) for a, b in zip(source, target)]))
+        start = time.process_time()
+        composed = adaptor_composition(tree, m)
+        assert time.process_time() - start < self.BOUND_S
+        assert len(composed.states) == 1001
 
     def test_a_newline_free_stream_is_refused(self):
         chunks = iter([b"x" * 65536] * 384)  # 24 MB, then the end of the stream
@@ -974,6 +1012,77 @@ class TestComposedProcess:
         )
         with pytest.raises(NotWinning):
             adaptor_composition(to_tree(losing), _tiny_enabled())
+
+
+class TestAgainstScanOracles:
+    """``InProcessSut``, ``split_io`` and ``adaptor_composition`` look a SUT
+    state's edges up by input; the out-list scans they replaced
+    (``tests/conftest.py``) must draw the same seeded picks, raise the same
+    errors and build the same systems."""
+
+    @staticmethod
+    def _exchanges(sut, symbols) -> list[str]:
+        """Each exchange's output, or the message of the error it raised."""
+        got = []
+        for symbol in symbols:
+            try:
+                sut.send(symbol)
+                got.append(sut.receive())
+            except SutProtocolError as exc:
+                got.append(str(exc))
+        return got
+
+    def test_seeded_exchanges_equal_the_scan(self):
+        errors = set()
+        for seed in range(60):
+            m = gen_mealy(seed, states=4, inputs=3, outputs=3, input_enabled=True)
+            assert not is_output_deterministic(m)
+            rng = random.Random(seed)
+            symbols = [rng.choice("abcd") for _ in range(40)]  # d is no input of m
+            # Odd seeds script the outputs: 3 is no output of m.
+            script = [rng.choice("0123") for _ in range(20)] if seed % 2 else None
+            got = self._exchanges(InProcessSut(m, seed, script), symbols)
+            assert got == self._exchanges(ScanSut(m, seed, script), symbols)
+            errors.update(text.split()[0] for text in got if " " in text)
+        assert errors == {"machine", "scripted"}
+
+    def test_seeded_sessions_equal_the_scan(self):
+        for seed in range(40):
+            tree = to_tree(gen_adaptor_code(seed, inputs=3, outputs=2, abstract_inputs=2,
+                                            max_depth=3))
+            m = gen_mealy(seed + 7, states=5, inputs=3, outputs=2, input_enabled=True)
+            rng = random.Random(seed)
+            xs = sorted({lab.symbol for _, lab in tree.leaf_labels})
+            stream = [rng.choice(xs) for _ in range(30)]
+            script = [rng.choice("01") for _ in range(60)] if seed % 2 else None
+            runs = []
+            for sut in (InProcessSut(m, seed, script), ScanSut(m, seed, script)):
+                session = AdaptorSession(tree, sut)
+                for x in stream:
+                    try:
+                        session.apply(x)
+                    except SutProtocolError as exc:  # a scripted output m lacks there
+                        session.transcript.append(("ERR", str(exc)))
+                runs.append(session.transcript)
+            assert runs[0] == runs[1]
+
+    def test_split_views_and_compositions_equal_the_scans(self):
+        dead_compositions = dead_views = 0
+        for seed in range(300):
+            tree = to_tree(gen_adaptor_code(seed, inputs=3, outputs=2, abstract_inputs=2,
+                                            max_depth=3))
+            # Every other machine lacks the code's input c.
+            m = gen_mealy(seed + 11, states=4, inputs=2 + seed % 2, outputs=2,
+                          input_enabled=True)
+            composed = adaptor_composition(tree, m)
+            assert composed == scan_adaptor_composition(tree, m)
+            dead_compositions += any(not composed.out(q) for q in composed.states)
+            partial = gen_mealy(seed + 13, states=4, inputs=3, outputs=2)  # states may lack inputs
+            for machine in (m, partial, contract(tree._code, m)):
+                view = split_io(machine)
+                assert view == scan_split_io(machine)
+                dead_views += any(not view.out(q) for q in view.states)
+        assert dead_compositions >= 50 and dead_views >= 100
 
 
 def _tiny_enabled() -> Lts:

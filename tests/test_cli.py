@@ -796,6 +796,18 @@ def test_an_integer_past_the_digit_limit_exits_2(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_a_repeated_key_exits_2(capsys, tmp_path):
+    # The parser kept the last of two schema fields, and the call exited 0.
+    path = tmp_path / "twice.json"
+    text = (FIXTURES / "square.mealy.json").read_text(encoding="utf-8")
+    path.write_text(text.replace("{", '{\n  "schema": "actioncodes/code-v1",', 1),
+                    encoding="utf-8")
+    status, out, err = run(capsys, "contract", "--code", str(FIXTURES / "double-press.code.json"),
+                           str(path))
+    assert (status, out) == (2, "")
+    assert err == "ERROR DocumentError the key 'schema' is repeated in a JSON object\n"
+
+
 def test_non_utf8_document_exits_2(capsys, tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"kind": "lts", "states": ["\xe9"]}')

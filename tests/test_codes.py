@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from actioncodes.errors import (
 from actioncodes.documents import dumps, loads, tree_from_document, tree_to_document
 from actioncodes.generate import gen_adaptor_code, gen_code, mealy_alphabet
 from actioncodes.lts import Label, Lts, is_deterministic, render_word
+from actioncodes.operators import contract
 from actioncodes.simulation import find_isomorphism_reachable
 
 from conftest import (
@@ -164,6 +166,24 @@ class TestPrefixTree:
             crossing += any(list(k) != sorted(k) for k in code._kids)
         assert crossing >= 10
         assert len(shapes) >= 40, shapes  # (entries, nodes)
+
+
+    def test_a_long_word_keeps_memory_linear_until_named(self):
+        # Each node's rendered word is built on first use.  Kept from the
+        # start, the 4,000 prefixes of one word of 4,000 letters a/0 retained
+        # 34 MB; the tables and the contraction retain about 2 MB.
+        a, x = Label("a", "0"), Label("X", "0")
+        word = (a,) * 4000
+        m = Lts(["q0"], "q0", [("q0", a, "q0")], [a])
+        tracemalloc.start()
+        try:
+            code = CodeMap([a], [x], [(x, word)])
+            abstract = contract(code, m)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 4_000_000
+        assert abstract.out("q0") == ((x, "q0"),)
 
 
 class TestTreeForm:

@@ -309,6 +309,14 @@ class TestRejection:
         with pytest.raises(DocumentError, match="^not valid JSON: Exceeds the limit"):
             loads('{"states": ' + "1" * 5000 + "}")
 
+    def test_a_repeated_key_is_refused_by_name(self):
+        # The parser alone would keep the last value of a repeated key.
+        with pytest.raises(DocumentError, match="^the key 'schema' is repeated in a JSON object$"):
+            loads('{"schema": "actioncodes/lts-v1", "kind": "lts", "schema": "x"}')
+        with pytest.raises(DocumentError, match="^the key 'a' is repeated in a JSON object$"):
+            loads('{"outer": [{"a": 1, "b": 2, "a": 1}]}')
+        assert loads('{"a": {"a": 1}, "b": [{"a": 2}]}') == {"a": {"a": 1}, "b": [{"a": 2}]}
+
     def test_prefix_clash_is_reported_verbatim(self):
         # Validation errors surface unchanged, not wrapped as document errors.
         doc = {

@@ -24,7 +24,7 @@ from actioncodes.lts import (
     is_deterministic,
 )
 
-from conftest import FIXTURES, add_noise, has_trace, load_fixture, traces_up_to
+from conftest import FIXTURES, add_noise, atoms, has_trace, load_fixture, traces_up_to
 
 
 def word(text: str) -> tuple[Label, ...]:
@@ -238,6 +238,12 @@ class TestDeterminism:
         assert Label("a") not in rel.related(Label("b"))
         assert rel.related(Label("a")) == (Label("a"), Label("b"))
         assert rel.related(Label("b")) == (Label("b"),)
+
+    def test_equal_related_sets_share_one_tuple(self):
+        rel = CompatRel.same_input(atoms("a/0", "a/1", "b/0"))
+        a0, a1, b0 = (rel.related(x) for x in atoms("a/0", "a/1", "b/0"))
+        assert a0 is a1 and a0 == tuple(atoms("a/0", "a/1"))
+        assert b0 == (Label("b", "0"),)
 
     def test_explicit_pair_must_lie_in_the_carrier(self):
         with pytest.raises(ValueError, match=r"^pair \(a, b\) leaves the carrier alphabet$"):
