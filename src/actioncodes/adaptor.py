@@ -17,7 +17,7 @@ import time
 from collections import deque
 from typing import Iterable, NamedTuple, Sequence
 
-from .codes import CodeTree, to_map
+from .codes import CodeMap, CodeTree, _nodes
 from .errors import (
     CodeIncomplete,
     NotDeterminate,
@@ -46,10 +46,10 @@ __all__ = [
 TAU = Label("τ")
 
 
-def _require_mealy_tree(tree: CodeTree) -> None:
-    if not all(a.is_mealy for a in tree._code.source):
+def _require_mealy_code(code: CodeMap) -> None:
+    if not all(a.is_mealy for a in code.source):
         raise ValueError("adaptor codes need Mealy labels on the tree")
-    if not all(lab.is_mealy for _, lab in tree.leaf_labels):
+    if not all(lab.is_mealy for lab, _ in code.entries):
         raise ValueError("adaptor codes need Mealy leaf labels")
 
 
@@ -57,7 +57,7 @@ class WinningTable:
     """For each tree node and abstract input: the concrete inputs that force
     the play into a leaf carrying that abstract input.
 
-    Built once from the game's per-number tables, keyed by carrier name, for
+    Built once from the game's per-number tables, keyed by node name, for
     callers that name nodes; a labeled leaf wins its own abstract input with
     no input, ``()``.
     """
@@ -82,7 +82,7 @@ class DeterminacyWitness(NamedTuple):
 Wins = list[dict[str, tuple[str, ...]]]  # per node number: abstract input -> inputs
 
 
-def _solve(tree: CodeTree) -> tuple[Wins, DeterminacyWitness | None]:
+def _solve(code: CodeMap | CodeTree) -> tuple[Wins, DeterminacyWitness | None]:
     """Evaluate the adaptor game and check determinacy in one bottom-up pass.
 
     Entry ``n`` of the list maps each abstract input that node ``n`` wins to
@@ -94,8 +94,8 @@ def _solve(tree: CodeTree) -> tuple[Wins, DeterminacyWitness | None]:
     the least input that reaches the abstract input, so one pass over the
     sorted inputs finds it; the witness is that of the least node name.
     """
-    _require_mealy_tree(tree)
-    code, names = tree._code, tree._names
+    code, name = _nodes(code)
+    _require_mealy_code(code)
     # below[n]: the labels whose words pass through node n, none at a leaf
     kids, leaf, below = code._kids, code._leaf, code._below
     wins: Wins = [{}] * len(kids)
@@ -118,31 +118,32 @@ def _solve(tree: CodeTree) -> tuple[Wins, DeterminacyWitness | None]:
             for x in set(wins[dsts[0]]).intersection(*(wins[d] for d in dsts[1:])):
                 won.setdefault(x, []).append(i)
         wins[node] = {x: tuple(inputs) for x, inputs in won.items()}
-        if conflicts and (witness is None or names[node] < witness.node):
+        if conflicts and (witness is None or name(node) < witness.node):
             i1, i2, x = min(conflicts)
-            witness = DeterminacyWitness(names[node], x, i1, i2)
+            witness = DeterminacyWitness(name(node), x, i1, i2)
     return wins, witness
 
 
-def solve_winning(tree: CodeTree) -> WinningTable:
-    """The winning table of the adaptor game over the code tree."""
-    return WinningTable(dict(zip(tree._names, _solve(tree)[0])))
+def solve_winning(code: CodeMap | CodeTree) -> WinningTable:
+    """The winning table of the adaptor game over the code, keyed by node name."""
+    name = _nodes(code)[1]
+    return WinningTable({name(i): wins for i, wins in enumerate(_solve(code)[0])})
 
 
-def is_determinate(tree: CodeTree) -> tuple[bool, DeterminacyWitness | None]:
+def is_determinate(code: CodeMap | CodeTree) -> tuple[bool, DeterminacyWitness | None]:
     """Whether each node offers at most one concrete input per abstract input.
 
     Fails when two edges with different concrete inputs both lead to
     subtrees containing a leaf with the same abstract input; the witness
     names the node, the shared abstract input, and the two concrete inputs.
     """
-    witness = _solve(tree)[1]
+    witness = _solve(code)[1]
     return witness is None, witness
 
 
-def _strategy(tree: CodeTree) -> Wins:
+def _strategy(code: CodeMap | CodeTree) -> Wins:
     """The per-number win tables of a determinate code: one input per win."""
-    wins, witness = _solve(tree)
+    wins, witness = _solve(code)
     if witness is not None:
         raise NotDeterminate(witness)
     return wins
@@ -351,25 +352,27 @@ class ExternalSut:
 class AdaptorSession:
     """One adaptor in front of one SUT endpoint.
 
-    Each abstract input restarts the code tree at its root and walks down
-    its numbered nodes: send the unique winning concrete input, read the
-    SUT's output, follow the edge of their ``Label``, which judges the reply
-    and is the exchange's one record.  The transcript holds ``(kind, value)``
-    events: ``("IN", x)``, ``("SUT", label)`` per exchange and ``("OUT", y)``,
-    where y, the output of the leaf reached, is returned to the caller.
-    ``wins[n]`` maps each abstract input node n wins to its one input.
-    Not safe for concurrent use from several threads.
+    The code is a map or a tree.  Each abstract input restarts at the root
+    of its prefix tree and walks down the numbered nodes: send the unique
+    winning concrete input, read the SUT's output, follow the edge of their
+    ``Label``, which judges the reply and is the exchange's one record.  The
+    transcript holds ``(kind, value)`` events: ``("IN", x)``, ``("SUT",
+    label)`` per exchange and ``("OUT", y)``, where y, the output of the
+    leaf reached, is returned to the caller.  ``wins[n]`` maps each abstract
+    input node n wins to its one input.  ``CodeIncomplete`` names a tree's
+    node by its carrier state, a map's by its rendered word.  Not thread-safe.
     """
 
-    def __init__(self, tree: CodeTree, sut):
-        self.wins = _strategy(tree)
-        self.tree = tree
+    def __init__(self, code: CodeMap | CodeTree, sut):
+        self.wins = _strategy(code)
+        self.code = code
+        mapped, self._name = _nodes(code)
+        self._kids, self._leaf = mapped._kids, mapped._leaf
         self.sut = sut
         self.transcript: list[tuple] = []
 
     def apply(self, abstract_input: str) -> str:
-        wins, tree = self.wins, self.tree
-        kids, leaf, names = tree._code._kids, tree._code._leaf, tree._names
+        wins, kids, leaf = self.wins, self._kids, self._leaf
         if abstract_input not in wins[0]:
             raise NotWinning(abstract_input)
         self.transcript.append(("IN", abstract_input))
@@ -381,7 +384,7 @@ class AdaptorSession:
             self.transcript.append(("SUT", label))
             child = kids[node].get(label)
             if child is None:
-                raise CodeIncomplete(names[node], concrete, label.output)
+                raise CodeIncomplete(self._name(node), concrete, label.output)
             node = child
         leaf_label = leaf[node]
         assert leaf_label.symbol == abstract_input
@@ -434,30 +437,32 @@ def split_io(m: Lts) -> Lts:
     return explore(m.initial, successors, name, _learner_alphabet(m.alphabet))
 
 
-def adaptor_composition(tree: CodeTree, m: Lts) -> Lts:
+def adaptor_composition(code: CodeMap | CodeTree, m: Lts) -> Lts:
     """The composed process of an adaptor for the code and a SUT model.
 
-    States pair an adaptor phase with a SUT state: idle at the tree root,
-    or descending towards a leaf for a pending abstract input; keys hold
-    node numbers, names the carrier's.  Each hidden step ``τ`` is one SUT
-    transition: the node's winning concrete input with an output whose edge
-    the node has; it costs the SUT state's edges on that input, read from an
-    index built in one pass.  Abstract inputs and namespaced output
-    emissions stay visible.
+    States pair an adaptor phase with a SUT state: idle at the root of the
+    code's prefix tree, or descending towards a leaf for a pending abstract
+    input.  Keys hold node numbers; names name a node by its carrier state
+    on a tree, by its rendered word (``ε`` at the root) on a map.  Each
+    hidden step ``τ`` is one SUT transition: the node's winning concrete
+    input with an output whose edge the node has; it costs the SUT state's
+    edges on that input, read from an index built in one pass.  Abstract
+    inputs and namespaced output emissions stay visible.
     """
-    _require_mealy_tree(tree)
+    mapped, node_name = _nodes(code)
+    _require_mealy_code(mapped)
     if not all(a.is_mealy for a in m.alphabet):
         raise ValueError("the SUT model must be a Mealy machine")
-    wins = _strategy(tree)
-    for _, lab in tree.leaf_labels:
-        if lab.symbol not in wins[0]:
-            raise NotWinning(lab.symbol)
+    wins = _strategy(mapped)
+    kids, leaf = mapped._kids, mapped._leaf
+    lost = [n for n, b in enumerate(leaf) if b is not None and b.symbol not in wins[0]]
+    if lost:  # the least-named leaf
+        raise NotWinning(leaf[min(lost, key=node_name)].symbol)
     if not is_input_enabled(m):
         raise ValueError("the SUT model must be input enabled")
 
-    abstract = [(Label(x), x) for x in sorted({a.symbol for a in tree.abstract})]
-    alphabet = _learner_alphabet(tree.abstract)
-    kids, leaf, names = tree._code._kids, tree._code._leaf, tree._names
+    abstract = [(Label(x), x) for x in sorted({a.symbol for a in mapped.target})]
+    alphabet = _learner_alphabet(mapped.target)
     by_input = _by_input(m)
 
     def successors(key):
@@ -478,18 +483,18 @@ def adaptor_composition(tree: CodeTree, m: Lts) -> Lts:
     def name(key) -> str:
         if key[0] == "P":
             return f"P∥{key[1]}"
-        return f"Q({names[key[1]]},{key[2]})∥{key[3]}"
+        return f"Q({node_name(key[1])},{key[2]})∥{key[3]}"
 
     return explore(("P", m.initial), successors, name, alphabet)
 
 
-def check_adaptor_theorem(tree: CodeTree, m: Lts) -> bool:
+def check_adaptor_theorem(code: CodeMap | CodeTree, m: Lts) -> bool:
     """Whether the composed adaptor/SUT process and the contraction of the
     SUT model delay-simulate each other (hidden moves absorbed)."""
     from .simulation import _delay_simulates
 
-    composed = adaptor_composition(tree, m)
-    learner_view = split_io(contract(to_map(tree), m))
+    composed = adaptor_composition(code, m)
+    learner_view = split_io(contract(_nodes(code)[0], m))
     return _delay_simulates(composed, learner_view, TAU) and _delay_simulates(
         learner_view, composed, TAU
     )

@@ -154,30 +154,22 @@ def _icomplete(args, code, machine):
 
 
 def _winning(args, code):
-    from .adaptor import solve_winning
+    from .adaptor import _solve
 
-    tree = to_tree(code)
-    table = solve_winning(tree)
+    wins = _solve(code)[0][0]  # the root's: abstract input -> winning inputs
     if args.abstract_input is None:
-        wanted = sorted({lab.symbol for _, lab in tree.leaf_labels})
+        wanted = sorted({b.symbol for b, _ in code.entries})
     else:  # "" or "a b" is no symbol: Label refuses it
         wanted = [Label(args.abstract_input).symbol]
-    lines = []
-    ok = True
-    for x in wanted:
-        if table.is_winning(tree.root, x):
-            inputs = ",".join(table.winning_inputs(tree.root, x))
-            lines.append(f"winning {x} {inputs}")
-        else:
-            ok = False
-            lines.append(f"not-winning {x}")
-    return ok, lines
+    lines = [f"winning {x} {','.join(wins[x])}" if x in wins else f"not-winning {x}"
+             for x in wanted]
+    return all(x in wins for x in wanted), lines
 
 
 def _determinate(args, code):
     from .adaptor import is_determinate
 
-    ok, witness = is_determinate(to_tree(code))
+    ok, witness = is_determinate(code)
     lines = [] if witness is None else [
         f"witness node={witness.node} input={witness.abstract_input} "
         f"first={witness.first_input} second={witness.second_input}"
@@ -270,7 +262,7 @@ def _gamma_noncompose(args, inner, outer, machine):
 def _adaptor_theorem(args, code, machine):
     from .adaptor import check_adaptor_theorem
 
-    return check_adaptor_theorem(to_tree(code), machine), []
+    return check_adaptor_theorem(code, machine), []
 
 
 # -- the adaptor verb --------------------------------------------------------
@@ -286,12 +278,12 @@ def _cmd_adaptor(args) -> int:
 
     from .adaptor import AdaptorSession, ExternalSut, InProcessSut
 
-    tree = to_tree(_load("code", args.code))
+    code = _load("code", args.code)
     requested = _symbols(args.inputs)
 
     # The session solves the game once; its SUT is attached only after every
     # requested input is known to be winning.
-    session = AdaptorSession(tree, None)
+    session = AdaptorSession(code, None)
     for x in sorted(set(requested)):
         if x not in session.wins[0]:  # the root is node 0
             raise NotWinning(x)

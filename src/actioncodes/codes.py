@@ -113,9 +113,10 @@ class CodeTree(_Value):
 
     The carrier is a deterministic, tree-shaped, grounded LTS over the
     concrete alphabet; every non-root leaf carries a distinct abstract label
-    and the root carries none.  One breadth-first walk checks it and builds
-    the map form from the leaves' access words, or ``to_tree`` names a given
-    map; ``_names[i]`` is the carrier state of the map's node ``i``.
+    and the root carries none.  One breadth-first walk checks it and links
+    each state to its parent; the leaves' words, read up those links, build
+    the map form.  Or ``to_tree`` names a given map.  ``_names[i]`` is the
+    carrier state of the map's node ``i``, the name the adaptor gives it.
     """
 
     __slots__ = ("tree", "leaf_labels", "abstract", "_code", "_names")
@@ -130,15 +131,15 @@ class CodeTree(_Value):
         abstract = frozenset(abstract)
         if not is_deterministic(tree):
             raise InvalidTree("carrier is not deterministic")
-        words: dict[str, Word] = {tree.initial: ()}
+        up: dict = {tree.initial: None}  # state -> (parent, letter)
         order = [tree.initial]
         for q in order:  # the list grows while it is read: breadth first
             for a, dst in tree.out(q):
-                if dst in words:  # a second way in, or an edge into the root
+                if dst in up:  # a second way in, or an edge into the root
                     raise InvalidTree("carrier is not tree-shaped")
-                words[dst] = words[q] + (a,)
+                up[dst] = q, a
                 order.append(dst)
-        if len(words) != len(tree.states):
+        if len(up) != len(tree.states):
             raise InvalidTree("carrier has unreachable states")
         labeled = {q for q, _ in leaf_labels}
         expected = {q for q in order[1:] if not tree.out(q)}
@@ -152,7 +153,12 @@ class CodeTree(_Value):
         for _, lab in leaf_labels:
             if lab not in abstract:
                 raise InvalidTree(f"leaf label {lab} is not in the abstract alphabet")
-        code = CodeMap(tree.alphabet, abstract, [(lab, words[q]) for q, lab in leaf_labels])
+        def letters_up(q):  # from leaf q to the root: its word, reversed
+            while up[q]:
+                q, a = up[q]
+                yield a
+        words = [(lab, [*letters_up(q)][::-1]) for q, lab in leaf_labels]
+        code = CodeMap(tree.alphabet, abstract, words)
         number = {tree.initial: 0}
         for q in order:  # parents first, so each state's number is known
             for a, dst in tree.out(q):
@@ -177,14 +183,22 @@ class CodeTree(_Value):
         return f"CodeTree(nodes={len(self.tree.states)}, leaves={len(self.leaf_labels)})"
 
 
+def _nodes(code: CodeMap | CodeTree):
+    """The map form of a code in either form, and the name of its node ``i``:
+    the carrier state on a tree, else the rendered word (``ε`` at the root)."""
+    if isinstance(code, CodeTree):
+        return code._code, code._names.__getitem__
+    return code, lambda i: code._text[i] or "ε"
+
+
 def to_tree(code: CodeMap) -> CodeTree:
     """The unique grounded tree form of a map-based code, sharing that map.
 
     Its carrier is the code's prefix tree, each node named by its rendered
-    word (the root by ``ε``); the node of a complete code word is a leaf
-    labeled with that word's abstract label.
+    word (the root by ``ε``), as ``_nodes`` names it; the node of a complete
+    code word is a leaf labeled with that word's abstract label.
     """
-    kids, names = code._kids, [text or "ε" for text in code._text]
+    kids, names = code._kids, [*map(_nodes(code)[1], range(len(code._kids)))]
     carrier = explore(0, lambda i: kids[i].items(), names.__getitem__, code.source)
     return CodeTree.__new__(CodeTree)._name(code, names, carrier)
 

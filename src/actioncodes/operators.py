@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .codes import CodeMap
+from .codes import CodeMap, _nodes
 from .errors import AlphabetMismatch
 from .lts import CompatRel, Label, Lts, explore, walk
 
@@ -201,5 +201,5 @@ def is_icomplete(
             enabled = {b for b, _ in m.out(q)}
             for a, a2 in missing[i]:
                 if a2 in enabled:
-                    return False, IncompletenessWitness(q, code._text[i] or "ε", a, a2)
+                    return False, IncompletenessWitness(q, _nodes(code)[1](i), a, a2)
     return True, None

@@ -15,7 +15,7 @@ from actioncodes.adaptor import (
     InProcessSut,
     _emission,
     _learner_alphabet,
-    _require_mealy_tree,
+    _require_mealy_code,
     _strategy,
     is_input_enabled,
 )
@@ -581,7 +581,7 @@ def scan_split_io(m: Lts) -> Lts:
 
 
 def scan_adaptor_composition(tree: CodeTree, m: Lts) -> Lts:
-    _require_mealy_tree(tree)
+    _require_mealy_code(tree._code)
     if not all(a.is_mealy for a in m.alphabet):
         raise ValueError("the SUT model must be a Mealy machine")
     wins = _strategy(tree)

@@ -34,3 +34,20 @@ test ! -s "$tmp/stderr.txt"
 printf 'A\nB\nA\n' > "$tmp/inputs.txt"
 "$@" adaptor --code fixtures/double-press.code.json --sut-file fixtures/square.mealy.json --inputs "$tmp/inputs.txt" > "$tmp/inproc.txt"
 "$@" adaptor --code fixtures/double-press.code.json --sut-exec "python3 bench/sut_table.py fixtures/square.mealy.json stdio" --inputs "$tmp/inputs.txt" | cmp - "$tmp/inproc.txt"
+# A code of one word of 2,000 letters a/0, written as the canonical
+# document: its tree form gives it back byte for byte, and the adaptor verbs
+# read the map itself.
+python3 -c '
+import json, sys
+code = {"schema": "actioncodes/code-v1", "source_alphabet": ["a/0"],
+        "target_alphabet": ["X/0"], "entries": [["X/0", ["a/0"] * 2000]]}
+loop = {"schema": "actioncodes/lts-v1", "kind": "mealy", "alphabet": ["a/0"],
+        "states": ["q0"], "initial": "q0", "transitions": [["q0", "a/0", "q0"]]}
+for path, doc in zip(sys.argv[1:], (code, loop)):
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(json.dumps(doc, indent=2, ensure_ascii=False) + "\n")
+' "$tmp/deep.code.json" "$tmp/loop.mealy.json"
+"$@" to-tree "$tmp/deep.code.json" --out "$tmp/deep.tree.json"
+"$@" to-map "$tmp/deep.tree.json" | cmp - "$tmp/deep.code.json"
+test "$("$@" check determinate --code "$tmp/deep.code.json")" = PASS
+test "$(echo X | "$@" adaptor --code "$tmp/deep.code.json" --sut-file "$tmp/loop.mealy.json" | tail -n 1)" = "OUT 0"

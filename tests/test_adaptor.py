@@ -12,6 +12,7 @@ import sys
 import textwrap
 import threading
 import time
+import tracemalloc
 import warnings
 
 import pytest
@@ -544,6 +545,84 @@ class TestRenamedCarriers:
             assert adaptor_composition(renamed, m) == expected
 
 
+def _map_instances():
+    """Seeded adaptor codes, each also with one word dropped so that the SUT
+    can leave the code, and random Mealy codes, most not determinate or not
+    winning; each with a seeded input-enabled Mealy machine."""
+    target = [Label(x, y) for x in "AB" for y in "012"]
+    for seed in range(40):
+        code = gen_adaptor_code(seed, inputs=3, outputs=2, abstract_inputs=2)
+        m = gen_mealy(seed + 7, states=4, inputs=3, outputs=2, input_enabled=True)
+        yield code, m
+        yield CodeMap(code.source, code.target, code.entries[1:]), m
+        yield (gen_code(seed, mealy_alphabet(2, 2), target, entries=2 + seed % 4, maxlen=3),
+               gen_mealy(seed, states=3, inputs=2, outputs=2, input_enabled=True))
+
+
+def _outcome(call, *args):
+    """What a call returns, or the type and arguments of what it raises."""
+    try:
+        return call(*args)
+    except (CodeIncomplete, NotDeterminate, NotWinning) as exc:
+        return type(exc), exc.args
+
+
+def _session_run(code, m, stream, seed):
+    """The transcript of a stream through a session with a seeded SUT, and
+    how the stream ended; or None and the session's construction error."""
+    session = _outcome(AdaptorSession, code, InProcessSut(m, seed=seed))
+    if not isinstance(session, AdaptorSession):
+        return None, session
+    ending = _outcome(lambda: [session.apply(x) for x in stream])
+    return session.transcript, ending
+
+
+class TestMapAgainstTree:
+    """Each adaptor entry point takes the map form or the tree form of a
+    code, and gives the same answer on both: the map names its nodes by
+    their rendered words, as ``to_tree`` does."""
+
+    def test_winning_tables(self):
+        for code, _ in _map_instances():
+            assert solve_winning(code)._wins == solve_winning(to_tree(code))._wins
+
+    def test_determinacy_verdicts_and_witnesses(self):
+        undetermined = 0
+        for code, _ in _map_instances():
+            verdict = is_determinate(code)
+            assert verdict == is_determinate(to_tree(code))
+            undetermined += not verdict[0]
+        assert undetermined >= 20
+
+    def test_session_transcripts_and_incompleteness(self):
+        endings, deep = set(), 0
+        for seed, (code, m) in enumerate(_map_instances()):
+            xs = sorted({b.symbol for b, _ in code.entries})
+            stream = random.Random(seed).choices(xs, k=8)
+            transcript, ending = _session_run(code, m, stream, seed)
+            assert (transcript, ending) == _session_run(to_tree(code), m, stream, seed)
+            endings.add(ending[0] if isinstance(ending, tuple) else list)
+            deep += ending[0] is CodeIncomplete and ending[1][0] != "ε"
+        assert endings >= {list, CodeIncomplete, NotDeterminate}
+        assert deep >= 5  # CodeIncomplete names a node below the root by its word
+
+    def test_compositions(self):
+        errors = set()
+        for code, m in _map_instances():
+            composed = _outcome(adaptor_composition, code, m)
+            assert composed == _outcome(adaptor_composition, to_tree(code), m)
+            errors.add(composed[0] if isinstance(composed, tuple) else Lts)
+        assert errors == {Lts, NotDeterminate, NotWinning}
+
+    def test_theorem_verdicts(self):
+        verdicts = []
+        for code, m in _map_instances():
+            verdict = _outcome(check_adaptor_theorem, code, m)
+            assert verdict == _outcome(check_adaptor_theorem, to_tree(code), m)
+            verdicts.append(verdict)
+        assert verdicts.count(True) >= 40
+
+
 def _find_script(tree, table, machine, pairs):
     """Depth-first search over SUT output choices realizing an abstract trace."""
 
@@ -809,6 +888,20 @@ class TestNoCliff:
         verdict = is_determinate(tree)
         assert time.process_time() - start < self.BOUND_S
         assert verdict == (False, DeterminacyWitness("ε", "X3998", "i03998", "i03999"))
+
+    @pytest.mark.parametrize("solve", [is_determinate, lambda code: AdaptorSession(code, None)],
+                             ids=["is_determinate", "session"])
+    def test_a_map_with_one_word_of_four_thousand_letters(self, solve):
+        # Named by ``to_tree`` first, the nodes' rendered words peaked at 34 MB.
+        a, x = Label("a", "0"), Label("X", "0")
+        code = CodeMap([a], [x], [(x, [a] * 4000)])
+        tracemalloc.start()
+        try:
+            solve(code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
     def test_input_enabled_with_four_thousand_inputs(self):
         alphabet = [Label(f"i{k}", "0") for k in range(4000)]

@@ -8,6 +8,7 @@ import socket
 import subprocess
 import sys
 import threading
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -15,8 +16,16 @@ import pytest
 
 from actioncodes import adaptor
 from actioncodes.cli import _CHECKS, _VERBS, _build_parser, main
-from actioncodes.documents import dumps, loads, lts_from_document, lts_to_document
+from actioncodes.codes import CodeMap
+from actioncodes.documents import (
+    code_to_document,
+    dumps,
+    loads,
+    lts_from_document,
+    lts_to_document,
+)
 from actioncodes.generate import gen_lts
+from actioncodes.lts import Label, Lts
 from actioncodes.simulation import find_isomorphism_reachable, is_simulation
 
 from conftest import FIXTURES, load_fixture
@@ -705,6 +714,35 @@ class TestAdaptorVerb:
             server.close()
         assert status == 0
         assert out.count("OUT 0") == 2
+
+
+class TestDeepCode:
+    """A code of one word of 4,000 letters a/0.  Naming each node by its
+    rendered word before the game, as the tree form does, peaked at 36 MB
+    under tracemalloc; the verbs read the map, whose words are not named."""
+
+    @pytest.mark.parametrize("argv,last", [
+        (["check", "determinate"], "PASS"),
+        (["check", "winning"], "winning X a"),
+        (["adaptor", "--sut-file", "{sut}", "--inputs", "{inputs}"], "OUT 0"),
+    ], ids=["determinate", "winning", "adaptor"])
+    def test_a_word_of_four_thousand_letters(self, capsys, tmp_path, argv, last):
+        a, x = Label("a", "0"), Label("X", "0")
+        code = CodeMap([a], [x], [(x, [a] * 4000)])
+        files = {"code": code_to_document(code),
+                 "sut": lts_to_document(Lts(["q0"], "q0", [("q0", a, "q0")], [a]))}
+        for name, doc in files.items():
+            (tmp_path / name).write_text(dumps(doc), encoding="utf-8")
+        (tmp_path / "inputs").write_text("X\n", encoding="utf-8")
+        argv = [arg.format(sut=tmp_path / "sut", inputs=tmp_path / "inputs") for arg in argv]
+        tracemalloc.start()
+        try:
+            status = main(argv + ["--code", str(tmp_path / "code")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (status, capsys.readouterr().out.splitlines()[-1]) == (0, last)
+        assert peak < 8_000_000
 
 
 def _closed_port() -> int:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -410,3 +411,36 @@ class TestCompose:
         s = CodeMap(atoms("Z"), atoms("C"), [entry("C", "Z")])
         with pytest.raises(AlphabetMismatch):
             compose(r, s)
+
+
+def _chain_tree(depth: int):
+    """The arguments of a ``CodeTree`` whose carrier is one chain of
+    ``depth`` a/0-edges, its end labeled X/0."""
+    a, x = Label("a", "0"), Label("X", "0")
+    states = [f"s{k}" for k in range(depth + 1)]
+    carrier = Lts(states, "s0", [(f"s{k}", a, f"s{k + 1}") for k in range(depth)], [a])
+    return carrier, [(states[-1], x)], [x]
+
+
+class TestNoCliff:
+    """Deep carriers.  Each state's access word, copied from its parent's,
+    took CPU time and memory quadratic in the depth: 0.6-0.9 s at 8,000 and
+    a tracemalloc peak of 66 MB at 4,000.  Read up parent links from the one
+    leaf, they take 0.02 s and 2.5 MB."""
+
+    def test_a_chain_eight_thousand_deep(self):
+        parts = _chain_tree(8000)
+        start = time.process_time()
+        tree = CodeTree(*parts)
+        assert time.process_time() - start < 0.2
+        assert to_map(tree).word_for(Label("X", "0")) == (Label("a", "0"),) * 8000
+
+    def test_a_chain_four_thousand_deep_keeps_memory_linear(self):
+        parts = _chain_tree(4000)
+        tracemalloc.start()
+        try:
+            CodeTree(*parts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
