@@ -354,7 +354,7 @@ class TestCheckVerbs:
         }
         concrete_file = tmp_path / "loop.json"
         concrete_file.write_text(dumps(concrete), encoding="utf-8")
-        status, _, _ = run(
+        result = run(
             capsys,
             "check",
             "compose-alpha",
@@ -362,9 +362,9 @@ class TestCheckVerbs:
             fixture("chaos-outer.code.json"),
             str(concrete_file),
         )
-        assert status == 0
+        assert result == (0, "PASS\nmap q0 q0\n", "")
 
-        status, out, _ = run(
+        result = run(
             capsys,
             "check",
             "gamma-noncompose",
@@ -372,10 +372,9 @@ class TestCheckVerbs:
             fixture("chaos-outer.code.json"),
             fixture("chaos-machine.lts.json"),
         )
-        assert status == 0
-        assert "isomorphic False" in out
-        assert "simulated-forward True" in out
-        assert "simulated-backward True" in out
+        assert result == (
+            0, "PASS\nisomorphic False\nsimulated-forward True\nsimulated-backward True\n", ""
+        )
 
     def test_compose_rho_check(self, capsys, tmp_path):
         inner = {
@@ -403,18 +402,23 @@ class TestCheckVerbs:
             p = tmp_path / f"{name}.json"
             p.write_text(dumps(doc), encoding="utf-8")
             paths.append(str(p))
-        status, out, _ = run(capsys, "check", "compose-rho", *paths)
-        assert status == 0, out
+        assert run(capsys, "check", "compose-rho", *paths) == (0, (
+            "PASS\n"
+            "map n0⟨1.4.1.1.4⟩ n0⟨a⟩⟨1.4⟩\n"
+            "map n0⟨1.4.1.1⟩ n0⟨a⟩⟨1⟩\n"
+            "map n0⟨1.4.1⟩ n0⟨a⟩⟨⟩\n"
+            "map n0⟨1.4⟩ n0⟨⟩⟨1.4⟩\n"
+            "map n0⟨1⟩ n0⟨⟩⟨1⟩\n"
+            "map n0⟨⟩ n0⟨⟩⟨⟩\n"
+        ), "")
 
         # Letters outside the inner domain invalidate the stacking law.
         sparse_inner = dict(inner, entries=[["a", ["1", "4", "1"]]])
         sparse_file = tmp_path / "sparse.json"
         sparse_file.write_text(dumps(sparse_inner), encoding="utf-8")
-        status, out, _ = run(
-            capsys, "check", "compose-rho", str(sparse_file), paths[1], paths[2]
+        assert run(capsys, "check", "compose-rho", str(sparse_file), paths[1], paths[2]) == (
+            1, "FAIL\nouter code words use letters outside the inner code domain\n", ""
         )
-        assert status == 1
-        assert "outside the inner code domain" in out
 
     def test_adaptor_theorem_check(self, capsys):
         status, _, _ = run(
@@ -580,12 +584,10 @@ class TestAdaptorVerb:
         machine_file.write_text(dumps(machine_doc), encoding="utf-8")
         script = tmp_path / "script.txt"
         script.write_text("1\n", encoding="utf-8")
-        status, _, err = run(
+        assert run(
             capsys, "adaptor", "--code", str(code_file), "--sut-file", str(machine_file),
             "--script", str(script), "--inputs", _inputs(tmp_path, "B\n"),
-        )
-        assert status == 4
-        assert "CodeIncomplete" in err and "output=1" in err
+        ) == (4, "", "ERROR CodeIncomplete node=ε input=b output=1\n")
 
     def test_exec_backend(self, capsys, tmp_path):
         sut = tmp_path / "sut.py"
