@@ -63,6 +63,8 @@ def _text(path: str | None) -> str:
         # byte that is not UTF-8 into a surrogate.  A text stand-in without
         # bytes underneath (io.StringIO) holds decoded text already.
         stdin = sys.stdin
+        if stdin is None:  # fd 0 was closed, as by ``<&-``
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         return stdin.buffer.read().decode("utf-8") if hasattr(stdin, "buffer") else stdin.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {'<stdin>' if path is None else path}: {exc}") from exc
@@ -96,9 +98,7 @@ def _cmd_gen(args) -> int:
     from .generate import gen_code, gen_lts, gen_mealy, letters, mealy_alphabet
 
     if args.what == "lts":
-        doc = lts_to_document(
-            gen_lts(args.seed, args.states, args.labels, args.deterministic)
-        )
+        doc = lts_to_document(gen_lts(args.seed, args.states, args.labels, args.deterministic))
     elif args.what == "mealy":
         machine = gen_mealy(
             args.seed,
@@ -127,30 +127,35 @@ def _cmd_gen(args) -> int:
 
 # -- check verbs -------------------------------------------------------------
 
+# Each check returns ``(ok, rows)``: a row is a tuple whose first item names a
+# fact or a witness and whose other items are its values; ``_run_check``
+# prints it as one line of words.
 
-def _isomorphism(args, m: Lts, n: Lts) -> tuple[bool, list[str]]:
+
+def _keyed(record, **fields) -> tuple[str, ...]:
+    """``key=value`` words: each key with the value of the ``record`` field it names."""
+    return tuple(f"{key}={getattr(record, field)}" for key, field in fields.items())
+
+
+def _isomorphism(args, m: Lts, n: Lts):
     from .simulation import find_isomorphism_reachable
 
     mapping = find_isomorphism_reachable(m, n)
-    lines = [f"map {q} {p}" for q, p in sorted(mapping.items())] if mapping else []
-    return mapping is not None, lines
+    return mapping is not None, [("map", q, p) for q, p in sorted((mapping or {}).items())]
 
 
 def _simulation(args, left, right):
     from .simulation import find_simulation
 
     witness = find_simulation(left, right)
-    lines = [f"pair {q} {p}" for q, p in sorted(witness)] if witness else []
-    return witness is not None, lines
+    return witness is not None, [("pair", q, p) for q, p in sorted(witness or ())]
 
 
 def _icomplete(args, code, machine):
-    ok, witness = is_icomplete(code, _rel(args, code), machine)
-    lines = [] if witness is None else [
-        f"witness state={witness.state} node={witness.node} "
-        f"enabled={witness.enabled} missing={witness.missing}"
+    ok, w = is_icomplete(code, _rel(args, code), machine)
+    return ok, [] if w is None else [
+        ("witness", *_keyed(w, state="state", node="node", enabled="enabled", missing="missing"))
     ]
-    return ok, lines
 
 
 def _winning(args, code):
@@ -161,20 +166,18 @@ def _winning(args, code):
         wanted = sorted({b.symbol for b, _ in code.entries})
     else:  # "" or "a b" is no symbol: Label refuses it
         wanted = [Label(args.abstract_input).symbol]
-    lines = [f"winning {x} {','.join(wins[x])}" if x in wins else f"not-winning {x}"
-             for x in wanted]
-    return all(x in wins for x in wanted), lines
+    rows = [("winning", x, ",".join(wins[x])) if x in wins else ("not-winning", x)
+            for x in wanted]
+    return all(x in wins for x in wanted), rows
 
 
 def _determinate(args, code):
     from .adaptor import is_determinate
 
-    ok, witness = is_determinate(code)
-    lines = [] if witness is None else [
-        f"witness node={witness.node} input={witness.abstract_input} "
-        f"first={witness.first_input} second={witness.second_input}"
-    ]
-    return ok, lines
+    ok, w = is_determinate(code)
+    return ok, [] if w is None else [("witness", *_keyed(
+        w, node="node", input="abstract_input", first="first_input", second="second_input"
+    ))]
 
 
 def _galois_refinement(args, code, abstract, concrete):
@@ -185,41 +188,32 @@ def _galois_refinement(args, code, abstract, concrete):
     right = _simulates(abstract, contract(code, concrete))
     over_domain = {a for q in abstract.states for a, _ in abstract.out(q)} <= code.domain
     det = is_deterministic(concrete)
-    ok = True
-    lines = [
-        f"refinement-simulated {left}",
-        f"contraction-simulated {right}",
-        f"abstract-over-domain {over_domain}",
-        f"concrete-deterministic {det}",
-    ]
+    rows = [("refinement-simulated", left), ("contraction-simulated", right),
+            ("abstract-over-domain", over_domain), ("concrete-deterministic", det)]
     if over_domain and left and not right:
-        ok = False
-        lines.append("violated left-to-right")
+        rows.append(("violated", "left-to-right"))
     if det and right and not left:
-        ok = False
-        lines.append("violated right-to-left")
-    return ok, lines
+        rows.append(("violated", "right-to-left"))
+    return len(rows) == 4, rows  # no violated row
 
 
 def _galois_concretization(args, code, concrete, abstract):
     """Adjunction between contraction and concretization on one instance."""
     from .simulation import _simulates
 
-    complete, witness_lines = _icomplete(args, code, concrete)
-    lines = [f"icomplete {complete}"]
+    complete, witness = _icomplete(args, code, concrete)
     if not complete:
-        return False, lines + witness_lines
-    rel = _rel(args, code)
+        return False, [("icomplete", False), *witness]
     left = _simulates(contract(code, concrete), abstract)
-    right = _simulates(concrete, concretize(code, rel, abstract))
-    lines += [f"contraction-simulated {left}", f"concretization-simulated {right}"]
-    return left == right, lines
+    right = _simulates(concrete, concretize(code, _rel(args, code), abstract))
+    return left == right, [("icomplete", True), ("contraction-simulated", left),
+                           ("concretization-simulated", right)]
 
 
 def _insertion(args, code, abstract):
     used = {a for q in abstract.states for a, _ in abstract.out(q)}
     if not used <= code.domain:
-        return False, ["machine uses labels outside the code domain"]
+        return False, [("machine uses labels outside the code domain",)]
     back = contract(code, concretize(code, _rel(args, code), abstract))
     return _isomorphism(args, abstract, back)
 
@@ -233,7 +227,7 @@ def _compose_alpha(args, inner, outer, machine):
 def _compose_rho(args, inner, outer, machine):
     letters = {b for _, w in outer.entries for b in w}
     if not letters <= inner.domain:
-        return False, ["outer code words use letters outside the inner code domain"]
+        return False, [("outer code words use letters outside the inner code domain",)]
     composed = refine(compose(inner, outer), machine)
     stacked = refine(inner, refine(outer, machine))
     return _isomorphism(args, composed, stacked)
@@ -248,15 +242,12 @@ def _gamma_noncompose(args, inner, outer, machine):
     rel_outer = CompatRel.identity(outer.source)
     composed = concretize(compose(inner, outer), rel_inner, machine)
     stacked = concretize(inner, rel_inner, concretize(outer, rel_outer, machine))
-    iso = find_isomorphism_reachable(composed, stacked)
+    iso = find_isomorphism_reachable(composed, stacked) is not None
     forward = _simulates(composed, stacked)
     backward = _simulates(stacked, composed)
-    lines = [
-        f"isomorphic {iso is not None}",
-        f"simulated-forward {forward}",
-        f"simulated-backward {backward}",
+    return not iso and forward and backward, [
+        ("isomorphic", iso), ("simulated-forward", forward), ("simulated-backward", backward)
     ]
-    return iso is None and forward and backward, lines
 
 
 def _adaptor_theorem(args, code, machine):
@@ -361,7 +352,7 @@ _OPERATORS = {
     ),
 }
 
-# verb: (help, options, documents, function returning (ok, witness lines))
+# verb: (help, options, documents, function returning (ok, rows))
 _CHECKS = {
     "simulation": (None, (), ("left", "right"), _simulation),
     "isomorphism": (None, (), ("left", "right"), _isomorphism),
@@ -394,20 +385,17 @@ def _run_operator(args) -> int:
     result = function(args, *_documents(args, documents))
     _emit(to_document(result), args.out)
     if "--stats" in options and args.stats:
-        print(
-            f"states {len(result.states)} "
-            f"transitions {sum(len(result.out(q)) for q in result.states)}",
-            file=sys.stderr,
-        )
+        transitions = sum(len(result.out(q)) for q in result.states)
+        print("states", len(result.states), "transitions", transitions, file=sys.stderr)
     return EXIT_OK
 
 
 def _run_check(args) -> int:
     _, _, documents, function = _CHECKS[args.what]
-    ok, lines = function(args, *_documents(args, documents))
+    ok, rows = function(args, *_documents(args, documents))
     print("PASS" if ok else "FAIL")
-    for line in lines:
-        print(line)
+    for row in rows:
+        print(*row)
     return EXIT_OK if ok else EXIT_FAIL
 
 
@@ -504,6 +492,10 @@ def _add_adaptor(sub) -> None:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser(argv).parse_args(argv)
+    if sys.stdout is None:  # fd 1 was closed, as by ``>&-``: so is this pipe's read end
+        reader, writer = os.pipe()
+        os.close(reader)
+        sys.stdout = open(writer, "w", encoding="utf-8")
     try:
         status = _handle(args)
         sys.stdout.flush()  # here, not at exit, so a closed stdout is caught below
@@ -525,18 +517,13 @@ def _handle(args) -> int:
         print(f"ERROR NotWinning {exc.abstract_input}", file=sys.stderr)
         return EXIT_NOT_WINNING
     except CodeIncomplete as exc:
-        print(
-            f"ERROR CodeIncomplete node={exc.node} input={exc.concrete_input} "
-            f"output={exc.observed_output}",
-            file=sys.stderr,
-        )
+        words = _keyed(exc, node="node", input="concrete_input", output="observed_output")
+        print("ERROR CodeIncomplete", *words, file=sys.stderr)
         return EXIT_CODE_INCOMPLETE
     except NotDeterminate as exc:
-        w = exc.witness
-        print(
-            f"ERROR NotDeterminate node={w[0]} input={w[1]} first={w[2]} second={w[3]}",
-            file=sys.stderr,
-        )
+        words = _keyed(exc.witness, node="node", input="abstract_input",
+                       first="first_input", second="second_input")
+        print("ERROR NotDeterminate", *words, file=sys.stderr)
         return EXIT_BAD_INPUT
     except (DocumentError, ActionCodesError, ValueError, OSError) as exc:
         print(f"ERROR {type(exc).__name__} {exc}", file=sys.stderr)

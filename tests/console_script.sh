@@ -51,3 +51,22 @@ for path, doc in zip(sys.argv[1:], (code, loop)):
 "$@" to-map "$tmp/deep.tree.json" | cmp - "$tmp/deep.code.json"
 test "$("$@" check determinate --code "$tmp/deep.code.json")" = PASS
 test "$(echo X | "$@" adaptor --code "$tmp/deep.code.json" --sut-file "$tmp/loop.mealy.json" | tail -n 1)" = "OUT 0"
+# A determinacy witness is one row of key=value words after the verdict.
+status=0
+"$@" check determinate --code fixtures/shared-input.code.json > "$tmp/out.txt" || status=$?
+test "$status" = 1
+printf 'FAIL\nwitness node=ε input=0 first=a second=b\n' | cmp - "$tmp/out.txt"
+# A closed stdin is an input that cannot be read: exit 2 and an ERROR line.
+status=0
+"$@" adaptor --code fixtures/double-press.code.json --sut-file fixtures/square.mealy.json \
+  <&- 2> "$tmp/stderr.txt" || status=$?
+test "$status" = 2
+case $(cat "$tmp/stderr.txt") in
+  "ERROR DocumentError cannot read <stdin>: "*) ;;
+  *) exit 1 ;;
+esac
+# A stdout closed from the start ends the run as a closed pipe does.
+status=0
+"$@" check determinate --code fixtures/double-press.code.json >&- 2> "$tmp/stderr.txt" || status=$?
+test "$status" = 141
+test ! -s "$tmp/stderr.txt"

@@ -963,15 +963,18 @@ def test_non_utf8_stdin_exits_2_under_the_c_locale():
     assert result.stderr.startswith(b"ERROR DocumentError cannot read <stdin>: ")
 
 
-def _child(*argv: str, unbuffered: bool) -> subprocess.Popen:
+def _child(*argv: str, unbuffered: bool, close: str = "") -> subprocess.Popen:
     """``python -m actioncodes.cli`` as a child, stdout and stderr piped;
-    stdout is block-buffered unless ``unbuffered``."""
+    stdout is block-buffered unless ``unbuffered``.  A shell runs it with
+    ``close``, ``<&-`` or ``>&-``, when given: its stdin or stdout is closed."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    return subprocess.Popen([sys.executable, "-m", "actioncodes.cli", *argv], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    command = [sys.executable, "-m", "actioncodes.cli", *argv]
+    if close:
+        command = ["sh", "-c", f'exec "$@" {close}', "sh", *command]
+    return subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])
@@ -998,6 +1001,35 @@ def test_stdout_closed_before_the_output_exits_141_quietly(unbuffered):
     proc.stdout.close()  # before the child has started up
     _, err = proc.communicate(timeout=60)
     assert (err, proc.returncode) == (b"", 141)
+
+
+def test_a_closed_stdin_exits_2():
+    # Python sets sys.stdin to None when fd 0 is closed: reading it once
+    # ended in an AttributeError traceback and exit 1, the FAIL code.
+    proc = _child("adaptor", "--code", fixture("double-press.code.json"),
+                  "--sut-file", fixture("square.mealy.json"), unbuffered=False, close="<&-")
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out) == (2, b"")
+    assert err == b"ERROR DocumentError cannot read <stdin>: [Errno 9] Bad file descriptor\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_stdout_closed_at_the_start_exits_141_quietly(unbuffered):
+    # With fd 1 closed sys.stdout is None; flushing it once ended in an
+    # AttributeError traceback and exit 1, a FAIL for a PASS.
+    proc = _child("check", "determinate", "--code", fixture("double-press.code.json"),
+                  unbuffered=unbuffered, close=">&-")
+    _, err = proc.communicate(timeout=60)
+    assert (err, proc.returncode) == (b"", 141)
+
+
+def test_stdout_closed_at_the_start_is_no_failure_with_out(tmp_path):
+    target = tmp_path / "contraction.json"
+    proc = _child("contract", "--code", fixture("double-press.code.json"), "--out", str(target),
+                  fixture("square.mealy.json"), unbuffered=False, close=">&-")
+    _, err = proc.communicate(timeout=60)
+    assert (err, proc.returncode) == (b"", 0)
+    assert target.read_bytes() == (FIXTURES / "double-press-contraction.mealy.json").read_bytes()
 
 
 def test_a_dead_sut_is_no_closed_stdout(capsys, tmp_path):
