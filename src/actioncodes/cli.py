@@ -98,7 +98,9 @@ def _cmd_gen(args) -> int:
     from .generate import gen_code, gen_lts, gen_mealy, letters, mealy_alphabet
 
     if args.what == "lts":
-        doc = lts_to_document(gen_lts(args.seed, args.states, args.labels, args.deterministic))
+        doc = lts_to_document(
+            gen_lts(args.seed, args.states, args.labels, args.deterministic)
+        )
     elif args.what == "mealy":
         machine = gen_mealy(
             args.seed,
@@ -492,8 +494,8 @@ def _add_adaptor(sub) -> None:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser(argv).parse_args(argv)
-    if sys.stdout is None:  # fd 1 was closed, as by ``>&-``: so is this pipe's read end
-        reader, writer = os.pipe()
+    if sys.stdout is None:  # fd 1 was closed, as by ``>&-``
+        reader, writer = os.pipe()  # output for stdout meets a pipe without a reader
         os.close(reader)
         sys.stdout = open(writer, "w", encoding="utf-8")
     try:
