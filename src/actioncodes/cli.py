@@ -111,18 +111,16 @@ def _cmd_gen(args) -> int:
             output_deterministic=args.output_deterministic,
         )
         doc = lts_to_document(machine)
-    elif args.mealy:
-        target = [
-            Label(x, str(j))
-            for x in letters(args.abstract, "abstract symbols", string.ascii_uppercase)
-            for j in range(args.outputs)
-        ]
-        source = mealy_alphabet(args.inputs, args.outputs)
-        code = gen_code(args.seed, source, target, args.abstract, args.maxlen)
-        doc = code_to_document(code)
     else:
-        code = gen_code(args.seed, args.labels, args.abstract, args.abstract, args.maxlen)
-        doc = code_to_document(code)
+        source, target = args.labels, args.abstract
+        if args.mealy:
+            target = [
+                Label(x, str(j))
+                for x in letters(args.abstract, "abstract symbols", string.ascii_uppercase)
+                for j in range(args.outputs)
+            ]
+            source = mealy_alphabet(args.inputs, args.outputs)
+        doc = code_to_document(gen_code(args.seed, source, target, args.abstract, args.maxlen))
     _emit(doc, args.out)
     return EXIT_OK
 
@@ -131,7 +129,9 @@ def _cmd_gen(args) -> int:
 
 # Each check returns ``(ok, rows)``: a row is a tuple whose first item names a
 # fact or a witness and whose other items are its values; ``_run_check``
-# prints it as one line of words.
+# prints it as one line of words.  The keys of a determinacy witness, each with
+# its field, in a ``check determinate`` row and the ``ERROR NotDeterminate`` line:
+_DETERMINACY = dict(node="node", input="abstract_input", first="first_input", second="second_input")
 
 
 def _keyed(record, **fields) -> tuple[str, ...]:
@@ -177,9 +177,7 @@ def _determinate(args, code):
     from .adaptor import is_determinate
 
     ok, w = is_determinate(code)
-    return ok, [] if w is None else [("witness", *_keyed(
-        w, node="node", input="abstract_input", first="first_input", second="second_input"
-    ))]
+    return ok, [] if w is None else [("witness", *_keyed(w, **_DETERMINACY))]
 
 
 def _galois_refinement(args, code, abstract, concrete):
@@ -523,9 +521,7 @@ def _handle(args) -> int:
         print("ERROR CodeIncomplete", *words, file=sys.stderr)
         return EXIT_CODE_INCOMPLETE
     except NotDeterminate as exc:
-        words = _keyed(exc.witness, node="node", input="abstract_input",
-                       first="first_input", second="second_input")
-        print("ERROR NotDeterminate", *words, file=sys.stderr)
+        print("ERROR NotDeterminate", *_keyed(exc.witness, **_DETERMINACY), file=sys.stderr)
         return EXIT_BAD_INPUT
     except (DocumentError, ActionCodesError, ValueError, OSError) as exc:
         print(f"ERROR {type(exc).__name__} {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ composition of codes.
 from __future__ import annotations
 
 from .errors import AlphabetMismatch, EmptyCodeWord, InvalidTree, PrefixClash
-from .lts import Label, Word, _Value, explore, is_deterministic, render_word
+from .lts import Label, Word, _Value, explore, is_deterministic, render_word, walk
 
 __all__ = ["CodeMap", "CodeTree", "to_tree", "to_map", "compose"]
 
@@ -113,10 +113,10 @@ class CodeTree(_Value):
 
     The carrier is a deterministic, tree-shaped, grounded LTS over the
     concrete alphabet; every non-root leaf carries a distinct abstract label
-    and the root carries none.  One breadth-first walk checks it and links
-    each state to its parent; the leaves' words, read up those links, build
-    the map form.  Or ``to_tree`` names a given map.  ``_names[i]`` is the
-    carrier state of the map's node ``i``, the name the adaptor gives it.
+    and the root carries none.  A breadth-first walk checks it; the leaves'
+    words, read up the links from each state to its parent, build the map
+    form.  Or ``to_tree`` names a given map.  ``_names[i]`` is the carrier
+    state of the map's node ``i``, the name the adaptor gives it.
     """
 
     __slots__ = ("tree", "leaf_labels", "abstract", "_code", "_names")
@@ -131,16 +131,13 @@ class CodeTree(_Value):
         abstract = frozenset(abstract)
         if not is_deterministic(tree):
             raise InvalidTree("carrier is not deterministic")
-        up: dict = {tree.initial: None}  # state -> (parent, letter)
-        order = [tree.initial]
-        for q in order:  # the list grows while it is read: breadth first
-            for a, dst in tree.out(q):
-                if dst in up:  # a second way in, or an edge into the root
-                    raise InvalidTree("carrier is not tree-shaped")
-                up[dst] = q, a
-                order.append(dst)
-        if len(up) != len(tree.states):
+        order = [*walk(tree.initial, lambda q: (dst for _, dst in tree.out(q)))]
+        # Each state reached but the root has an edge in: no more means a tree.
+        if sum(len(tree.out(q)) for q in order) != len(order) - 1:
+            raise InvalidTree("carrier is not tree-shaped")
+        if len(order) != len(tree.states):
             raise InvalidTree("carrier has unreachable states")
+        up = {dst: (q, a) for q in order for a, dst in tree.out(q)}  # state -> (parent, letter)
         labeled = {q for q, _ in leaf_labels}
         expected = {q for q in order[1:] if not tree.out(q)}
         if labeled != expected:
@@ -154,7 +151,7 @@ class CodeTree(_Value):
             if lab not in abstract:
                 raise InvalidTree(f"leaf label {lab} is not in the abstract alphabet")
         def letters_up(q):  # from leaf q to the root: its word, reversed
-            while up[q]:
+            while q in up:
                 q, a = up[q]
                 yield a
         words = [(lab, [*letters_up(q)][::-1]) for q, lab in leaf_labels]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import chain, repeat
+from itertools import chain
 from typing import Any
 
 from .codes import CodeMap, CodeTree
@@ -196,11 +196,10 @@ def _write(value, level: int, out: list[str]) -> None:
 
     Strings, lists and string-keyed dicts are written here.  A list of
     strings and a list of non-empty rows of strings (the bulk of a document)
-    take one join each, with no Python call per item; when no string needs
-    escaping, the quotes go into the separators and no string is encoded.
-    A join is appended only once it is whole, so an attempt that fails
-    leaves no piece in ``out``.  Anything else, a list of other items
-    included, is left to ``json.dumps``.
+    in which no string needs escaping take one join each, with no Python
+    call per item: the quotes go into the separators.  Anything else, a list
+    with a string to escape or with other items included, is left to
+    ``json.dumps``.
     """
     outer = "\n" + "  " * level
     pad = outer + "  "
@@ -210,18 +209,15 @@ def _write(value, level: int, out: list[str]) -> None:
     if type(value) is list and value:
         try:
             if set(map(type, value)) == {list} and all(value):
-                inner = pad + "  "
                 if _plain(chain.from_iterable(value)):
-                    q, rows = '"', value
-                else:
-                    q, rows = "", map(map, repeat(_encode), value)
-                rows = map((q + "," + inner + q).join, rows)
-                body = (q + pad + "]," + pad + "[" + inner + q).join(rows)
-                out += ("[" + pad + "[" + inner + q, body, q + pad + "]" + outer + "]")
-            else:
-                q, items = ('"', value) if _plain(value) else ("", map(_encode, value))
-                out += ("[" + pad + q, (q + "," + pad + q).join(items), q + outer + "]")
-            return
+                    inner = pad + "  "
+                    rows = map(('",' + inner + '"').join, value)
+                    body = ('"' + pad + "]," + pad + "[" + inner + '"').join(rows)
+                    out += ("[" + pad + "[" + inner + '"', body, '"' + pad + "]" + outer + "]")
+                    return
+            elif _plain(value):
+                out += ("[" + pad + '"', ('",' + pad + '"').join(value), '"' + outer + "]")
+                return
         except TypeError:  # an item that is not a string
             pass
     if type(value) is dict and value and set(map(type, value)) == {str}:

@@ -271,7 +271,10 @@ class CompatRel:
         carrier = frozenset(alphabet)
         if not all(a.is_mealy for a in carrier):
             raise ValueError("same-input relation needs Mealy labels")
-        return cls(carrier, [(a, b) for a in carrier for b in carrier if a.symbol == b.symbol])
+        groups: dict[str, list[Label]] = {}
+        for a in carrier:
+            groups.setdefault(a.symbol, []).append(a)
+        return cls(carrier, [(a, b) for group in groups.values() for a in group for b in group])
 
     @classmethod
     def by_name(cls, name: str, alphabet: Iterable[Label]) -> "CompatRel":

@@ -181,11 +181,11 @@ def is_icomplete(
             if j is not None:
                 yield q2, 0 if leaf[j] is not None else j
 
-    def gaps(i: int) -> list[tuple[Label, Label]]:
-        """Node i's letters, in order, each with the related labels the node
+    def gaps(edges: dict) -> list[tuple[Label, Label]]:
+        """A node's letters, in order, each with the related labels the node
         lacks.  A letter whose tuple an earlier letter had is skipped: it
         could only repeat that letter's verdicts."""
-        edges, seen, found = kids[i], set(), []
+        seen, found = set(), []
         for a in edges:
             related = rel.related(a)
             if id(related) not in seen:
@@ -193,10 +193,8 @@ def is_icomplete(
                 found += [(a, a2) for a2 in related if a2 not in edges]
         return found
 
-    missing: list = [None] * len(kids)  # gaps(i), built on the first visit of node i
+    missing = [*map(gaps, kids)]  # by node number
     for q, i in walk((m.initial, 0), step):
-        if missing[i] is None:
-            missing[i] = gaps(i)
         if missing[i]:  # never under the identity
             enabled = {b for b, _ in m.out(q)}
             for a, a2 in missing[i]:

@@ -29,6 +29,18 @@ test ! -s "$tmp/stderr.txt"
 # is the code again, byte for byte.
 "$@" to-tree fixtures/coffee.code.json --out "$tmp/coffee.tree.json"
 "$@" to-map "$tmp/coffee.tree.json" | cmp - fixtures/coffee.code.json
+# A carrier with a second way into its leaf is no tree: exit 2 and one
+# ERROR line.
+cat > "$tmp/join.tree.json" <<'JSON'
+{"schema": "actioncodes/tree-v1", "abstract_alphabet": ["X"], "leaf_labels": [["r1", "X"]],
+ "tree": {"schema": "actioncodes/lts-v1", "kind": "lts", "alphabet": ["a", "b"],
+          "states": ["r0", "r1"], "initial": "r0",
+          "transitions": [["r0", "a", "r1"], ["r0", "b", "r1"]]}}
+JSON
+status=0
+"$@" to-map "$tmp/join.tree.json" 2> "$tmp/stderr.txt" || status=$?
+test "$status" = 2
+printf 'ERROR InvalidTree carrier is not tree-shaped\n' | cmp - "$tmp/stderr.txt"
 # Over a pipe to the table-driven SUT child, the adaptor prints what it
 # prints with the in-process SUT: the machine is output-deterministic.
 printf 'A\nB\nA\n' > "$tmp/inputs.txt"
