@@ -23,7 +23,7 @@ _HOME = {
         ("operators", "CHAOS concretize contract is_icomplete refine"),
         ("adaptor", "AdaptorSession ExternalSut InProcessSut TAU adaptor_composition"
                     " check_adaptor_theorem is_determinate is_input_enabled"
-                    " is_output_deterministic solve_winning split_io"),
+                    " solve_winning split_io"),
         ("simulation", "find_delay_simulation find_isomorphism_reachable find_simulation"
                        " is_delay_simulation is_simulation"),
     )

@@ -24,7 +24,7 @@ from .errors import (
     NotWinning,
     SutProtocolError,
 )
-from .lts import CompatRel, Label, Lts, explore, is_deterministic
+from .lts import Label, Lts, explore
 from .operators import contract
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "solve_winning",
     "DeterminacyWitness",
     "is_determinate",
-    "is_output_deterministic",
     "is_input_enabled",
     "InProcessSut",
     "ExternalSut",
@@ -147,11 +146,6 @@ def _strategy(code: CodeMap | CodeTree) -> Wins:
     if witness is not None:
         raise NotDeterminate(witness)
     return wins
-
-
-def is_output_deterministic(m: Lts) -> bool:
-    """One output and one successor per state and input."""
-    return is_deterministic(m, CompatRel.same_input(m.alphabet))
 
 
 def is_input_enabled(m: Lts) -> bool:

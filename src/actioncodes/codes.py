@@ -11,7 +11,7 @@ composition of codes.
 from __future__ import annotations
 
 from .errors import AlphabetMismatch, EmptyCodeWord, InvalidTree, PrefixClash
-from .lts import Label, Word, _Value, explore, is_deterministic, render_word, walk
+from .lts import Label, Word, _Value, explore, is_deterministic, walk
 
 __all__ = ["CodeMap", "CodeTree", "to_tree", "to_map", "compose"]
 
@@ -76,16 +76,13 @@ class CodeMap(_Value):
 
     @property
     def _text(self) -> list[str]:
-        if not hasattr(self, "_texts"):
+        def render():
             text = [""] * len(self._kids)
             for i, edges in enumerate(self._kids):  # a parent's number is less than its child's
                 for a, j in edges.items():
                     text[j] = f"{text[i]}.{a}" if i else str(a)
-            try:
-                self._texts = text
-            except AttributeError:  # another thread cached it first
-                pass
-        return self._texts
+            return text
+        return self._once("_texts", render)
 
     def _key(self):
         return self.source, self.target, self.entries
@@ -104,7 +101,7 @@ class CodeMap(_Value):
         return len(self.entries)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{b}->{render_word(w)}" for b, w in self.entries)
+        inner = ", ".join(f"{b}->{'.'.join(map(str, w))}" for b, w in self.entries)
         return f"CodeMap({inner})"
 
 

@@ -19,7 +19,6 @@ __all__ = [
     "Lts",
     "CompatRel",
     "is_deterministic",
-    "render_word",
 ]
 
 
@@ -81,11 +80,6 @@ Word = tuple[Label, ...]
 Transition = tuple[str, Label, str]
 
 
-def render_word(word: Word) -> str:
-    """Join a word's labels with ``.`` (empty word renders as ``ε``)."""
-    return ".".join(str(a) for a in word) if word else "ε"
-
-
 class _Value:
     """Base of the value types: each attribute is written once, when the
     value is built or by a cache on first use, and is never rebound or deleted.
@@ -100,6 +94,16 @@ class _Value:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def _once(self, name, build):
+        """The cached field ``name``, written with ``build()`` on first use."""
+        if not hasattr(self, name):
+            value = build()
+            try:
+                setattr(self, name, value)
+            except AttributeError:  # another thread cached it first
+                pass
+        return getattr(self, name)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -177,13 +181,8 @@ class Lts(_Value):
         return frozenset(a.symbol for a in self.alphabet if a.is_mealy)
 
     def reachable(self) -> frozenset[str]:
-        if not hasattr(self, "_reach"):
-            reach = frozenset(walk(self.initial, lambda q: map(itemgetter(1), self._out[q])))
-            try:
-                self._reach = reach
-            except AttributeError:  # another thread cached it first
-                pass
-        return self._reach
+        return self._once("_reach", lambda: frozenset(
+            walk(self.initial, lambda q: map(itemgetter(1), self._out[q]))))
 
     def __repr__(self) -> str:
         edges = sum(map(len, self._out.values()))

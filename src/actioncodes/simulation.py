@@ -345,11 +345,6 @@ def find_isomorphism_reachable(m: Lts, n: Lts) -> dict[str, str] | None:
 # -- delay simulation ------------------------------------------------------
 
 
-def _tau_closure(n: Lts, tau: Label, p: str) -> tuple[str, ...]:
-    """``p`` and every state it reaches by hidden moves alone, sorted."""
-    return tuple(sorted(walk(p, lambda r: n.succ(r, tau))))
-
-
 def find_delay_simulation(m: Lts, n: Lts, tau: Label) -> Pairs | None:
     """Greatest delay simulation from ``m`` to ``n`` containing the initial pair.
 
@@ -372,7 +367,7 @@ def is_delay_simulation(m: Lts, n: Lts, tau: Label, relation: Pairs) -> bool:
     Answers are computed once per right-hand state and label that the
     relation asks about, after its states are known to exist.
     """
-    closure = cache(lambda p: _tau_closure(n, tau, p))
+    closure = cache(lambda p: tuple(walk(p, lambda r: n.succ(r, tau))))  # p and what its hidden runs reach
 
     @cache
     def answer(p: str, a: Label) -> tuple[str, ...]:

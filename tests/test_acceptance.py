@@ -18,7 +18,6 @@ from actioncodes.adaptor import (
     InProcessSut,
     check_adaptor_theorem,
     is_determinate,
-    is_output_deterministic,
     solve_winning,
 )
 from actioncodes.cli import main as cli_main
@@ -260,8 +259,9 @@ def test_07_determinism_preservation():
             assert is_determinate(to_tree(code))[0]
             m = gen_mealy(seed + 79, states=4, inputs=2, outputs=2,
                           output_deterministic=True)
-            assert is_output_deterministic(m)
-            assert is_output_deterministic(contract(code, m))
+            n = contract(code, m)
+            assert is_deterministic(m, CompatRel.same_input(m.alphabet))
+            assert is_deterministic(n, CompatRel.same_input(n.alphabet))
 
 
 def test_08_winning_and_determinacy():

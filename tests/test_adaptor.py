@@ -28,7 +28,6 @@ from actioncodes.adaptor import (
     check_adaptor_theorem,
     is_determinate,
     is_input_enabled,
-    is_output_deterministic,
     solve_winning,
     split_io,
 )
@@ -41,7 +40,7 @@ from actioncodes.errors import (
     SutProtocolError,
 )
 from actioncodes.generate import gen_adaptor_code, gen_code, gen_mealy, mealy_alphabet
-from actioncodes.lts import Label, Lts
+from actioncodes.lts import CompatRel, Label, Lts, is_deterministic
 from actioncodes.operators import contract
 from conftest import (
     ScanSut,
@@ -199,7 +198,8 @@ class TestWideNodes:
 
 class TestOutputDeterminism:
     def test_square_machine(self):
-        assert is_output_deterministic(load_fixture("square.mealy.json"))
+        m = load_fixture("square.mealy.json")
+        assert is_deterministic(m, CompatRel.same_input(m.alphabet))
 
     def test_two_outputs_for_one_input(self):
         m = Lts(
@@ -208,15 +208,16 @@ class TestOutputDeterminism:
             [("q0", Label("a", "0"), "q0"), ("q0", Label("a", "1"), "q0")],
             atoms("a/0", "a/1"),
         )
-        assert not is_output_deterministic(m)
+        assert not is_deterministic(m, CompatRel.same_input(m.alphabet))
 
     def test_contraction_preserves_it_for_determinate_codes(self):
         for seed in range(60):
             code = gen_adaptor_code(seed, inputs=2, outputs=2, abstract_inputs=2)
             m = gen_mealy(seed + 5, states=4, inputs=2, outputs=2,
                           output_deterministic=True)
-            assert is_output_deterministic(m)
-            assert is_output_deterministic(contract(code, m))
+            n = contract(code, m)
+            assert is_deterministic(m, CompatRel.same_input(m.alphabet))
+            assert is_deterministic(n, CompatRel.same_input(n.alphabet))
 
 
 class TestInProcessSut:
@@ -1129,7 +1130,7 @@ class TestAgainstScanOracles:
         errors = set()
         for seed in range(60):
             m = gen_mealy(seed, states=4, inputs=3, outputs=3, input_enabled=True)
-            assert not is_output_deterministic(m)
+            assert not is_deterministic(m, CompatRel.same_input(m.alphabet))
             rng = random.Random(seed)
             symbols = [rng.choice("abcd") for _ in range(40)]  # d is no input of m
             # Odd seeds script the outputs: 3 is no output of m.

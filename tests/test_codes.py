@@ -19,7 +19,7 @@ from actioncodes.errors import (
 )
 from actioncodes.documents import dumps, loads, tree_from_document, tree_to_document
 from actioncodes.generate import gen_adaptor_code, gen_code, mealy_alphabet
-from actioncodes.lts import Label, Lts, is_deterministic, render_word
+from actioncodes.lts import Label, Lts, is_deterministic
 from actioncodes.operators import contract
 from actioncodes.simulation import find_isomorphism_reachable
 
@@ -160,7 +160,7 @@ class TestPrefixTree:
                 todo += [(j, word + (a,)) for a, j in kids.items()]
                 assert code._leaf[i] == leaves.get(word)
                 assert code._below[i] == below.get(word, set())
-                assert code._text[i] == (render_word(word) if word else "")
+                assert code._text[i] == ".".join(map(str, word))
             assert len(seen) == len(set(seen)) == len(code._kids)
             assert set(seen) == {()} | set(children) | set(leaves)
             shapes.add((len(code), len(code._kids)))

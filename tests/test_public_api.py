@@ -21,7 +21,7 @@ PUBLIC = set("""
     CompatRel Label Lts Word is_deterministic
     CHAOS concretize contract is_icomplete refine
     AdaptorSession ExternalSut InProcessSut TAU adaptor_composition check_adaptor_theorem
-    is_determinate is_input_enabled is_output_deterministic solve_winning split_io
+    is_determinate is_input_enabled solve_winning split_io
     find_delay_simulation find_isomorphism_reachable find_simulation
     is_delay_simulation is_simulation
 """.split())
