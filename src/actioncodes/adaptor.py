@@ -221,10 +221,15 @@ class InProcessSut:
 
 
 def _check_timeout(timeout: float) -> None:
-    """Refuse a timeout that is not a finite number > 0: ``select`` and
-    sockets reject infinity, and a socket with timeout 0 does not block."""
+    """Refuse a timeout that is not a number > 0 and at most
+    ``threading.TIMEOUT_MAX``: ``select`` and sockets overflow past it, and a
+    socket with timeout 0 does not block."""
+    from threading import TIMEOUT_MAX
+
     if not 0 < timeout < float("inf"):  # nan fails both comparisons
         raise ValueError(f"the timeout must be a finite number > 0, got {timeout}")
+    if timeout > TIMEOUT_MAX:
+        raise ValueError(f"the timeout must be at most {TIMEOUT_MAX:.0f} s, got {timeout}")
 
 
 def _reader(stream):

@@ -3,8 +3,9 @@
 Exit codes: 0 success or PASS, 1 check FAIL, 2 malformed input or validation
 error (with a machine-readable ``ERROR`` line on stderr), 3 no winning
 strategy for a requested abstract input, 4 the SUT produced an output the
-code has no edge for, 141 (128 + SIGPIPE) stdout was closed before all output
-was written, as by ``| head``, and nothing goes to stderr.
+code has no edge for, 130 (128 + SIGINT) the run was interrupted, with one
+``ERROR KeyboardInterrupt`` line, 141 (128 + SIGPIPE) stdout was closed before
+all output was written, as by ``| head``, and nothing goes to stderr.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ EXIT_FAIL = 1
 EXIT_BAD_INPUT = 2
 EXIT_NOT_WINNING = 3
 EXIT_CODE_INCOMPLETE = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
 
@@ -505,6 +507,9 @@ def main(argv=None) -> int:
         # final flush of what is still buffered go to devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    except KeyboardInterrupt:  # a verb's ``finally`` has closed its SUT child
+        print("ERROR KeyboardInterrupt the run was interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def _handle(args) -> int:

@@ -46,6 +46,19 @@ printf 'ERROR InvalidTree carrier is not tree-shaped\n' | cmp - "$tmp/stderr.txt
 printf 'A\nB\nA\n' > "$tmp/inputs.txt"
 "$@" adaptor --code fixtures/double-press.code.json --sut-file fixtures/square.mealy.json --inputs "$tmp/inputs.txt" > "$tmp/inproc.txt"
 "$@" adaptor --code fixtures/double-press.code.json --sut-exec "python3 bench/sut_table.py fixtures/square.mealy.json stdio" --inputs "$tmp/inputs.txt" | cmp - "$tmp/inproc.txt"
+# A timeout past what select and sockets take is refused before any SUT
+# starts: exit 2 and one ERROR line.
+for sut in --sut-exec=cat --sut-tcp=127.0.0.1:9; do
+  status=0
+  "$@" adaptor --code fixtures/double-press.code.json "$sut" --timeout 1e10 \
+    --inputs "$tmp/inputs.txt" 2> "$tmp/stderr.txt" || status=$?
+  test "$status" = 2
+  test "$(wc -l < "$tmp/stderr.txt")" = 1
+  case $(cat "$tmp/stderr.txt") in
+    "ERROR ValueError the timeout must be "*) ;;
+    *) exit 1 ;;
+  esac
+done
 # A code of one word of 2,000 letters a/0, written as the canonical
 # document: its tree form gives it back byte for byte, and the adaptor verbs
 # read the map itself.

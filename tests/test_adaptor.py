@@ -721,6 +721,35 @@ class TestExternalSut:
             with pytest.raises(SutProtocolError):
                 sut.receive()
 
+    @pytest.mark.parametrize("timeout", [1e10, 1e308])
+    def test_spawn_refuses_a_timeout_past_the_platform_limit(self, timeout):
+        # Past threading.TIMEOUT_MAX, select overflowed at the first reply.
+        # Refused before the start: the command does not exist.
+        with pytest.raises(ValueError, match=re.escape(
+            f"the timeout must be at most {threading.TIMEOUT_MAX:.0f} s, got {timeout}"
+        )):
+            ExternalSut.spawn(["/nonexistent/sut"], timeout=timeout)
+
+    @pytest.mark.parametrize("timeout", [1e10, 1e308])
+    def test_connect_refuses_a_timeout_past_the_platform_limit(self, timeout):
+        # Past threading.TIMEOUT_MAX, create_connection overflowed.  Refused
+        # before connecting: nothing listens.
+        with pytest.raises(ValueError, match=re.escape(
+            f"the timeout must be at most {threading.TIMEOUT_MAX:.0f} s, got {timeout}"
+        )):
+            ExternalSut.connect("127.0.0.1", 9, timeout=timeout)
+
+    def test_the_platform_limit_itself_is_a_timeout(self):
+        # A socket and select both take it: one exchange over loopback.
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            with ExternalSut.connect("127.0.0.1", server.getsockname()[1],
+                                     timeout=threading.TIMEOUT_MAX) as sut:
+                conn, _ = server.accept()
+                with conn:
+                    sut.send("a")
+                    conn.sendall(b"0\n")
+                    assert sut.receive() == "0"
+
     def test_one_deadline_per_exchange(self):
         # A SUT that trickles bytes and never ends the line must still time out.
         waits = []

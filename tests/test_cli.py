@@ -627,6 +627,27 @@ class TestAdaptorVerb:
             f"got {float(timeout)}\n"
         )
 
+    @pytest.mark.parametrize("timeout", ["1e10", "1e308"])
+    @pytest.mark.parametrize("backend", ["--sut-exec", "--sut-tcp"])
+    def test_a_timeout_past_the_platform_limit_is_refused(
+        self, capsys, tmp_path, monkeypatch, backend, timeout
+    ):
+        # select and socket timeouts overflow past threading.TIMEOUT_MAX: such a
+        # timeout once passed the check and ended in an OverflowError traceback.
+        started = []
+        monkeypatch.setattr(subprocess, "Popen", lambda *args, **kw: started.append(args))
+        monkeypatch.setattr(socket, "create_connection", lambda *args, **kw: started.append(args))
+        sut = f"{sys.executable} -c pass" if backend == "--sut-exec" else "127.0.0.1:9"
+        status, out, err = run(
+            capsys, "adaptor", "--code", fixture("double-press.code.json"),
+            backend, sut, "--timeout", timeout, "--inputs", _inputs(tmp_path),
+        )
+        assert (status, out, started) == (2, "", [])
+        assert err == (
+            f"ERROR ValueError the timeout must be at most {threading.TIMEOUT_MAX:.0f} s, "
+            f"got {float(timeout)}\n"
+        )
+
     @pytest.mark.parametrize("port", ["0", "65536", "70000", "-1"])
     def test_bad_port_is_refused_before_connecting(self, capsys, tmp_path, monkeypatch, port):
         # The resolver once truncated a port to 16 bits (70000 reached port
@@ -1021,6 +1042,53 @@ def test_stdout_closed_at_the_start_exits_141_quietly(unbuffered):
                   unbuffered=unbuffered, close=">&-")
     _, err = proc.communicate(timeout=60)
     assert (err, proc.returncode) == (b"", 141)
+
+
+def _interrupted(*argv: str, once: Path) -> subprocess.Popen:
+    """``cli.main(argv)`` in a child that sends its main thread SIGINT 0.2 s
+    after the file ``once`` exists; stdin is a pipe left open, stdout and
+    stderr are piped."""
+    probe = (
+        "import os, signal, sys, threading, time\n"
+        "from actioncodes.cli import main\n"
+        "def interrupt():\n"
+        f"    while not os.path.exists({str(once)!r}):\n"
+        "        time.sleep(0.01)\n"
+        "    time.sleep(0.2)\n"
+        "    signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)\n"
+        "threading.Thread(target=interrupt, daemon=True).start()\n"
+        f"sys.exit(main({list(argv)!r}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    return subprocess.Popen([sys.executable, "-c", probe], env=env, stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def test_an_interrupted_run_exits_130_with_one_error_line():
+    # Blocked reading its abstract inputs from stdin; the interrupt once
+    # ended in a traceback and the death of the process by the signal.
+    code = FIXTURES / "double-press.code.json"
+    with _interrupted("adaptor", "--code", str(code), "--sut-file", fixture("square.mealy.json"),
+                      once=code) as proc:
+        proc.wait(timeout=60)
+        assert (proc.returncode, proc.stdout.read()) == (130, b"")
+        assert proc.stderr.read() == b"ERROR KeyboardInterrupt the run was interrupted\n"
+
+
+def test_an_interrupted_run_closes_its_sut_child(tmp_path):
+    # Blocked waiting for a reply from a SUT child that never answers: the
+    # adaptor ends the child before it exits.
+    pid_file = tmp_path / "sut.pid"
+    script = tmp_path / "sut.sh"
+    script.write_text(f'echo $$ > "{pid_file}"\nexec sleep 60\n', encoding="utf-8")
+    with _interrupted("adaptor", "--code", fixture("double-press.code.json"),
+                      "--sut-exec", f"sh {script}", "--timeout", "60",
+                      "--inputs", _inputs(tmp_path), once=pid_file) as proc:
+        proc.wait(timeout=60)
+        assert (proc.returncode, proc.stdout.read()) == (130, b"")
+        assert proc.stderr.read() == b"ERROR KeyboardInterrupt the run was interrupted\n"
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
 
 
 def test_stdout_closed_at_the_start_is_no_failure_with_out(tmp_path):
