@@ -537,6 +537,18 @@ class TestNoCliff:
         assert time.process_time() - start < self.BOUND_S
         assert verdict == (True, None)
 
+    def test_contract_of_a_state_with_eight_thousand_labels(self):
+        # High out-degree: the state's out-list and the root's letters are
+        # walked together, 12 ms.
+        source = [Label(f"a{k}") for k in range(8000)]
+        target = [Label(f"X{k}") for k in range(8000)]
+        code = CodeMap(source, target, [(b, [a]) for a, b in zip(source, target)])
+        m = Lts(["q0"], "q0", [("q0", a, "q0") for a in source], source)
+        start = time.process_time()
+        result = contract(code, m)
+        assert time.process_time() - start < self.BOUND_S
+        assert result.out(result.initial) == tuple((b, result.initial) for b in sorted(target, key=str))
+
     def test_one_word_of_four_thousand_letters(self):
         a, x = Label("a", "0"), Label("X", "0")
         code = CodeMap([a], [x], [(x, [a] * 4000)])

@@ -800,6 +800,28 @@ class TestNoCliff:
         assert self.decide(find_isomorphism_reachable, m, n) is None
 
 
+class TestValidatorNoCliff:
+    """The re-validators on long chains, each with the relation a game from
+    the initial pair needs: 28 ms for ``is_simulation`` and 15 ms for
+    ``is_delay_simulation`` on a 2-vCPU machine.  The CPU-time bound leaves a
+    wide margin."""
+
+    N = 8000
+    BOUND_S = 0.5
+    decide = TestNoCliff.decide
+
+    def test_a_chain_against_a_longer_one(self):
+        m, n = a_chain(self.N, "p"), a_chain(self.N + 1, "q")
+        relation = frozenset((f"p{k}", f"q{k}") for k in range(self.N))
+        assert self.decide(is_simulation, m, n, relation) is True
+
+    def test_a_tau_padded_chain_against_the_chain(self):
+        padded, n = tau_padded(a_chain(self.N, "p")), a_chain(self.N, "q", extra=[TAU])
+        # A middle state p<k>~<j> waits at q<k> for its visible move.
+        relation = frozenset((q, "q" + q.split("~")[0][1:]) for q in padded.states)
+        assert self.decide(is_delay_simulation, padded, n, TAU, relation) is True
+
+
 class TestVerdictPathNoCliff:
     """The verdict entry points explore only the game from the initial pair.
     On a 2-vCPU machine the chains took under 10 ms and each adaptor
