@@ -44,7 +44,6 @@ EXIT_FAIL = 1
 EXIT_BAD_INPUT = 2
 EXIT_NOT_WINNING = 3
 EXIT_CODE_INCOMPLETE = 4
-EXIT_INTERRUPTED = 130  # 128 + SIGINT
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
 
@@ -509,7 +508,7 @@ def main(argv=None) -> int:
         return EXIT_BROKEN_PIPE
     except KeyboardInterrupt:  # a verb's ``finally`` has closed its SUT child
         print("ERROR KeyboardInterrupt the run was interrupted", file=sys.stderr)
-        return EXIT_INTERRUPTED
+        return 130  # 128 + SIGINT, as a shell reports a process the signal ended
 
 
 def _handle(args) -> int:

@@ -722,22 +722,18 @@ class TestExternalSut:
                 sut.receive()
 
     @pytest.mark.parametrize("timeout", [1e10, 1e308])
-    def test_spawn_refuses_a_timeout_past_the_platform_limit(self, timeout):
-        # Past threading.TIMEOUT_MAX, select overflowed at the first reply.
-        # Refused before the start: the command does not exist.
+    @pytest.mark.parametrize("start", [
+        lambda timeout: ExternalSut.spawn(["/nonexistent/sut"], timeout=timeout),
+        lambda timeout: ExternalSut.connect("127.0.0.1", 9, timeout=timeout),
+    ], ids=["spawn", "connect"])
+    def test_a_timeout_past_the_platform_limit_is_refused(self, start, timeout):
+        # Past threading.TIMEOUT_MAX, select and socket timeouts overflow.
+        # Refused before the start: the command does not exist, and nothing
+        # listens on the port.
         with pytest.raises(ValueError, match=re.escape(
             f"the timeout must be at most {threading.TIMEOUT_MAX:.0f} s, got {timeout}"
         )):
-            ExternalSut.spawn(["/nonexistent/sut"], timeout=timeout)
-
-    @pytest.mark.parametrize("timeout", [1e10, 1e308])
-    def test_connect_refuses_a_timeout_past_the_platform_limit(self, timeout):
-        # Past threading.TIMEOUT_MAX, create_connection overflowed.  Refused
-        # before connecting: nothing listens.
-        with pytest.raises(ValueError, match=re.escape(
-            f"the timeout must be at most {threading.TIMEOUT_MAX:.0f} s, got {timeout}"
-        )):
-            ExternalSut.connect("127.0.0.1", 9, timeout=timeout)
+            start(timeout)
 
     def test_the_platform_limit_itself_is_a_timeout(self):
         # A socket and select both take it: one exchange over loopback.
