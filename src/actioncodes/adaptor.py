@@ -452,7 +452,7 @@ def adaptor_composition(code: CodeMap | CodeTree, m: Lts) -> Lts:
     _require_mealy_code(mapped)
     if not all(a.is_mealy for a in m.alphabet):
         raise ValueError("the SUT model must be a Mealy machine")
-    wins = _strategy(mapped)
+    wins = _strategy(code)  # a tree's witness names its carrier state
     kids, leaf = mapped._kids, mapped._leaf
     lost = [n for n, b in enumerate(leaf) if b is not None and b.symbol not in wins[0]]
     if lost:  # the least-named leaf

@@ -271,9 +271,14 @@ class CompatRel:
         if not all(a.is_mealy for a in carrier):
             raise ValueError("same-input relation needs Mealy labels")
         groups: dict[str, list[Label]] = {}
-        for a in carrier:
+        for a in sorted(carrier, key=str):
             groups.setdefault(a.symbol, []).append(a)
-        return cls(carrier, [(a, b) for group in groups.values() for a in group for b in group])
+        # One sorted tuple per input, shared by its labels: pairs would cost
+        # the square of a group's size.
+        rel = cls.__new__(cls)
+        rel.carrier = carrier
+        rel._related = {a: group for group in map(tuple, groups.values()) for a in group}
+        return rel
 
     @classmethod
     def by_name(cls, name: str, alphabet: Iterable[Label]) -> "CompatRel":

@@ -27,6 +27,13 @@ __all__ = [
 CHAOS = "χ"
 
 
+def _completing(code: CodeMap) -> list[dict]:
+    """For each node: each label whose word a letter at the node completes,
+    mapped to that letter."""
+    leaf = code._leaf
+    return [{leaf[j]: a for a, j in edges.items() if leaf[j] is not None} for edges in code._kids]
+
+
 def _pending_name(code: CodeMap):
     """The namer of (state, node number) keys: ``q⟨w⟩`` for state q and the
     node's rendered word w, or the chaos state's name."""
@@ -69,25 +76,25 @@ def refine(code: CodeMap, n: Lts) -> Lts:
 
     A state pairs an abstract state q with a node of the code's prefix
     tree: a pending proper prefix w of the word of some label enabled at q,
-    named ``q⟨w⟩``.  The keys are (q, node number) pairs.
-    Paths for different labels share their common prefixes.  Abstract
-    transitions whose label is outside the code's domain contribute
-    nothing.  Only the reachable part is built.
+    named ``q⟨w⟩``.  The keys are (q, node number) pairs.  Paths for
+    different labels share their common prefixes.  Abstract transitions
+    whose label is outside the code's domain contribute nothing.  Only the
+    reachable part is built.  A step passes once over q's out-list and once
+    over the node's children.
     """
     if not n.alphabet <= code.target:
         raise AlphabetMismatch("machine alphabet must lie within the code's target alphabet")
-    kids, below, leaf = code._kids, code._below, code._leaf
+    kids, below, leaf, completing = code._kids, code._below, code._leaf, _completing(code)
 
     def successors(key: tuple[str, int]):
         q, i = key
-        edges = n.out(q)
+        edges, done = n.out(q), completing[i]
+        for b, q2 in edges:
+            if b in done:  # a letter at node i completes b's word
+                yield done[b], (q2, 0)
+        labels = {b for b, _ in edges}
         for a, j in kids[i].items():
-            b = leaf[j]
-            if b is not None:
-                for b2, q2 in edges:  # the letter completes b's word
-                    if b2 == b:
-                        yield a, (q2, 0)
-            elif not below[j].isdisjoint([b2 for b2, _ in edges]):
+            if leaf[j] is None and not below[j].isdisjoint(labels):
                 yield a, (q, j)
 
     return explore((n.initial, 0), successors, _pending_name(code), code.source)
@@ -101,24 +108,17 @@ def concretize(code: CodeMap, rel: CompatRel, m: Lts) -> Lts:
     ``refine``.  A letter jumps to the chaos state when no letter related to
     it, itself included, is a child of the node; chaos enables every
     concrete label forever.  A single chaos state is emitted, and only if it
-    is reachable.
+    is reachable.  A step passes as in ``refine``, plus once over the
+    node's chaos letters, listed up front for each internal node.
     """
     if not m.alphabet <= code.target:
         raise AlphabetMismatch("machine alphabet must lie within the code's target alphabet")
     if rel.carrier != code.source:
         raise AlphabetMismatch("relation carrier must be the code's source alphabet")
     source = sorted(code.source, key=str)
-    leaf, out = code._leaf, m.out
-    # For each node and letter: the child or None, the child's label, and
-    # whether the letter jumps to chaos.
-    plans = [
-        [
-            (a, edges.get(a), leaf[edges[a]] if a in edges else None,
-             all(a2 not in edges for a2 in rel.related(a)))
-            for a in source
-        ]
-        for edges in code._kids
-    ]
+    kids, leaf, out, completing = code._kids, code._leaf, m.out, _completing(code)
+    chaos = [() if b is not None else [a for a in source if edges.keys().isdisjoint(rel.related(a))]
+             for edges, b in zip(kids, leaf)]
 
     def successors(key):
         if key == CHAOS:
@@ -126,16 +126,15 @@ def concretize(code: CodeMap, rel: CompatRel, m: Lts) -> Lts:
                 yield a, CHAOS
             return
         q, i = key
-        for a, j, b, chaos in plans[i]:
-            if j is not None:
-                if b is None:
-                    yield a, (q, j)
-                else:
-                    for b2, q2 in out(q):
-                        if b2 == b:
-                            yield a, (q2, 0)
-            if chaos:
-                yield a, CHAOS
+        done = completing[i]
+        for b, q2 in out(q):
+            if b in done:
+                yield done[b], (q2, 0)
+        for a, j in kids[i].items():
+            if leaf[j] is None:
+                yield a, (q, j)
+        for a in chaos[i]:
+            yield a, CHAOS
 
     return explore((m.initial, 0), successors, _pending_name(code), code.source)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache
 from itertools import groupby, islice
+from operator import itemgetter
 
 from .errors import AlphabetMismatch, IsomorphismInconclusive
 from .lts import Label, Lts, walk
@@ -229,9 +230,16 @@ def _simulates(m: Lts, n: Lts) -> bool:
     return _greatest_simulation(m, n, from_initial=True) is not None
 
 
+def _succ(n: Lts):
+    """``n.succ`` reading each asked state's out-list once, grouped by label:
+    the list is sorted by label.  The grouping lives as long as the function."""
+    groups = cache(lambda p: {a: [dst for _, dst in g] for a, g in groupby(n.out(p), itemgetter(0))})
+    return lambda p, a: groups(p).get(a, ())
+
+
 def is_simulation(m: Lts, n: Lts, relation: Pairs) -> bool:
     """Re-validate a claimed simulation witness against the definition."""
-    return _transfer_closed(m, n, relation, n.succ)
+    return _transfer_closed(m, n, relation, _succ(n))
 
 
 # -- isomorphism of reachable parts ---------------------------------------
@@ -367,12 +375,13 @@ def is_delay_simulation(m: Lts, n: Lts, tau: Label, relation: Pairs) -> bool:
     Answers are computed once per right-hand state and label that the
     relation asks about, after its states are known to exist.
     """
-    closure = cache(lambda p: tuple(walk(p, lambda r: n.succ(r, tau))))  # p and what its hidden runs reach
+    succ = _succ(n)
+    closure = cache(lambda p: tuple(walk(p, lambda r: succ(r, tau))))  # p and what its hidden runs reach
 
     @cache
     def answer(p: str, a: Label) -> tuple[str, ...]:
         if a == tau:
             return closure(p)
-        return tuple(p2 for p1 in closure(p) for p2 in n.succ(p1, a))
+        return tuple(p2 for p1 in closure(p) for p2 in succ(p1, a))
 
     return _transfer_closed(m, n, relation, answer)

@@ -501,6 +501,26 @@ class TestRenamedCarriers:
             undetermined += bool(conflicts)
         assert undetermined >= 10
 
+    def test_composition_and_theorem_name_the_carriers_conflict(self):
+        # They named the node by its rendered word, as on the map form.
+        m = gen_mealy(0, states=3, inputs=2, outputs=2, input_enabled=True)
+        cases = [*enumerate(_renaming_instances())]
+        target = [Label(x, y) for x in "AB" for y in "012"]
+        cases.append((0, (to_tree(gen_code(0, mealy_alphabet(2, 2), target, entries=4,
+                                           maxlen=3)), None)))
+        undetermined = 0
+        for seed, (tree, _) in cases:
+            renamed, _ = _renamed(tree, seed)
+            witness = is_determinate(renamed)[1]
+            if witness is None:
+                continue
+            for call in (adaptor_composition, check_adaptor_theorem):
+                with pytest.raises(NotDeterminate) as caught:
+                    call(renamed, m)
+                assert caught.value.witness == witness
+            undetermined += 1
+        assert undetermined >= 10
+
     def test_code_incomplete_names_the_carriers_node(self):
         deep = 0
         for seed, (tree, m) in enumerate(_renaming_instances()):

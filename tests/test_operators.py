@@ -110,8 +110,9 @@ def _oracle_instances():
     alphabets, deterministic and not.  The third code's Mealy symbols sort
     differently as tuples than rendered (``a-x/0`` before ``a/0``).  The
     fourth's relation is explicit and not symmetric: a letter relates to some
-    later letters, so ``related(a)`` holds letters other than ``a``.  One
-    fixed case follows them."""
+    later letters, so ``related(a)`` holds letters other than ``a``.  Fixed
+    cases follow them: a shared prefix that not every state enables, and a
+    wide code under the identity and under an explicit relation."""
     crossed = [Label(i, o) for i in ("a", "a-x") for o in "01"]
     for seed in range(30):
         deterministic = seed % 3 == 0
@@ -143,6 +144,19 @@ def _oracle_instances():
     n = Lts(["n0", "n1", "n2"], "n0",
             [(f"n{s}", Label(b), f"n{d}") for s, b, d in ("0X1", "1Y2", "2Z0")], code.target)
     yield code, CompatRel.identity(code.source), m, n
+    # The root has 40 leaf children and two pending ones, w40 and w41, and
+    # w42, w43 start no word; each abstract state enables most of the 44
+    # labels, some twice, and X is in no word.  The relation ties letters to
+    # earlier ones, so some letters a node lacks do not jump to chaos.
+    letters = atoms(*(f"w{k}" for k in range(44)))
+    words = [entry(f"B{k}", f"w{k}") for k in range(40)]
+    words += [entry(f"C{k}", f"w{40 + k // 2} w{k}") for k in range(4)]
+    code = CodeMap(letters, [b for b, _ in words] + atoms("X"), words)
+    m, n = concrete_lts(3, code, states=4), abstract_lts(7, code, states=4)
+    rng = random.Random(44)
+    pairs = [(a, b) for i, a in enumerate(letters) for b in letters[:i] if rng.random() < 0.05]
+    for rel in (CompatRel.identity(letters), CompatRel(letters, pairs)):
+        yield code, rel, m, n
 
 
 def _system(m: Lts) -> tuple:
@@ -521,7 +535,9 @@ class TestNoCliff:
     out-list for each took 3.70 s; one set of the enabled labels takes
     milliseconds.  The table of each node's missing labels is built for every
     node of the code, visited or not: one word of 4,000 letters takes 5 ms.
-    The CPU-time bound leaves a wide margin both ways."""
+    Refinement and concretization step once over a state's out-list and a
+    node's children, whatever the number of leaf children.  The CPU-time
+    bound leaves a wide margin both ways."""
 
     BOUND_S = 0.2
 
@@ -548,6 +564,34 @@ class TestNoCliff:
         result = contract(code, m)
         assert time.process_time() - start < self.BOUND_S
         assert result.out(result.initial) == tuple((b, result.initial) for b in sorted(target, key=str))
+
+    @staticmethod
+    def one_letter_words(k):
+        """A code of k one-letter words over one abstract state that
+        carries every label on a self-loop."""
+        source = [Label(f"a{i}") for i in range(k)]
+        target = [Label(f"B{i}") for i in range(k)]
+        code = CodeMap(source, target, [(b, [a]) for a, b in zip(source, target)])
+        return code, Lts(["q0"], "q0", [("q0", b, "q0") for b in target], target)
+
+    def expect_one_loop_per_letter(self, build, code, *args):
+        start = time.process_time()
+        result = build(code, *args)
+        assert time.process_time() - start < self.BOUND_S
+        q = result.initial
+        assert result.states == (q,)
+        assert result.out(q) == tuple((a, q) for a in sorted(code.source, key=str))
+
+    def test_refine_of_eight_thousand_one_letter_words(self):
+        # Each leaf child rescanned the state's out-list: 2.22 s.
+        code, n = self.one_letter_words(8000)
+        self.expect_one_loop_per_letter(refine, code, n)
+
+    def test_concretize_of_two_thousand_one_letter_words(self):
+        # A plan for every node and letter, and each leaf letter rescanning
+        # the out-list: 17.45 s and 321 MB.
+        code, n = self.one_letter_words(2000)
+        self.expect_one_loop_per_letter(concretize, code, CompatRel.identity(code.source), n)
 
     def test_one_word_of_four_thousand_letters(self):
         a, x = Label("a", "0"), Label("X", "0")

@@ -801,10 +801,10 @@ class TestNoCliff:
 
 
 class TestValidatorNoCliff:
-    """The re-validators on long chains, each with the relation a game from
-    the initial pair needs: 28 ms for ``is_simulation`` and 15 ms for
-    ``is_delay_simulation`` on a 2-vCPU machine.  The CPU-time bound leaves a
-    wide margin."""
+    """The re-validators on long chains and on one wide state, each with the
+    relation a game from the initial pair needs: 28 ms for ``is_simulation``
+    and 15 ms for ``is_delay_simulation`` on the chains on a 2-vCPU machine.
+    The CPU-time bound leaves a wide margin."""
 
     N = 8000
     BOUND_S = 0.5
@@ -820,6 +820,18 @@ class TestValidatorNoCliff:
         # A middle state p<k>~<j> waits at q<k> for its visible move.
         relation = frozenset((q, "q" + q.split("~")[0][1:]) for q in padded.states)
         assert self.decide(is_delay_simulation, padded, n, TAU, relation) is True
+
+    def test_one_state_with_eight_thousand_labels(self):
+        # Answered through Lts.succ, each edge rescanned the right state's
+        # out-list: 2.9 s and 6.2 s.  Grouped by label once, 6 ms and 30 ms.
+        labels = [Label(f"a{k}") for k in range(self.N)]
+        m = Lts(["p0"], "p0", [("p0", a, "p0") for a in labels], labels)
+        n = Lts(["q0"], "q0", [("q0", a, "q0") for a in labels], labels)
+        assert self.decide(is_simulation, m, n, frozenset({("p0", "q0")})) is True
+        hidden = Lts(["q0", "q1"], "q0", [("q0", TAU, "q1")] + [("q1", a, "q1") for a in labels],
+                     labels + [TAU])
+        relation = frozenset({("p0", "q0"), ("p0", "q1")})
+        assert self.decide(is_delay_simulation, m, hidden, TAU, relation) is True
 
 
 class TestVerdictPathNoCliff:
