@@ -490,10 +490,8 @@ def adaptor_composition(code: CodeMap | CodeTree, m: Lts) -> Lts:
 def check_adaptor_theorem(code: CodeMap | CodeTree, m: Lts) -> bool:
     """Whether the composed adaptor/SUT process and the contraction of the
     SUT model delay-simulate each other (hidden moves absorbed)."""
-    from .simulation import _delay_simulates
+    from .simulation import _simulates
 
     composed = adaptor_composition(code, m)
     learner_view = split_io(contract(_nodes(code)[0], m))
-    return _delay_simulates(composed, learner_view, TAU) and _delay_simulates(
-        learner_view, composed, TAU
-    )
+    return _simulates(composed, learner_view, TAU) and _simulates(learner_view, composed, TAU)

@@ -241,8 +241,8 @@ class CompatRel:
     Mealy labels with equal input symbol; the constructor takes a
     caller-supplied set of pairs (closed reflexively).  The relation
     parameterizes both determinism checks and the concretization operator.
-    It is stored as one table from each label of the carrier to the labels
-    related to it; labels with equal related sets share one tuple.
+    It is stored as one table from each label of the carrier to its related
+    labels; equal related sets share one tuple, which ``_classes`` groups by.
     """
 
     __slots__ = ("carrier", "_related")
@@ -290,6 +290,16 @@ class CompatRel:
         """All labels b of the carrier with (a, b) in the relation, sorted by
         rendering."""
         return self._related.get(a, ())
+
+    def _classes(self, letters: Iterable[Label]) -> list[tuple[tuple[Label, ...], list[Label]]]:
+        """The letters grouped by their shared related tuple, as ``(related,
+        letters)`` pairs in order of each class's first letter.  Without the
+        sharing each letter would be its own class, with the same results."""
+        classes: dict = {}
+        for a in letters:
+            related = self.related(a)
+            classes.setdefault(id(related), (related, []))[1].append(a)
+        return [*classes.values()]
 
 
 def is_deterministic(m: Lts, rel: CompatRel | None = None) -> bool:

@@ -109,7 +109,8 @@ def concretize(code: CodeMap, rel: CompatRel, m: Lts) -> Lts:
     it, itself included, is a child of the node; chaos enables every
     concrete label forever.  A single chaos state is emitted, and only if it
     is reachable.  A step passes as in ``refine``, plus once over the
-    node's chaos letters, listed up front for each internal node.
+    node's chaos letters, listed up front for each internal node class by
+    class: one disjointness test per class of related letters.
     """
     if not m.alphabet <= code.target:
         raise AlphabetMismatch("machine alphabet must lie within the code's target alphabet")
@@ -117,7 +118,9 @@ def concretize(code: CodeMap, rel: CompatRel, m: Lts) -> Lts:
         raise AlphabetMismatch("relation carrier must be the code's source alphabet")
     source = sorted(code.source, key=str)
     kids, leaf, out, completing = code._kids, code._leaf, m.out, _completing(code)
-    chaos = [() if b is not None else [a for a in source if edges.keys().isdisjoint(rel.related(a))]
+    classes = rel._classes(source)
+    chaos = [() if b is not None else [a for related, letters in classes
+                                       if edges.keys().isdisjoint(related) for a in letters]
              for edges, b in zip(kids, leaf)]
 
     def successors(key):
@@ -160,9 +163,11 @@ def is_icomplete(
     letters the tree knows, and the node resets to the root whenever a code
     word completes.  At every reachable pair, any machine transition related
     to some edge of the node must itself be an edge of the node; a witness
-    names the node by its rendered word (``ε`` for the root).  One pass over
-    each reachable pair's out-list, plus once per node each distinct tuple of
-    labels related to its letters: the relation shares equal tuples.
+    names the node by its rendered word (``ε`` for the root).  A node costs
+    one pass over its letters, plus each class of them up to the first
+    related label it lacks; it keeps the classes that lack one.  A step costs
+    one pass over the state's out-list; only a state that enables a label its
+    node lacks also scans the node's lacking classes, in node-letter order.
     """
     if not m.alphabet <= code.source:
         raise AlphabetMismatch("machine alphabet must lie within the code's source alphabet")
@@ -180,23 +185,14 @@ def is_icomplete(
             if j is not None:
                 yield q2, 0 if leaf[j] is not None else j
 
-    def gaps(edges: dict) -> list[tuple[Label, Label]]:
-        """A node's letters, in order, each with the related labels the node
-        lacks.  A letter whose tuple an earlier letter had is skipped: it
-        could only repeat that letter's verdicts."""
-        seen, found = set(), []
-        for a in edges:
-            related = rel.related(a)
-            if id(related) not in seen:
-                seen.add(id(related))
-                found += [(a, a2) for a2 in related if a2 not in edges]
-        return found
-
-    missing = [*map(gaps, kids)]  # by node number
+    # By node number: each class of the node's letters that lacks a related
+    # label, as its first letter and shared tuple.  None under the identity.
+    lacking = [[(letters[0], related) for related, letters in rel._classes(edges)
+                if any(a2 not in edges for a2 in related)] for edges in kids]
     for q, i in walk((m.initial, 0), step):
-        if missing[i]:  # never under the identity
-            enabled = {b for b, _ in m.out(q)}
-            for a, a2 in missing[i]:
-                if a2 in enabled:
-                    return False, IncompletenessWitness(q, _nodes(code)[1](i), a, a2)
+        if lacking[i] and (extra := {b for b, _ in m.out(q)}.difference(kids[i])):
+            for a, related in lacking[i]:
+                for a2 in related:
+                    if a2 in extra:
+                        return False, IncompletenessWitness(q, _nodes(code)[1](i), a, a2)
     return True, None

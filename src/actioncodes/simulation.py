@@ -224,10 +224,10 @@ def find_simulation(m: Lts, n: Lts) -> Pairs | None:
     return _pairs(_greatest_simulation(m, n))
 
 
-def _simulates(m: Lts, n: Lts) -> bool:
-    """Whether ``n`` simulates ``m``, deciding only the pairs that the game
-    from the initial pair reaches."""
-    return _greatest_simulation(m, n, from_initial=True) is not None
+def _simulates(m: Lts, n: Lts, tau: Label | None = None) -> bool:
+    """Whether ``n`` simulates ``m``, or with ``tau`` delay-simulates it,
+    deciding only the pairs that the game from the initial pair reaches."""
+    return _greatest_simulation(m, n, tau, from_initial=True) is not None
 
 
 def _succ(n: Lts):
@@ -361,12 +361,6 @@ def find_delay_simulation(m: Lts, n: Lts, tau: Label) -> Pairs | None:
     a hidden run, with no trailing hidden closure.
     """
     return _pairs(_greatest_simulation(m, n, tau))
-
-
-def _delay_simulates(m: Lts, n: Lts, tau: Label) -> bool:
-    """Whether ``n`` delay-simulates ``m``, deciding only the pairs that the
-    game from the initial pair reaches."""
-    return _greatest_simulation(m, n, tau, from_initial=True) is not None
 
 
 def is_delay_simulation(m: Lts, n: Lts, tau: Label, relation: Pairs) -> bool:

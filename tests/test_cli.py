@@ -8,6 +8,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -31,6 +32,7 @@ from actioncodes.simulation import find_isomorphism_reachable, is_simulation
 from conftest import FIXTURES, load_fixture
 from test_adaptor import SQUARE_SUT_SCRIPT
 from test_cli_transcript import CALLS
+from test_operators import one_input_word
 from test_simulation import forked_chain, is_reachable_isomorphism, numbered_copy
 
 
@@ -745,6 +747,31 @@ class TestDeepCode:
             tracemalloc.stop()
         assert (status, capsys.readouterr().out.splitlines()[-1]) == (0, last)
         assert peak < 8_000_000
+
+
+def test_galois2_on_a_word_over_two_thousand_outputs(capsys, tmp_path):
+    # One class of 2,000 related outputs: concretization tested every
+    # letter's related tuple at every node, 11 s.  The check runs
+    # is_icomplete, contract, concretize and both simulations.
+    source, word, code = one_input_word(2000, 200)
+    x = Label("X", "0")
+    files = {
+        "code": code_to_document(code),
+        "ring": lts_to_document(Lts([f"r{k}" for k in range(200)], "r0",
+                                    [(f"r{k}", a, f"r{(k + 1) % 200}")
+                                     for k, a in enumerate(word)], source)),
+        "loop": lts_to_document(Lts(["q0"], "q0", [("q0", x, "q0")], [x])),
+    }
+    for name, doc in files.items():
+        (tmp_path / name).write_text(dumps(doc), encoding="utf-8")
+    start = time.process_time()
+    status = main(["check", "galois2", "--code", str(tmp_path / "code"), "--rel",
+                   "same-input", str(tmp_path / "ring"), str(tmp_path / "loop")])
+    elapsed = time.process_time() - start
+    assert (status, capsys.readouterr().out) == (0, "PASS\nicomplete True\n"
+                                                 "contraction-simulated True\n"
+                                                 "concretization-simulated True\n")
+    assert elapsed < 1.0
 
 
 def _closed_port() -> int:

@@ -245,6 +245,26 @@ class TestDeterminism:
         assert a0 is a1 and a0 == tuple(atoms("a/0", "a/1"))
         assert b0 == (Label("b", "0"),)
 
+    def test_classes_group_letters_by_related_set(self):
+        # The operators read the relation class by class, and _classes finds
+        # a class by its shared tuple: it must group as the tuples' values do.
+        mealy = mealy_alphabet(3, 4)
+        plain = atoms("a", "b", "c", "d", "e")
+        a, b, c, d, e = plain
+        # b and c get the related set {a, b, c} from separate pairs.
+        explicit = CompatRel(plain, [(b, a), (b, c), (c, a), (c, b), (d, e)])
+        assert explicit.related(b) == explicit.related(c) == (a, b, c)
+        rng = random.Random(3)
+        for rel, alphabet in [(CompatRel.identity(plain), plain),
+                              (CompatRel.same_input(mealy), mealy), (explicit, plain)]:
+            for _ in range(20):
+                letters = rng.sample(alphabet, k=rng.randint(1, len(alphabet)))
+                by_value: dict = {}
+                for x in letters:
+                    by_value.setdefault(rel.related(x), []).append(x)
+                assert rel._classes(letters) == [*by_value.items()]
+        assert explicit._classes([c, d, b]) == [((a, b, c), [c, b]), ((d, e), [d])]
+
     def test_explicit_pair_must_lie_in_the_carrier(self):
         with pytest.raises(ValueError, match=r"^pair \(a, b\) leaves the carrier alphabet$"):
             CompatRel([Label("a")], [(Label("a"), Label("b"))])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import re
 import time
+import tracemalloc
 
 import pytest
 
@@ -111,8 +112,9 @@ def _oracle_instances():
     differently as tuples than rendered (``a-x/0`` before ``a/0``).  The
     fourth's relation is explicit and not symmetric: a letter relates to some
     later letters, so ``related(a)`` holds letters other than ``a``.  Fixed
-    cases follow them: a shared prefix that not every state enables, and a
-    wide code under the identity and under an explicit relation."""
+    cases follow them: a shared prefix that not every state enables, a wide
+    code under the identity and under an explicit relation, and a class of
+    six outputs under the same-input relation."""
     crossed = [Label(i, o) for i in ("a", "a-x") for o in "01"]
     for seed in range(30):
         deterministic = seed % 3 == 0
@@ -157,6 +159,22 @@ def _oracle_instances():
     pairs = [(a, b) for i, a in enumerate(letters) for b in letters[:i] if rng.random() < 0.05]
     for rel in (CompatRel.identity(letters), CompatRel(letters, pairs)):
         yield code, rel, m, n
+    # Under the same-input relation the six outputs of a form one class,
+    # five of them in words.  Every node lacks some of the class; m1 enables
+    # none of what its node lacks, m2 enables a/5 and m3 enables b/1 at the
+    # root, and the three machines keep both, one or neither of those edges.
+    letters = atoms(*(f"a/{k}" for k in range(6)), "b/0", "b/1")
+    code = CodeMap(letters, atoms("W", "X", "Y", "Z"),
+                   [entry("W", "a/4"), entry("X", "a/0 a/1"), entry("Y", "a/0 a/2"),
+                    entry("Z", "b/0 a/3")])
+    edges = [("m0", "a/0", "m1"), ("m0", "a/4", "m0"), ("m0", "b/0", "m2"),
+             ("m1", "a/1", "m0"), ("m1", "a/2", "m3"), ("m2", "a/3", "m0"), ("m3", "a/0", "m1")]
+    gaps = [("m2", "a/5", "m3"), ("m3", "b/1", "m0")]
+    n = abstract_lts(8, code, states=4)
+    for reached in (gaps, gaps[1:], []):
+        m = Lts(["m0", "m1", "m2", "m3"], "m0",
+                [(s, Label.parse(a), d) for s, a, d in edges + reached], letters)
+        yield code, CompatRel.same_input(letters), m, n
 
 
 def _system(m: Lts) -> tuple:
@@ -528,16 +546,28 @@ def _definition_violation(code, rel, m, prefix_labels):
     return None
 
 
+def one_input_word(outputs, length):
+    """The outputs of one input a, and a code of one seeded word of
+    ``length`` of them for the label X/0."""
+    source = [Label("a", str(k)) for k in range(outputs)]
+    rng = random.Random(length)
+    word = [rng.choice(source) for _ in range(length)]
+    x = Label("X", "0")
+    return source, word, CodeMap(source, [x], [(x, word)])
+
+
 class TestNoCliff:
     """Wide relation classes.  With 800 outputs of one input and the code
     covering every other one, the root relates each covered letter to 400
     uncovered ones, which the machine does not enable.  Scanning the state's
     out-list for each took 3.70 s; one set of the enabled labels takes
-    milliseconds.  The table of each node's missing labels is built for every
-    node of the code, visited or not: one word of 4,000 letters takes 5 ms.
-    Refinement and concretization step once over a state's out-list and a
-    node's children, whatever the number of leaf children.  The CPU-time
-    bound leaves a wide margin both ways."""
+    milliseconds.  Each node of the code, visited or not, keeps the classes
+    of its letters that lack a related label, and a pair scans them only
+    when its state enables a label the node lacks: one word of 4,000 letters
+    takes 5 ms.  Refinement and concretization step once over a state's
+    out-list and a node's children, whatever the number of leaf children,
+    and concretization tests each class of letters once per node for chaos.
+    The CPU-time bound leaves a wide margin both ways."""
 
     BOUND_S = 0.2
 
@@ -551,6 +581,39 @@ class TestNoCliff:
         start = time.process_time()
         verdict = is_icomplete(code, rel, m)
         assert time.process_time() - start < self.BOUND_S
+        assert verdict == (True, None)
+
+    def test_concretize_of_a_word_over_two_thousand_outputs(self):
+        # Each internal node tested every letter's related tuple of 2,000
+        # labels for chaos: 10.6 s for a 200-letter word.  One test per
+        # class, 9 ms.
+        source, word, code = one_input_word(2000, 200)
+        x = Label("X", "0")
+        n = Lts(["q0"], "q0", [("q0", x, "q0")], [x])
+        start = time.process_time()
+        gamma = concretize(code, CompatRel.same_input(source), n)
+        assert time.process_time() - start < self.BOUND_S
+        assert len(gamma.states) == 200 and CHAOS not in gamma.states
+        assert all(len(gamma.out(q)) == 1 for q in gamma.states)
+
+    def test_icomplete_of_a_word_over_four_thousand_outputs(self):
+        # Each node listed its 3,999 missing labels as pairs: 0.78 s and a
+        # 102 MB peak for a 400-letter word, against the ring that spells
+        # it.  A node keeps its one lacking class, and the ring's states
+        # enable nothing the node lacks: 1 ms and 0.08 MB.
+        source, word, code = one_input_word(4000, 400)
+        ring = Lts([f"r{k}" for k in range(400)], "r0",
+                   [(f"r{k}", a, f"r{(k + 1) % 400}") for k, a in enumerate(word)], source)
+        tracemalloc.start()
+        start = time.process_time()
+        try:
+            verdict = is_icomplete(code, CompatRel.same_input(source), ring)
+            elapsed = time.process_time() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < self.BOUND_S
+        assert peak < 4_000_000
         assert verdict == (True, None)
 
     def test_contract_of_a_state_with_eight_thousand_labels(self):
