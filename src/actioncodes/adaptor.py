@@ -24,7 +24,7 @@ from .errors import (
     NotWinning,
     SutProtocolError,
 )
-from .lts import Label, Lts, explore
+from .lts import Label, Lts, _is_symbol, explore
 from .operators import contract
 
 __all__ = [
@@ -233,14 +233,22 @@ def _check_timeout(timeout: float) -> None:
 
 
 def _reader(stream):
-    """``read_some`` for a pipe or socket: wait until it is readable, then read.
-    It keeps the stream, not its number, so a read after ``close`` raises."""
+    """``read_some(wait)`` for a pipe or socket: read what is there, and only if
+    nothing is, wait up to ``wait`` seconds for it.  It keeps the stream, not
+    its number, so a read after ``close`` raises."""
     import select
+    os.set_blocking(stream.fileno(), False)  # the adaptor's end; the SUT's stays blocking
 
-    def read_some(deadline: float) -> bytes:
-        if not select.select([stream], [], [], deadline)[0]:
-            raise SutProtocolError("timed out waiting for the SUT")
-        chunk = os.read(stream.fileno(), 4096)
+    def read_some(wait: float) -> bytes:
+        fd = stream.fileno()  # -1 once a socket is closed: select refuses it
+        try:
+            chunk = os.read(fd, 4096) if fd >= 0 else None
+        except BlockingIOError:
+            chunk = None
+        if chunk is None:
+            if not select.select([stream], [], [], wait)[0]:
+                raise SutProtocolError("timed out waiting for the SUT")
+            chunk = os.read(fd, 4096)
         if not chunk:
             raise SutProtocolError("the SUT closed its output")
         return chunk
@@ -314,7 +322,8 @@ class ExternalSut:
             raise SutProtocolError(f"cannot write to the SUT: {exc}") from exc
 
     def receive(self) -> str:
-        """The next reply line, stripped, as a symbol: ``Label`` is its one judge."""
+        """The next reply line, stripped, as a symbol: judged by ``Label``'s rule,
+        with no ``Label`` built."""
         deadline = time.monotonic() + self.timeout  # one for the whole line
         buffer, scanned = self._buffer, 0  # no newline before ``scanned``
         while (end := buffer.find(b"\n", scanned)) < 0 and len(buffer) <= LINE_CAP:
@@ -328,9 +337,11 @@ class ExternalSut:
         line = bytes(buffer[:end])
         del buffer[: end + 1]  # a bytearray drops its front without copying the rest
         try:  # not UTF-8 is a ValueError too
-            return Label(line.decode("utf-8").strip()).symbol
+            if _is_symbol(symbol := line.decode("utf-8").strip()):
+                return symbol
         except ValueError:
-            raise SutProtocolError(f"malformed output symbol {line!r} from the SUT") from None
+            pass
+        raise SutProtocolError(f"malformed output symbol {line!r} from the SUT")
 
     def reset(self) -> None:
         self._write_line("RESET")

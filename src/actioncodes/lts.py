@@ -22,6 +22,11 @@ __all__ = [
 ]
 
 
+def _is_symbol(part) -> bool:
+    """``Label``'s rule for a symbol: a non-empty string, no whitespace, no ``/``."""
+    return isinstance(part, str) and "/" not in part and part.split() == [part]
+
+
 class Label(tuple):
     """An action label: an atomic symbol, or a Mealy input/output pair.
 
@@ -36,15 +41,14 @@ class Label(tuple):
     __slots__ = ()
 
     def __new__(cls, symbol: str, output: str | None = None) -> "Label":
-        for part in (symbol,) if output is None else (symbol, output):
-            if not isinstance(part, str):
-                raise ValueError(f"bad symbol {part!r}: symbols are strings")
-            if "/" in part or part.split() != [part]:
-                raise ValueError(
-                    f"bad symbol {part!r}: symbols are non-empty and contain "
-                    "no whitespace and no '/'"
-                )
-        return tuple.__new__(cls, (symbol, output))
+        if _is_symbol(symbol) and (output is None or _is_symbol(output)):
+            return tuple.__new__(cls, (symbol, output))
+        part = output if _is_symbol(symbol) else symbol
+        if not isinstance(part, str):
+            raise ValueError(f"bad symbol {part!r}: symbols are strings")
+        raise ValueError(
+            f"bad symbol {part!r}: symbols are non-empty and contain no whitespace and no '/'"
+        )
 
     def __getnewargs__(self) -> tuple[str, str | None]:
         # copy and pickle rebuild a label through __new__, so they validate too.
@@ -307,16 +311,20 @@ def is_deterministic(m: Lts, rel: CompatRel | None = None) -> bool:
 
     With the identity relation this is plain determinism; with the same-input
     relation on a Mealy machine it is output determinism (one output and one
-    successor per state and input).  One pass over each state's out-list,
-    plus the related labels of each enabled label.
-    """
+    successor per state and input).  One pass over each state's out-list, and
+    per state one test of each class of related labels (a second would follow
+    a first that failed) against the class's set, built once per call."""
     if rel is None:
         rel = CompatRel.identity(m.alphabet)
     if rel.carrier != m.alphabet:
         raise AlphabetMismatch("relation carrier must be the machine's alphabet")
-    # Out-lists hold no duplicate edge, and each label is related to itself.
-    return all(
-        len(enabled := {a for a, _ in edges}) == len(edges)
-        and all(len(enabled.intersection(rel.related(a))) == 1 for a in enabled)
-        for edges in map(m.out, m.states)
-    )
+    sets: dict = {}  # the id of a class's shared tuple -> its labels as a set
+    for edges in map(m.out, m.states):
+        if len(enabled := {a for a, _ in edges}) != len(edges):  # no duplicate edge
+            return False
+        for related in map(rel.related, enabled):  # a class of one is the label itself
+            if len(related) > 1:
+                members = sets.get(id(related)) or sets.setdefault(id(related), frozenset(related))
+                if len(enabled & members) > 1:
+                    return False
+    return True

@@ -46,6 +46,15 @@ printf 'ERROR InvalidTree carrier is not tree-shaped\n' | cmp - "$tmp/stderr.txt
 printf 'A\nB\nA\n' > "$tmp/inputs.txt"
 "$@" adaptor --code fixtures/double-press.code.json --sut-file fixtures/square.mealy.json --inputs "$tmp/inputs.txt" > "$tmp/inproc.txt"
 "$@" adaptor --code fixtures/double-press.code.json --sut-exec "python3 bench/sut_table.py fixtures/square.mealy.json stdio" --inputs "$tmp/inputs.txt" | cmp - "$tmp/inproc.txt"
+# So it does over loopback TCP to the same SUT, which prints its port first
+# and exits 0 once the adaptor hangs up.
+python3 bench/sut_table.py fixtures/square.mealy.json tcp > "$tmp/port.txt" &
+server=$!
+trap 'kill "$server" 2> /dev/null || true; rm -rf "$tmp"' EXIT
+for _ in $(seq 100); do [ -s "$tmp/port.txt" ] && break; sleep 0.05; done
+"$@" adaptor --code fixtures/double-press.code.json --sut-tcp "127.0.0.1:$(cat "$tmp/port.txt")" --inputs "$tmp/inputs.txt" | cmp - "$tmp/inproc.txt"
+wait "$server"
+trap 'rm -rf "$tmp"' EXIT
 # A timeout past what select and sockets take is refused before any SUT
 # starts: exit 2 and one ERROR line.
 for sut in --sut-exec=cat --sut-tcp=127.0.0.1:9; do

@@ -5,8 +5,10 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import os
 import random
 import re
+import select
 import socket
 import sys
 import textwrap
@@ -30,6 +32,7 @@ from actioncodes.adaptor import (
     is_input_enabled,
     solve_winning,
     split_io,
+    _reader,
 )
 from actioncodes.codes import CodeMap, CodeTree, to_tree
 from actioncodes.documents import tree_from_document, tree_to_document
@@ -868,6 +871,64 @@ class TestExternalSut:
     def test_a_non_ascii_symbol_is_a_reply(self):
         sut = ExternalSut(lambda data: None, lambda timeout: " é\n".encode(), lambda: None)
         assert sut.receive() == "é"
+
+    @staticmethod
+    def _refuse_select(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("select called with a reply already waiting")
+
+        monkeypatch.setattr(select, "select", refuse)
+
+    def test_a_waiting_reply_on_a_pipe_is_read_without_select(self, monkeypatch):
+        read_end, write_end = os.pipe()
+        os.write(write_end, b"0\n")
+        with open(read_end, "rb", buffering=0) as stream:
+            sut = ExternalSut(lambda data: None, _reader(stream), stream.close)
+            self._refuse_select(monkeypatch)
+            assert sut.receive() == "0"
+        os.close(write_end)
+
+    def test_a_waiting_reply_on_a_socket_is_read_without_select(self, monkeypatch):
+        # Wired as connect wires it, but the test owns the socket, so it can
+        # see that the reply has arrived before the read.
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            with socket.create_connection(server.getsockname(), timeout=5.0) as sock:
+                conn, _ = server.accept()
+                with conn:
+                    conn.sendall(b"0\n")
+                    assert select.select([sock], [], [], 5.0)[0]
+                    sut = ExternalSut(sock.sendall, _reader(sock), sock.close)
+                    self._refuse_select(monkeypatch)
+                    assert sut.receive() == "0"
+
+    def test_a_reply_split_by_a_pause_is_one_symbol(self, tmp_path):
+        # The first read finds "0"; the next finds nothing and waits for "\n".
+        script = tmp_path / "pause.py"
+        script.write_text(
+            "import os, sys, time\n"
+            "sys.stdin.readline()\n"
+            "os.write(1, b'0')\n"
+            "time.sleep(0.05)\n"
+            "os.write(1, b'\\n')\n",
+            encoding="utf-8",
+        )
+        with ExternalSut.spawn([sys.executable, str(script)], timeout=10.0) as sut:
+            sut.send("a")
+            assert sut.receive() == "0"
+
+    def test_the_childs_ends_of_the_pipes_stay_blocking(self, tmp_path):
+        # Only the adaptor's read end turns non-blocking; the child's ends
+        # are open file descriptions of their own.
+        script = tmp_path / "blocking.py"
+        script.write_text(
+            "import os, sys\n"
+            "sys.stdin.readline()\n"
+            "print(f'{os.get_blocking(0)},{os.get_blocking(1)}', flush=True)\n",
+            encoding="utf-8",
+        )
+        with ExternalSut.spawn([sys.executable, str(script)], timeout=10.0) as sut:
+            sut.send("a")
+            assert sut.receive() == "True,True"
 
     def test_reset_is_reserved_on_the_wire(self):
         # Sent as an input, the word would reset the SUT, which then answers

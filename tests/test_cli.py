@@ -599,7 +599,9 @@ class TestAdaptorVerb:
             "--sut-exec", f"{sys.executable} {sut}", "--inputs", _inputs(tmp_path, "A\nB\nA\n"),
         )
         assert status == 0
-        assert out.count("OUT 0") == 3
+        assert out == "".join(
+            f"IN {x}\nSUT {a}/0\nSUT {a}/0\nOUT 0\n" for x, a in ["Aa", "Bb", "Aa"]
+        )
 
     def test_empty_exec_command_is_bad_input(self, capsys, tmp_path):
         status, out, err = run(
