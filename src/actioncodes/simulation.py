@@ -16,9 +16,9 @@ budget, so deterministic systems never spend it.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache
-from itertools import groupby, islice
-from operator import itemgetter
+from functools import cache, reduce
+from itertools import compress, count, groupby, islice
+from operator import itemgetter, or_
 
 from .errors import AlphabetMismatch, IsomorphismInconclusive
 from .lts import Label, Lts, walk
@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 ISO_BUDGET = 10**6
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 #: A simulation witness: the set of related (left state, right state) pairs.
 Pairs = frozenset[tuple[str, str]]
@@ -44,13 +45,33 @@ def _require_same_variant(m: Lts, n: Lts) -> None:
 
 
 def _union(rows: list[int], mask: int) -> int:
-    """The union of ``rows[i]`` over the set bits ``i`` of ``mask``."""
+    """The union of ``rows[i]`` over the set bits ``i`` of ``mask``; past
+    eight bits, ORed in C over the scan of :func:`_bits`."""
+    if mask.bit_count() > 8:
+        return reduce(or_, compress(rows, _bits(mask)), 0)
     union = 0
     while mask:
         low = mask & -mask
         union |= rows[low.bit_length() - 1]
         mask ^= low
     return union
+
+
+def _bits(mask: int) -> bytes:
+    """``mask`` as one byte per bit, 1 or 0, lowest bit first."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+
+
+def _indices(mask: int):
+    """The positions of the set bits of ``mask``, lowest first; past eight
+    bits, from the scan of :func:`_bits`."""
+    if mask.bit_count() > 8:
+        yield from compress(count(), _bits(mask))
+        return
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _closures(rows: list[int]) -> list[int]:
@@ -68,37 +89,54 @@ def _closures(rows: list[int]) -> list[int]:
 
 def _answer_tables(n: Lts, tau: Label | None) -> tuple[list[str], dict[Label, tuple]]:
     """``n``'s reachable states, sorted, whose positions number the bits of
-    every mask, and per label the masks ``(ans, pre, answering)``: in
-    ``ans[i]`` the states that answer a move at ``i``, in ``pre[j]`` those
-    that may answer with ``j``, in ``answering`` those with some answer.
+    every mask, and per label the masks ``(ans, pre, answering, targets)``:
+    in ``ans[i]`` the states that answer a move at ``i``, in ``pre[j]`` those
+    that may answer with ``j``, in ``answering`` those with some answer, in
+    ``targets`` those that some state may answer with.
 
-    One pass over the out-lists gives the step masks per label and their
-    reverse, which are the answers of simulation.  With ``tau``, a hidden
-    move is answered by the closure under ``tau`` steps, with the reverse
-    closures as reverse; a visible move by the steps out of the closure,
-    with the reverse closures over the reverse steps as reverse.
+    Without ``tau``, one pass over the out-lists gives the step masks per
+    label and their reverse, the answers of simulation.  With ``tau``, one
+    pass splits them into hidden steps and visible edges.  A hidden move is
+    answered by the closure under hidden steps, its transpose the reverse.
+    A visible edge ``k -a-> j`` answers at each ``i`` whose closure holds
+    ``k``: it sets bit ``j`` of their ``ans`` rows and adds them to ``pre[j]``.
     """
     names = sorted(n.reachable())
     index = {p: i for i, p in enumerate(names)}
     width = len(names)
     steps: dict[Label, tuple[list[int], list[int]]] = {}
-    for i, p in enumerate(names):
-        for a, p2 in n.out(p):
+    if tau is None:
+        for i, p in enumerate(names):
+            for a, p2 in n.out(p):
+                if a not in steps:
+                    steps[a] = [0] * width, [0] * width
+                forward, back = steps[a]
+                j = index[p2]
+                forward[i] |= 1 << j
+                back[j] |= 1 << i
+    else:
+        hidden, edges = [0] * width, []
+        for k, p in enumerate(names):
+            for a, p2 in n.out(p):
+                if a == tau:
+                    hidden[k] |= 1 << index[p2]
+                else:
+                    edges.append((k, a, index[p2]))
+        closure, reverse = _closures(hidden), [0] * width
+        for i, row in enumerate(closure):
+            for k in _indices(row):
+                reverse[k] |= 1 << i
+        steps[tau] = closure, reverse
+        for k, a, j in edges:
             if a not in steps:
                 steps[a] = [0] * width, [0] * width
-            forward, back = steps[a]
-            j = index[p2]
-            forward[i] |= 1 << j
-            back[j] |= 1 << i
-    if tau is not None:
-        closure, reverse = map(_closures, steps.pop(tau, ([0] * width,) * 2))
-        steps = {
-            a: ([_union(forward, c) for c in closure], [_union(reverse, b) for b in back])
-            for a, (forward, back) in steps.items()
-        }
-        steps[tau] = closure, reverse
+            ans, pre = steps[a]
+            for i in _indices(reverse[k]):
+                ans[i] |= 1 << j
+            pre[j] |= reverse[k]
+    powers = [1 << i for i in range(width)]
     return names, {
-        a: (ans, pre, sum(1 << i for i, row in enumerate(ans) if row))
+        a: (ans, pre, sum(compress(powers, ans)), sum(compress(powers, pre)))
         for a, (ans, pre) in steps.items()
     }
 
@@ -121,11 +159,11 @@ def _greatest_simulation(
     Pairs whose ``p`` lacks an answer to some label of ``q`` die first.  A
     left state is pending while its predecessors are unchecked against its
     shrunken alive set.  Popping ``q2`` takes, per label ``a`` into it, the
-    pre-image ``keep``, the union of ``pre`` over ``alive[q2]``: the ``p``
-    with an ``a`` answer into the relation (Henzinger, Henzinger & Kopke,
-    FOCS 1995).  Each ``q -a-> q2`` cuts ``alive[q]`` down to ``keep``, and a
-    ``q`` that lost pairs is pending again.  ``None`` once the initial pair
-    dies, else ``names`` and ``alive``.
+    pre-image ``keep``, the union of ``pre`` over ``alive[q2] & targets``:
+    the ``p`` with an ``a`` answer into the relation (Henzinger, Henzinger &
+    Kopke, FOCS 1995).  Each ``q -a-> q2`` cuts ``alive[q]`` down to
+    ``keep``, and a ``q`` that lost pairs is pending again.  ``None`` once
+    the initial pair dies, else ``names`` and ``alive``.
     """
     _require_same_variant(m, n)
     if tau is not None and (tau not in m.alphabet or tau not in n.alphabet):
@@ -166,7 +204,8 @@ def _greatest_simulation(
         q2, _ = pending.popitem()
         alive_q2 = alive[q2]
         for a, qs in preds[q2].items():
-            keep = _union(tables[a][1], alive_q2)
+            _, pre, _, targets = tables[a]
+            keep = _union(pre, alive_q2 & targets)
             for q in qs:
                 alive_q = alive[q]
                 if alive_q & ~keep:
@@ -179,17 +218,11 @@ def _greatest_simulation(
 
 def _pairs(masks: tuple[list[str], dict[str, int]] | None) -> Pairs | None:
     """The relation that :func:`_greatest_simulation` returns as masks, as a
-    set of name pairs."""
+    set of name pairs, each mask read by :func:`_indices`."""
     if masks is None:
         return None
     names, alive = masks
-    pairs = []
-    for q, mask in alive.items():
-        while mask:
-            low = mask & -mask
-            pairs.append((q, names[low.bit_length() - 1]))
-            mask ^= low
-    return frozenset(pairs)
+    return frozenset([(q, names[i]) for q, mask in alive.items() for i in _indices(mask)])
 
 
 def _transfer_closed(m: Lts, n: Lts, relation: Pairs, answer) -> bool:

@@ -968,7 +968,9 @@ class TestNoCliff:
     every pair of inputs was compared.  Scanning the SUT state's out-list for
     each step on one state with 4,000 inputs took 1.1-1.4 s for 4,000
     exchanges, 0.9-1.6 s for the split view and 0.22 s for the composition
-    with a 500-word code."""
+    with a 500-word code.  Each case collects garbage just before its timed
+    call, so a collection left over from earlier tests (31-58 ms) does not
+    land inside the bound."""
 
     BOUND_S = 0.1
 
@@ -985,12 +987,14 @@ class TestNoCliff:
                              ids=["is_determinate", "solve_winning", "session"])
     def test_a_root_with_four_thousand_inputs(self, solve):
         tree = self._wide_code(Label("X3999", "0"))
+        gc.collect()
         start = time.process_time()
         solve(tree)
         assert time.process_time() - start < self.BOUND_S
 
     def test_a_conflict_between_the_last_two_of_four_thousand_inputs(self):
         tree = self._wide_code(Label("X3998", "1"))
+        gc.collect()
         start = time.process_time()
         verdict = is_determinate(tree)
         assert time.process_time() - start < self.BOUND_S
@@ -1014,6 +1018,7 @@ class TestNoCliff:
         alphabet = [Label(f"i{k}", "0") for k in range(4000)]
         full = Lts(["q0"], "q0", [("q0", a, "q0") for a in alphabet], alphabet)
         short = Lts(["q0"], "q0", [("q0", a, "q0") for a in alphabet[:-1]], alphabet)
+        gc.collect()
         start = time.process_time()
         verdicts = is_input_enabled(full), is_input_enabled(short)
         assert time.process_time() - start < self.BOUND_S
@@ -1027,6 +1032,7 @@ class TestNoCliff:
 
     def test_exchanges_with_a_state_of_four_thousand_inputs(self):
         m = self._wide_state(4000)
+        gc.collect()
         start = time.process_time()
         sut = InProcessSut(m)
         for a, _ in m.out("q0"):
@@ -1036,6 +1042,7 @@ class TestNoCliff:
 
     def test_split_view_of_a_state_with_four_thousand_inputs(self):
         m = self._wide_state(4000)
+        gc.collect()
         start = time.process_time()
         view = split_io(m)
         assert time.process_time() - start < 0.4  # the view has 4,001 states
@@ -1046,6 +1053,7 @@ class TestNoCliff:
         source = sorted(m.alphabet, key=str)
         target = [Label(f"X{j}", "0") for j in range(500)]
         tree = to_tree(CodeMap(source, target, [(b, [a]) for a, b in zip(source, target)]))
+        gc.collect()
         start = time.process_time()
         composed = adaptor_composition(tree, m)
         assert time.process_time() - start < self.BOUND_S
@@ -1061,6 +1069,7 @@ class TestNoCliff:
             return chunk
 
         sut = ExternalSut(lambda data: None, read_some, lambda: None)
+        gc.collect()
         start = time.process_time()
         with pytest.raises(SutProtocolError, match="^an output line from the SUT is longer"):
             sut.receive()
@@ -1071,6 +1080,7 @@ class TestNoCliff:
         lines = [f"o{k:032d}" for k in range(40000)]
         chunks = iter([("\n".join(lines) + "\n").encode()])
         sut = ExternalSut(lambda data: None, lambda timeout: next(chunks), lambda: None)
+        gc.collect()
         start = time.process_time()
         received = [sut.receive() for _ in lines]
         assert time.process_time() - start < 0.5
