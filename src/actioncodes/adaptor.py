@@ -375,7 +375,6 @@ class AdaptorSession:
 
     def __init__(self, code: CodeMap | CodeTree, sut):
         self.wins = _strategy(code)
-        self.code = code
         mapped, self._name = _nodes(code)
         self._kids, self._leaf = mapped._kids, mapped._leaf
         self.sut = sut

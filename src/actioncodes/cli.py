@@ -527,7 +527,7 @@ def _handle(args) -> int:
     except NotDeterminate as exc:
         print("ERROR NotDeterminate", *_keyed(exc.witness, **_DETERMINACY), file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (DocumentError, ActionCodesError, ValueError, OSError) as exc:
+    except (ActionCodesError, ValueError, OSError) as exc:
         print(f"ERROR {type(exc).__name__} {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -173,9 +173,6 @@ class Lts(_Value):
         label, then target."""
         return self._out[state]
 
-    def succ(self, state: str, label: Label) -> tuple[str, ...]:
-        return tuple(dst for a, dst in self._out[state] if a == label)
-
     @property
     def is_mealy(self) -> bool:
         return any(a.is_mealy for a in self.alphabet)

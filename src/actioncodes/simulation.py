@@ -264,8 +264,8 @@ def _simulates(m: Lts, n: Lts, tau: Label | None = None) -> bool:
 
 
 def _succ(n: Lts):
-    """``n.succ`` reading each asked state's out-list once, grouped by label:
-    the list is sorted by label.  The grouping lives as long as the function."""
+    """``(p, a) -> p``'s ``a``-successors, grouping each asked state's sorted
+    out-list by label once.  The grouping lives as long as the function."""
     groups = cache(lambda p: {a: [dst for _, dst in g] for a, g in groupby(n.out(p), itemgetter(0))})
     return lambda p, a: groups(p).get(a, ())
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import time
 from collections import deque
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -42,12 +45,39 @@ def load_fixture(name: str) -> CodeMap | Lts:
     return code_from_document(doc) if name.endswith(".code.json") else lts_from_document(doc)
 
 
+@contextmanager
+def cpu_bound(seconds: float):
+    """Fail unless the block takes under ``seconds`` of process time.  A full
+    collection runs first, so garbage that earlier tests left behind is not
+    collected, and charged, inside the bound; the collector stays on."""
+    gc.collect()
+    start = time.process_time()
+    yield
+    elapsed = time.process_time() - start
+    assert elapsed < seconds, f"took {elapsed:.4f} s of CPU time; the bound is {seconds} s"
+
+
+def pytest_collection_finish(session):
+    """Freeze what the collected modules built, which lives as long as the
+    session: each full collection that :func:`cpu_bound` runs then walks only
+    the objects made since, not the whole heap again."""
+    gc.collect()
+    gc.freeze()
+
+
 # -- brute-force oracles -----------------------------------------------------
 
 
 def brute_force_simulated(m: Lts, n: Lts) -> bool:
+    """Relation enumeration against the step transfer property."""
+    return _some_relation_closed(m, n, lambda p, a: succ(n, p, a))
+
+
+def _some_relation_closed(m: Lts, n: Lts, answers) -> bool:
     """Enumerate every relation over the reachable parts that contains the
-    initial pair and check the transfer property directly."""
+    initial pair, and check directly whether each move ``q -a-> q2`` of a
+    related ``(q, p)`` has a related ``(q2, p2)`` for some ``p2`` in
+    ``answers(p, a)``."""
     reach_m = sorted(m.reachable())
     reach_n = sorted(n.reachable())
     pairs = [(q, p) for q in reach_m for p in reach_n]
@@ -55,17 +85,10 @@ def brute_force_simulated(m: Lts, n: Lts) -> bool:
     rest = [pr for pr in pairs if pr != initial]
     for bits in itertools.product((False, True), repeat=len(rest)):
         relation = {initial} | {pr for pr, bit in zip(rest, bits) if bit}
-        if _is_sim_closed(m, n, relation):
+        if all(any((q2, p2) in relation for p2 in answers(p, a))
+               for q, p in relation for a, q2 in m.out(q)):
             return True
     return False
-
-
-def _is_sim_closed(m: Lts, n: Lts, relation: set[tuple[str, str]]) -> bool:
-    for q, p in relation:
-        for a, q2 in m.out(q):
-            if not any((q2, p2) in relation for p2 in n.succ(p, a)):
-                return False
-    return True
 
 
 def sweep_greatest_simulation(m: Lts, n: Lts, answers) -> frozenset | None:
@@ -144,7 +167,7 @@ def word_targets(m: Lts, state: str, word: Word) -> frozenset[str]:
     """All states reachable from ``state`` by a run spelling ``word``."""
     current = {state}
     for label in word:
-        current = {dst for q in current for dst in m.succ(q, label)}
+        current = {dst for q in current for dst in succ(m, q, label)}
         if not current:
             break
     return frozenset(current)
@@ -170,6 +193,11 @@ def traces_up_to(m: Lts, k: int) -> set[Word]:
         result.update(extended)
         frontier = extended
     return result
+
+
+def succ(m: Lts, state: str, label: Label) -> tuple[str, ...]:
+    """The ``label``-successors of ``state``, by a scan of its out-list."""
+    return tuple(dst for a, dst in m.out(state) if a == label)
 
 
 def enables(m: Lts, state: str, label: Label) -> bool:
@@ -220,61 +248,22 @@ def trace_inclusion_equiv_check(m: Lts, n: Lts, k: int) -> TraceSimAgreement:
 
 
 def brute_force_delay_simulated(m: Lts, n: Lts, tau: Label) -> bool:
-    """Relation enumeration against the delay transfer property."""
-    reach_m = sorted(m.reachable())
-    reach_n = sorted(n.reachable())
+    """Relation enumeration against the delay transfer property: a hidden
+    move is answered by a hidden run, a visible one by a hidden run and then
+    that move."""
+    clo = {p: tau_closure(n, tau, p) for p in n.reachable()}
 
-    def closure(p):
-        seen = {p}
-        todo = [p]
-        while todo:
-            r = todo.pop()
-            for dst in n.succ(r, tau):
-                if dst not in seen:
-                    seen.add(dst)
-                    todo.append(dst)
-        return seen
+    def answers(p, a):
+        return clo[p] if a == tau else [p2 for p1 in clo[p] for p2 in succ(n, p1, a)]
 
-    clo = {p: closure(p) for p in reach_n}
-    pairs = [(q, p) for q in reach_m for p in reach_n]
-    initial = (m.initial, n.initial)
-    rest = [pr for pr in pairs if pr != initial]
-    for bits in itertools.product((False, True), repeat=len(rest)):
-        relation = {initial} | {pr for pr, bit in zip(rest, bits) if bit}
-        ok = True
-        for q, p in relation:
-            for a, q2 in m.out(q):
-                if a == tau:
-                    matched = any((q2, p2) in relation for p2 in clo[p])
-                else:
-                    matched = any(
-                        (q2, p2) in relation
-                        for p1 in clo[p]
-                        for p2 in n.succ(p1, a)
-                    )
-                if not matched:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
+    return _some_relation_closed(m, n, answers)
 
 
 def observable_traces(m: Lts, k: int, tau: Label) -> set[tuple[Label, ...]]:
     """Traces of visible labels up to length k, absorbing hidden moves."""
 
     def closure(states):
-        seen = set(states)
-        todo = list(states)
-        while todo:
-            q = todo.pop()
-            for dst in m.succ(q, tau):
-                if dst not in seen:
-                    seen.add(dst)
-                    todo.append(dst)
-        return frozenset(seen)
+        return frozenset(r for q in states for r in tau_closure(m, tau, q))
 
     result: set[tuple[Label, ...]] = {()}
     frontier = {(): closure({m.initial})}
@@ -306,17 +295,8 @@ def brute_force_isomorphic(m: Lts, n: Lts) -> bool:
         mapping = dict(zip(reach_m, image))
         if mapping[m.initial] != n.initial:
             continue
-        ok = True
-        for q in reach_m:
-            for a in labels:
-                if {mapping[d] for d in m.succ(q, a) if d in mapping} != set(
-                    n.succ(mapping[q], a)
-                ):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all({mapping[d] for d in succ(m, q, a) if d in mapping} == set(succ(n, mapping[q], a))
+               for q in reach_m for a in labels):
             return True
     return False
 
@@ -455,7 +435,7 @@ def is_tree_shaped(m: Lts) -> bool:
 # -- scan-based operators ------------------------------------------------------
 # The operators as they were before they walked the code's prefix tree: every
 # code word is matched against the system one entry at a time, through
-# ``Lts.succ``, ``enables`` and ``word_targets``.  Kept as oracles for the
+# ``succ``, ``enables`` and ``word_targets``.  Kept as oracles for the
 # tree walks, which must agree with them exactly.
 
 
@@ -481,7 +461,7 @@ def scan_refine(code: CodeMap, n: Lts) -> Lts:
             if len(w) < len(word) and word[: len(w)] == w:
                 a = word[len(w)]
                 if len(w) + 1 == len(word):
-                    for q2 in n.succ(q, b):
+                    for q2 in succ(n, q, b):
                         yield a, (q2, ())
                 else:
                     yield a, (q, w + (a,))
@@ -509,7 +489,7 @@ def scan_concretize(code: CodeMap, rel: CompatRel, m: Lts) -> Lts:
             if wa in prefixes:
                 yield a, (q, wa)
             elif wa in complete:
-                for q2 in sorted(m.succ(q, complete[wa])):
+                for q2 in sorted(succ(m, q, complete[wa])):
                     yield a, (q2, ())
             if all(
                 w + (a2,) not in prefixes and w + (a2,) not in complete
@@ -536,7 +516,7 @@ def scan_is_icomplete(code: CodeMap, rel: CompatRel, m: Lts):
                     return False, IncompletenessWitness(q, node, a, a2)
         for a, child in sorted(edges.items(), key=lambda e: str(e[0])):
             nxt = child if node_edges[child] else root
-            for q2 in m.succ(q, a):
+            for q2 in succ(m, q, a):
                 pair = (q2, nxt)
                 if pair not in seen:
                     seen.add(pair)

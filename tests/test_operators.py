@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 import re
-import time
 import tracemalloc
 
 import pytest
@@ -36,6 +35,7 @@ from conftest import (
     DOTTED,
     atoms,
     composite_name,
+    cpu_bound,
     enables,
     entry,
     has_trace,
@@ -45,6 +45,7 @@ from conftest import (
     scan_is_icomplete,
     scan_refine,
     sub_machine,
+    succ,
     word_targets,
 )
 
@@ -84,7 +85,7 @@ class TestContract:
         )
         code = CodeMap(atoms("a", "b"), atoms("X"), [entry("X", "a b")])
         out = contract(code, m)
-        assert set(out.succ("q0", Label("X"))) == {"q3", "q4"}
+        assert set(succ(out, "q0", Label("X"))) == {"q3", "q4"}
 
     def test_alphabet_mismatch(self):
         with pytest.raises(AlphabetMismatch):
@@ -258,7 +259,7 @@ class TestRefine:
                     continue
                 for b in sorted(code.domain, key=str):
                     endpoints = word_targets(expanded, rest, code.word_for(b))
-                    expected = {composite_name(q2, ()) for q2 in n.succ(q, b)}
+                    expected = {composite_name(q2, ()) for q2 in succ(n, q, b)}
                     assert endpoints == expected
 
 
@@ -271,8 +272,8 @@ class TestConcretize:
         out = concretize(code, self.rel(code), load_fixture("chaos-machine.lts.json"))
         start = composite_name("q0", ())
         assert set(out.states) == {start, CHAOS}
-        assert out.succ(start, Label("b")) == (CHAOS,)
-        assert out.succ(CHAOS, Label("b")) == (CHAOS,)
+        assert succ(out, start, Label("b")) == (CHAOS,)
+        assert succ(out, CHAOS, Label("b")) == (CHAOS,)
 
     def test_chaos_pruned_when_unreachable(self):
         code = CodeMap(atoms("a"), atoms("B"), [entry("B", "a")])
@@ -533,7 +534,7 @@ def _definition_violation(code, rel, m, prefix_labels):
         for a, child in edges.items():
             if not tree.tree.out(child):
                 continue
-            for q2 in m.succ(q, a):
+            for q2 in succ(m, q, a):
                 found = descend(q2, child)
                 if found:
                     return found
@@ -578,9 +579,8 @@ class TestNoCliff:
                        [(Label(f"X{k}", "0"), (a,)) for k, a in enumerate(covered)])
         m = Lts(["q0"], "q0", [("q0", a, "q0") for a in covered], source)
         rel = CompatRel.same_input(source)
-        start = time.process_time()
-        verdict = is_icomplete(code, rel, m)
-        assert time.process_time() - start < self.BOUND_S
+        with cpu_bound(self.BOUND_S):
+            verdict = is_icomplete(code, rel, m)
         assert verdict == (True, None)
 
     def test_concretize_of_a_word_over_two_thousand_outputs(self):
@@ -590,9 +590,8 @@ class TestNoCliff:
         source, word, code = one_input_word(2000, 200)
         x = Label("X", "0")
         n = Lts(["q0"], "q0", [("q0", x, "q0")], [x])
-        start = time.process_time()
-        gamma = concretize(code, CompatRel.same_input(source), n)
-        assert time.process_time() - start < self.BOUND_S
+        with cpu_bound(self.BOUND_S):
+            gamma = concretize(code, CompatRel.same_input(source), n)
         assert len(gamma.states) == 200 and CHAOS not in gamma.states
         assert all(len(gamma.out(q)) == 1 for q in gamma.states)
 
@@ -605,14 +604,12 @@ class TestNoCliff:
         ring = Lts([f"r{k}" for k in range(400)], "r0",
                    [(f"r{k}", a, f"r{(k + 1) % 400}") for k, a in enumerate(word)], source)
         tracemalloc.start()
-        start = time.process_time()
         try:
-            verdict = is_icomplete(code, CompatRel.same_input(source), ring)
-            elapsed = time.process_time() - start
+            with cpu_bound(self.BOUND_S):
+                verdict = is_icomplete(code, CompatRel.same_input(source), ring)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert elapsed < self.BOUND_S
         assert peak < 4_000_000
         assert verdict == (True, None)
 
@@ -623,9 +620,8 @@ class TestNoCliff:
         target = [Label(f"X{k}") for k in range(8000)]
         code = CodeMap(source, target, [(b, [a]) for a, b in zip(source, target)])
         m = Lts(["q0"], "q0", [("q0", a, "q0") for a in source], source)
-        start = time.process_time()
-        result = contract(code, m)
-        assert time.process_time() - start < self.BOUND_S
+        with cpu_bound(self.BOUND_S):
+            result = contract(code, m)
         assert result.out(result.initial) == tuple((b, result.initial) for b in sorted(target, key=str))
 
     @staticmethod
@@ -638,9 +634,8 @@ class TestNoCliff:
         return code, Lts(["q0"], "q0", [("q0", b, "q0") for b in target], target)
 
     def expect_one_loop_per_letter(self, build, code, *args):
-        start = time.process_time()
-        result = build(code, *args)
-        assert time.process_time() - start < self.BOUND_S
+        with cpu_bound(self.BOUND_S):
+            result = build(code, *args)
         q = result.initial
         assert result.states == (q,)
         assert result.out(q) == tuple((a, q) for a in sorted(code.source, key=str))
@@ -660,9 +655,8 @@ class TestNoCliff:
         a, x = Label("a", "0"), Label("X", "0")
         code = CodeMap([a], [x], [(x, [a] * 4000)])
         m = Lts(["q0"], "q0", [("q0", a, "q0")], [a])
-        start = time.process_time()
-        verdict = is_icomplete(code, CompatRel.same_input([a]), m)
-        assert time.process_time() - start < self.BOUND_S
+        with cpu_bound(self.BOUND_S):
+            verdict = is_icomplete(code, CompatRel.same_input([a]), m)
         assert verdict == (True, None)
 
 
