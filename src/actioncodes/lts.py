@@ -128,7 +128,7 @@ class Lts(_Value):
     target)`` pairs store the edges, one pair per edge.
     """
 
-    __slots__ = ("states", "initial", "alphabet", "_out", "_reach")
+    __slots__ = ("states", "initial", "alphabet", "_out", "_reach", "_post")
 
     def __init__(self, states, initial, transitions, alphabet):
         self.states = tuple(sorted(dict.fromkeys(states)))  # not a set: sorted input sorts in linear time
@@ -182,8 +182,26 @@ class Lts(_Value):
         return frozenset(a.symbol for a in self.alphabet if a.is_mealy)
 
     def reachable(self) -> frozenset[str]:
-        return self._once("_reach", lambda: frozenset(
-            walk(self.initial, lambda q: map(itemgetter(1), self._out[q]))))
+        return self._once("_reach", lambda: frozenset(self._postorder()))
+
+    def _postorder(self) -> tuple[str, ...]:
+        """The reachable states in depth-first postorder from the initial
+        state: each after the states first met below it, so, off cycles,
+        after its successors.  One walk on an explicit stack, cached."""
+        def walk_down():
+            order, seen, stack = [], {self.initial}, [(self.initial, iter(self._out[self.initial]))]
+            while stack:
+                q, edges = stack[-1]
+                for _, dst in edges:
+                    if dst not in seen:
+                        seen.add(dst)
+                        stack.append((dst, iter(self._out[dst])))
+                        break
+                else:  # every edge of q is explored
+                    stack.pop()
+                    order.append(q)
+            return tuple(order)
+        return self._once("_post", walk_down)
 
     def __repr__(self) -> str:
         edges = sum(map(len, self._out.values()))

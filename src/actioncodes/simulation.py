@@ -162,14 +162,17 @@ def _greatest_simulation(
     pre-image ``keep``, the union of ``pre`` over ``alive[q2] & targets``:
     the ``p`` with an ``a`` answer into the relation (Henzinger, Henzinger &
     Kopke, FOCS 1995).  Each ``q -a-> q2`` cuts ``alive[q]`` down to
-    ``keep``, and a ``q`` that lost pairs is pending again.  ``None`` once
-    the initial pair dies, else ``names`` and ``alive``.
+    ``keep``, and a ``q`` that lost pairs is pending again.  The left states
+    are seeded in reversed depth-first postorder, so the LIFO pops from the
+    sinks back and, off cycles, each state after its successors, whatever
+    the states are named.  ``None`` once the initial pair dies, else ``names``
+    and ``alive``.
     """
     _require_same_variant(m, n)
     if tau is not None and (tau not in m.alphabet or tau not in n.alphabet):
         raise AlphabetMismatch(f"hidden label {tau} must be in both alphabets")
     names, tables = _answer_tables(n, tau)
-    reach_m = sorted(m.reachable())
+    reach_m = m._postorder()[::-1]
     full = (1 << len(names)) - 1
     fit = {}  # fit[q]: the p that answer every label of q
     preds: dict[str, dict[Label, list[str]]] = {q: {} for q in reach_m}

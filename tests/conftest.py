@@ -709,6 +709,22 @@ def relabel(m: Lts, prefix: str = "s") -> Lts:
     )
 
 
+def renamed(m: Lts, order) -> Lts:
+    """A copy of ``m`` with fresh names ``c0000``, ``c0001``, ... that sort in
+    the order of ``m.states`` (``"ascending"``), in the reverse order
+    (``"descending"``), or in the order shuffled by the seed ``order``."""
+    states = list(reversed(m.states) if order == "descending" else m.states)
+    if order not in ("ascending", "descending"):
+        random.Random(order).shuffle(states)
+    name = {q: f"c{k:04d}" for k, q in enumerate(states)}
+    return Lts(
+        [name[q] for q in m.states],
+        name[m.initial],
+        [(name[s], a, name[d]) for s, a, d in m.transitions],
+        m.alphabet,
+    )
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260810)

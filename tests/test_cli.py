@@ -28,11 +28,11 @@ from actioncodes.generate import gen_lts
 from actioncodes.lts import Label, Lts
 from actioncodes.simulation import find_isomorphism_reachable, is_simulation
 
-from conftest import FIXTURES, cpu_bound, load_fixture
+from conftest import FIXTURES, cpu_bound, load_fixture, renamed
 from test_adaptor import SQUARE_SUT_SCRIPT
 from test_cli_transcript import CALLS
 from test_operators import one_input_word
-from test_simulation import forked_chain, is_reachable_isomorphism, numbered_copy
+from test_simulation import a_chain, forked_chain, is_reachable_isomorphism, named_chain
 
 
 def fixture(name: str) -> str:
@@ -145,7 +145,7 @@ class TestCheckVerbs:
     def test_deep_isomorphism(self, capsys, tmp_path):
         # 1,100 states: deeper than the default recursion limit.
         m = forked_chain(550, 549)
-        n = numbered_copy(m)
+        n = renamed(m, "ascending")
         paths = [tmp_path / "m.json", tmp_path / "n.json"]
         for path, machine in zip(paths, (m, n)):
             path.write_text(dumps(lts_to_document(machine)), encoding="utf-8")
@@ -771,6 +771,17 @@ def test_galois2_on_a_word_over_two_thousand_outputs(capsys, tmp_path):
     assert (status, capsys.readouterr().out) == (0, "PASS\nicomplete True\n"
                                                  "contraction-simulated True\n"
                                                  "concretization-simulated True\n")
+
+
+def test_check_simulation_on_a_chain_named_backwards(capsys, tmp_path):
+    # State names that count down along the left chain: seeded in sorted name
+    # order, the engine took 74-97 s of CPU to refute it on a 2-vCPU machine.
+    files = {"left": named_chain(1601, "descending"), "right": a_chain(1600, "q")}
+    for name, machine in files.items():
+        (tmp_path / name).write_text(dumps(lts_to_document(machine)), encoding="utf-8")
+    with cpu_bound(2.0):
+        status = main(["check", "simulation", str(tmp_path / "left"), str(tmp_path / "right")])
+    assert (status, capsys.readouterr().out) == (1, "FAIL\n")
 
 
 def _closed_port() -> int:

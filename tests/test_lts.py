@@ -445,7 +445,8 @@ JUDGED_CHARACTERS = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(st.text(st.one_of(st.characters(), st.sampled_from(JUDGED_CHARACTERS)))
+@given(st.one_of(st.text(st.one_of(st.characters(codec="utf-8"),
+                                   st.sampled_from(JUDGED_CHARACTERS)))
                  .map(str.encode), st.binary()).map(lambda line: line.replace(b"\n", b"")))
 @example(b"")
 @example(b"/")

@@ -33,6 +33,7 @@ from conftest import (
     cpu_bound,
     load_fixture,
     relabel,
+    renamed,
     sub_machine,
     sweep_greatest_simulation,
     trace_inclusion_equiv_check,
@@ -68,21 +69,6 @@ def forked_chain(left: int, right: int) -> Lts:
     for chain in (xs, ys):
         edges += [(src, a, dst) for src, dst in zip(chain, chain[1:])]
     return Lts(["r", *xs, *ys], "r", edges, [a, b])
-
-
-def numbered_copy(m: Lts, backwards: bool = False, shuffle: int | None = None) -> Lts:
-    """A renamed copy whose names sort in the order of ``m.states``, in the
-    reverse order, or in an order shuffled by the seed ``shuffle``."""
-    states = list(reversed(m.states) if backwards else m.states)
-    if shuffle is not None:
-        random.Random(shuffle).shuffle(states)
-    name = {q: f"c{k:04d}" for k, q in enumerate(states)}
-    return Lts(
-        [name[q] for q in m.states],
-        name[m.initial],
-        [(name[s], a, name[d]) for s, a, d in m.transitions],
-        m.alphabet,
-    )
 
 
 def dense_lts(seed: int, states: int, labels: int) -> Lts:
@@ -329,12 +315,12 @@ class TestIsomorphism:
     def test_deep_nondeterministic_chain(self):
         # 1,100 states: deeper than the default recursion limit.
         m = forked_chain(550, 549)
-        for n in (numbered_copy(m), numbered_copy(m, backwards=True)):
+        for n in (renamed(m, "ascending"), renamed(m, "descending")):
             # Backwards, the first image tried for x0 is the wrong one, and
             # the search backtracks from the end of the chain.
             mapping = find_isomorphism_reachable(m, n)
             assert mapping is not None and is_reachable_isomorphism(m, n, mapping)
-        other = numbered_copy(forked_chain(551, 548))  # same state and edge counts
+        other = renamed(forked_chain(551, 548), "ascending")  # same state and edge counts
         assert find_isomorphism_reachable(m, other) is None
 
 
@@ -370,7 +356,7 @@ class TestAgainstTheOracle:
     def others(rng: random.Random, m: Lts):
         """Renamed copies of ``m``, one-edge mutants of one, and a copy with
         one more edge that repeats a label."""
-        for n in (relabel(m), numbered_copy(m, backwards=True)):
+        for n in (relabel(m), renamed(m, "descending")):
             yield n
         edges = sorted(n.transitions)
         if not edges:
@@ -400,7 +386,7 @@ class TestAgainstTheOracle:
         rng = random.Random(seed)
         verdicts = []
         for m in systems:
-            for n in (numbered_copy(m, shuffle=rng.randrange(10**6)), *self.others(rng, m)):
+            for n in (renamed(m, rng.randrange(10**6)), *self.others(rng, m)):
                 with cpu_bound(self.BOUND_S):
                     got = find_isomorphism_reachable(m, n)
                 assert (got is None) == (_search_isomorphism(m, n) is None)
@@ -498,6 +484,13 @@ def a_chain(states: int, prefix: str, extra=()) -> Lts:
     a = Label("a")
     ids = [f"{prefix}{k}" for k in range(states)]
     return Lts(ids, ids[0], [(s, a, d) for s, d in zip(ids, ids[1:])], [a, *extra])
+
+
+def named_chain(states: int, order) -> Lts:
+    """An ``a``-chain of ``states`` states whose names, by :func:`renamed`,
+    ascend along it, descend, or are shuffled by the seed ``order``."""
+    a, ids = Label("a"), [f"{k:05d}" for k in range(states)]
+    return renamed(Lts(ids, ids[0], [(s, a, d) for s, d in zip(ids, ids[1:])], [a]), order)
 
 
 def tau_padded(m: Lts) -> Lts:
@@ -620,6 +613,20 @@ def test_engine_matches_the_sweep_oracle(monkeypatch):
     for k in (0, 1):  # simulation, delay simulation
         verdicts = [r[k] is not None for r in engine]
         assert verdicts.count(True) >= 1500 and verdicts.count(False) >= 400
+
+
+def test_renamed_left_systems_match_the_sweep_oracle():
+    # The engine pops the left states in an order of their edges, not of
+    # their names: renamed in reverse sorted order, each left system gets
+    # the oracle's relations, mapped back, and its verdicts.
+    for m, n in sweep_instances(3000):
+        left = renamed(m, "descending")
+        back = dict(zip(reversed(left.states), m.states))
+        for tau, answers in ((None, _step_answers(m, n)), (TAU, _delay_answers(m, n, TAU))):
+            expected = sweep_greatest_simulation(m, n, answers)
+            got = find_simulation(left, n) if tau is None else find_delay_simulation(left, n, tau)
+            assert (got and frozenset((back[q], p) for q, p in got)) == expected
+            assert simulation._simulates(left, n, tau) == (expected is not None)
 
 
 def agrees_with_the_oracle(m: Lts, n: Lts) -> bool:
@@ -753,10 +760,20 @@ class TestMaskEdges:
 class TestNoCliff:
     """Long chains.  The sweep that preceded the worklist took 75-92 s per
     ``a``-chain call at this size on a 2-vCPU machine, the worklist well
-    under a second; the CPU-time bound leaves a wide margin both ways."""
+    under a second; the CPU-time bound leaves a wide margin both ways.
+
+    Chains of ``LONG`` states whose names do not ascend along them: seeded
+    in sorted name order, the worklist popped a descending chain from its
+    head and took 74-93 s to refute and 80-85 s to relate one, and 20-24 s
+    for a τ-padded one of 800 states.  Seeded in depth-first postorder,
+    0.1-0.16 s, 0.9 s and 0.07-0.4 s, whatever the names.  Shuffled names
+    cost the name-ordered worklist 1.3-1.6 s, under ``NAMING_BOUND_S``:
+    those cases pin that no order of names falls off the cliff."""
 
     N = 400
     BOUND_S = 10.0
+    LONG = 1600
+    NAMING_BOUND_S = 2.0
 
     def test_a_chain_one_longer_is_not_simulated(self):
         m, n = a_chain(self.N + 1, "p"), a_chain(self.N, "q")
@@ -778,6 +795,30 @@ class TestNoCliff:
         shorter = a_chain(self.N - 1, "q", extra=[TAU])
         with cpu_bound(self.BOUND_S):
             assert find_delay_simulation(padded, shorter, TAU) is None
+
+    @pytest.mark.parametrize("order", ["descending", 1])
+    def test_a_chain_one_longer_named_out_of_order(self, order):
+        m, n = named_chain(self.LONG + 1, order), a_chain(self.LONG, "q")
+        with cpu_bound(self.NAMING_BOUND_S):
+            assert find_simulation(m, n) is None
+
+    @pytest.mark.parametrize("order", ["descending", 1])
+    def test_a_chain_named_out_of_order_is_simulated(self, order):
+        m, n = named_chain(self.LONG, order), a_chain(self.LONG + 1, "q")
+        with cpu_bound(self.NAMING_BOUND_S):
+            witness = find_simulation(m, n)
+        # The size of the greatest simulation: each left state with every
+        # right state whose rest of the chain is no shorter than its own.
+        assert len(witness) == self.LONG * (self.LONG + 3) // 2
+
+    def test_tau_padded_chain_named_backwards(self):
+        padded = renamed(tau_padded(named_chain(800, "ascending")), "descending")
+        same = a_chain(800, "q", extra=[TAU])
+        with cpu_bound(self.NAMING_BOUND_S):
+            witness = find_delay_simulation(padded, same, TAU)
+        assert witness is not None and is_delay_simulation(padded, same, TAU, witness)
+        with cpu_bound(self.NAMING_BOUND_S):
+            assert find_delay_simulation(padded, a_chain(799, "q", extra=[TAU]), TAU) is None
 
     def test_tau_ring(self):
         # Every hidden closure is the whole ring, so every answer mask is full.
@@ -802,8 +843,8 @@ class TestNoCliff:
         # Matched breadth first, the first level of a fan took 0.4-1.3 s at
         # k=8 and ran out of budget at k=10 on a 2-vCPU machine.
         m = fan(12)
-        for n, isomorphic in ((numbered_copy(m, shuffle=seed), True),
-                              (numbered_copy(fan(12, swap=True), shuffle=seed), False)):
+        for n, isomorphic in ((renamed(m, seed), True),
+                              (renamed(fan(12, swap=True), seed), False)):
             with cpu_bound(1.0):
                 mapping = find_isomorphism_reachable(m, n)
             assert (mapping is not None) == isomorphic
